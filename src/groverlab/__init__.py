@@ -28,9 +28,6 @@ from .linalg import (
     angle_distance,
     global_phase_align,
     is_unitary,
-    mat2,
-    mat2_apply,
-    mat2_mul,
     max_entry_deviation,
     wrap_angle,
 )
@@ -50,11 +47,10 @@ from .model import (
 )
 from .operators import (
     IterationMatrix,
+    iteration_matrices,
     iteration_matrix,
     long_iteration_closed_form,
-    subspace_diffusion,
-    subspace_oracle,
-    uniform_projector,
+    operator_coefficients,
 )
 from .statevector import (
     StateVector,
@@ -95,13 +91,12 @@ __all__ = [
     "global_phase_align",
     "initial_state",
     "is_unitary",
+    "iteration_matrices",
     "iteration_matrix",
     "long_iteration_closed_form",
     "make_search_space",
-    "mat2",
-    "mat2_apply",
-    "mat2_mul",
     "max_entry_deviation",
+    "operator_coefficients",
     "optimal_iterations",
     "phase_params_for",
     "predicted_global_phase",
@@ -111,13 +106,10 @@ __all__ = [
     "run_full",
     "single_iteration_amplitude_long",
     "single_iteration_probability",
-    "subspace_diffusion",
-    "subspace_oracle",
     "success_probability",
     "sweep",
     "target_probability",
     "transform_phases",
-    "uniform_projector",
     "uniform_state",
     "verify_phase_equivalence",
     "wrap_angle",

@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .model import (
     PhaseParams,
     geometry_from_lambda,
 )
-from .operators import iteration_matrix
+from .operators import iteration_matrices, operator_coefficients
 from .equivalence import transform_phases
 
 
@@ -87,6 +88,10 @@ class SweepGrid:
         _check_proportion("lambda_max", self.lambda_max)
         if self.lambda_min > self.lambda_max:
             raise ValueError("lambda_min must not exceed lambda_max")
+        if not (math.isfinite(self.phase_min) and math.isfinite(self.phase_max)):
+            raise ValueError(
+                f"phase endpoints must be finite, got {self.phase_min} and {self.phase_max}"
+            )
         if self.phase_min > self.phase_max:
             raise ValueError("phase_min must not exceed phase_max")
         if self.lambda_steps < 1 or self.phase_steps < 1:
@@ -101,17 +106,19 @@ class SweepGrid:
         return np.linspace(self.phase_min, self.phase_max, self.phase_steps)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Rows (lambda, phase, k, probability), lambda-major then phase."""
+    """Success probabilities over the grid, shape (lambda_steps, phase_steps)."""
 
     grid: SweepGrid
-    rows: tuple[tuple[float, float, int, float], ...]
+    probabilities: np.ndarray
 
-    def probability_grid(self) -> np.ndarray:
-        """Probabilities reshaped to (lambda_steps, phase_steps)."""
-        p = np.array([row[3] for row in self.rows])
-        return p.reshape(self.grid.lambda_steps, self.grid.phase_steps)
+    def rows(self) -> Iterator[tuple[float, float, int, float]]:
+        """(lambda, phase, k, probability), lambda-major then phase."""
+        phases = self.grid.phases().tolist()
+        for lam, row in zip(self.grid.lambdas().tolist(), self.probabilities.tolist()):
+            for phase, p in zip(phases, row):
+                yield lam, phase, self.grid.k, p
 
 
 def phase_params_for(kind: AlgorithmKind, phase: float) -> PhaseParams:
@@ -135,26 +142,17 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> SweepResult:
     matched sweeps of different kinds tabulate the same field.  The original
     kind ignores the phase axis entirely.
     """
-    phases = grid.phases()
-    rows: list[tuple[float, float, int, float]] = []
-    for lam in grid.lambdas():
-        g = geometry_from_lambda(float(lam))
-        mats = np.empty((grid.phase_steps, 2, 2), dtype=complex)
-        for j, phase in enumerate(phases):
-            if matched_from_long and grid.kind is not AlgorithmKind.ORIGINAL:
-                params = transform_phases(LongParams(float(phase)), grid.kind)
-            else:
-                params = phase_params_for(grid.kind, float(phase))
-            mats[j] = iteration_matrix(grid.kind, params, g).m
-        v = np.broadcast_to(
-            np.array([math.sin(g.theta), math.cos(g.theta)], dtype=complex),
-            (grid.phase_steps, 2),
-        ).copy()
-        for _ in range(grid.k):
-            v = np.einsum("pij,pj->pi", mats, v)
-        probs = np.clip(np.abs(v[:, 0]) ** 2, 0.0, 1.0)
-        rows.extend(
-            (float(lam), float(phase), grid.k, float(p))
-            for phase, p in zip(phases, probs)
-        )
-    return SweepResult(grid=grid, rows=tuple(rows))
+    if matched_from_long and grid.kind is not AlgorithmKind.ORIGINAL:
+        params = [transform_phases(LongParams(float(p)), grid.kind) for p in grid.phases()]
+    else:
+        params = [phase_params_for(grid.kind, float(p)) for p in grid.phases()]
+    coefficients = np.array([operator_coefficients(grid.kind, p) for p in params]).T
+    # |s> = (sin theta, cos theta) per lambda through math.sin/cos, so every
+    # cell matches its scalar iteration_matrix and run bit for bit.
+    thetas = [geometry_from_lambda(float(lam)).theta for lam in grid.lambdas()]
+    start = np.array([[math.sin(t), math.cos(t)] for t in thetas])[:, None, :]
+    mats = iteration_matrices(grid.kind, coefficients, start[..., 0], start[..., 1])
+    v = np.broadcast_to(start, mats.shape[:-1]).astype(complex)
+    for _ in range(grid.k):
+        v = np.einsum("...ij,...j->...i", mats, v)
+    return SweepResult(grid=grid, probabilities=np.clip(np.abs(v[..., 0]) ** 2, 0.0, 1.0))

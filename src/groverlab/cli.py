@@ -13,6 +13,8 @@ endings; identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import math
+import re
 import sys
 from typing import Iterable, Sequence
 
@@ -50,6 +52,12 @@ _KIND_NAMES = {kind.value: kind for kind in AlgorithmKind}
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # No option of this CLI starts with a digit, so "-0.05:6.3:201" and
+        # "-1e-3" are values, not options.  Subparsers inherit this class.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     # Usage errors exit 1; the default argparse status of 2 is reserved
     # for verification failures.
     def error(self, message: str) -> None:
@@ -60,14 +68,27 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _axis(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected min:max:steps, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"endpoints must be finite, got {text!r}")
+    return lo, hi, steps
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,13 +115,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check-equivalence",
                          help="verify the variants coincide up to a global phase")
-    chk.add_argument("--phi", required=True, type=float, help="long oracle phase, radians")
+    chk.add_argument("--phi", required=True, type=_finite, help="long oracle phase, radians")
     chk.add_argument("--lambda", dest="lam", required=True, type=float,
                      help="target proportion in (0, 1]")
     chk.add_argument("--k", required=True, type=int,
                      help="iterations for the probability comparison")
-    chk.add_argument("--tol", type=float, default=1e-10)
-    chk.add_argument("--perturb", type=float, default=0.0,
+    chk.add_argument("--tol", type=_finite, default=1e-10)
+    chk.add_argument("--perturb", type=_finite, default=0.0,
                      help="offset each mapped variant's phase off the condition")
     chk.set_defaults(func=cmd_check_equivalence)
 
@@ -109,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     cc.add_argument("--n", required=True, type=int, help="qubit count, 1-20")
     cc.add_argument("--seed", required=True, type=int)
     cc.add_argument("--samples", required=True, type=int)
-    cc.add_argument("--tol", type=float, default=1e-10)
+    cc.add_argument("--tol", type=_finite, default=1e-10)
     cc.set_defaults(func=cmd_crosscheck)
 
     return parser
@@ -127,6 +148,12 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) 
     return EXIT_OK
 
 
+def _write_sweep(path: str, phase_column: str, grid: SweepGrid, matched: bool) -> int:
+    rows = ((_fmt(lam), _fmt(phase), str(k), _fmt(p))
+            for lam, phase, k, p in sweep(grid, matched_from_long=matched).rows())
+    return _write_csv(path, ("lambda", phase_column, "k", "probability"), rows)
+
+
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.index == 1:
         # 200 uniform proportions j/200 ending at 1; the grid contains the
@@ -137,10 +164,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
             k = optimal_iterations(lam)
             rows.append((_fmt(lam), str(k), _fmt(closed_form_probability(lam, k))))
         return _write_csv(args.out, ("lambda", "k", "probability"), rows)
-    kind = _FIGURE_KINDS[args.index]
-    result = sweep(SweepGrid(kind=kind, k=5), matched_from_long=True)
-    rows = [(_fmt(lam), _fmt(phase), str(k), _fmt(p)) for lam, phase, k, p in result.rows]
-    return _write_csv(args.out, ("lambda", "phi", "k", "probability"), rows)
+    return _write_sweep(args.out, "phi", SweepGrid(kind=_FIGURE_KINDS[args.index], k=5), True)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -160,9 +184,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"groverlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = sweep(grid, matched_from_long=args.matched)
-    rows = [(_fmt(lam), _fmt(phase), str(k), _fmt(p)) for lam, phase, k, p in result.rows]
-    return _write_csv(args.out, ("lambda", "phase", "k", "probability"), rows)
+    return _write_sweep(args.out, "phase", grid, args.matched)
 
 
 def cmd_check_equivalence(args: argparse.Namespace) -> int:

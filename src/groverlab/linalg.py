@@ -1,10 +1,10 @@
 """Fixed-shape complex linear algebra for the 2D search subspace.
 
 Conventions:
-  Matrices are 2x2 complex128 ndarrays in basis order (|alpha>, |beta>),
-  target component first.  Angles are radians; a "wrapped" angle lives
-  in (-pi, pi].  Unit-magnitude scalars are represented by their wrapped
-  angle, never as a complex number.
+  Matrices are 2x2 complex128 ndarrays (or (..., 2, 2) stacks of them)
+  in basis order (|alpha>, |beta>), target component first.  Angles are
+  radians; a "wrapped" angle lives in (-pi, pi].  Unit-magnitude scalars
+  are represented by their wrapped angle, never as a complex number.
 """
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ import math
 import numpy as np
 
 TAU = 2.0 * math.pi
-
-IDENTITY2 = np.eye(2, dtype=complex)
 
 
 def wrap_angle(angle: float) -> float:
@@ -31,27 +29,15 @@ def angle_distance(a: float, b: float) -> float:
     return abs(wrap_angle(a - b))
 
 
-def mat2(m00: complex, m01: complex, m10: complex, m11: complex) -> np.ndarray:
-    """2x2 complex matrix from row-major entries."""
-    return np.array([[m00, m01], [m10, m11]], dtype=complex)
-
-
-def mat2_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product a @ b."""
-    return np.asarray(a, dtype=complex) @ np.asarray(b, dtype=complex)
-
-
-def mat2_apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 matrix to an amplitude pair."""
-    return np.asarray(m, dtype=complex) @ np.asarray(v, dtype=complex)
-
-
 def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    """True iff m @ m^dagger deviates from the identity by at most tol (max entry)."""
+    """True iff m @ m^dagger deviates from the identity by at most tol (max entry).
+
+    m may be a (..., n, n) stack; every matrix in it must pass.
+    """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     m = np.asarray(m, dtype=complex)
-    deviation = np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0])))
+    deviation = np.max(np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-1])))
     return bool(deviation <= tol)
 
 

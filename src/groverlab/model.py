@@ -61,11 +61,6 @@ class SubspaceGeometry:
     theta: float
     lambda_: float
 
-    @property
-    def m(self) -> float:
-        """sin^2(theta); identical to the target proportion lambda_."""
-        return self.lambda_
-
 
 def geometry_of(space: SearchSpace) -> SubspaceGeometry:
     """Subspace geometry of a concrete search space."""

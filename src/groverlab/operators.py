@@ -23,59 +23,50 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import IDENTITY2, is_unitary, mat2
-from .model import (
-    AlgorithmKind,
-    PhaseParams,
-    SubspaceGeometry,
-    check_params_tag,
-)
+from .linalg import is_unitary
+from .model import AlgorithmKind, PhaseParams, SubspaceGeometry, check_params_tag
 
 UNITARITY_TOL = 1e-10
 
 
-def uniform_projector(g: SubspaceGeometry) -> np.ndarray:
-    """|s><s| restricted to the subspace."""
-    s, c = math.sin(g.theta), math.cos(g.theta)
-    return mat2(s * s, s * c, s * c, c * c)
-
-
-def subspace_oracle(kind: AlgorithmKind, params: PhaseParams) -> np.ndarray:
-    """2x2 oracle: diag(target eigenvalue, non-target eigenvalue)."""
+def operator_coefficients(
+    kind: AlgorithmKind, params: PhaseParams
+) -> tuple[complex, complex, complex, complex]:
+    """One row of the table above: (target, rest, c, d)."""
     check_params_tag(kind, params)
     if kind is AlgorithmKind.ORIGINAL:
-        target, rest = -1.0 + 0j, 1.0 + 0j
-    elif kind is AlgorithmKind.LONG:
-        target, rest = cmath.exp(1j * params.oracle_phase), 1.0 + 0j
-    elif kind is AlgorithmKind.LI_DF:
-        target = 1.0 - 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
-        rest = 1.0 + 0j
-    elif kind is AlgorithmKind.LI_CM:
-        target, rest = -cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2)
-    else:
-        target, rest = cmath.exp(-1j * params.beta), 1.0 + 0j
-    return mat2(target, 0.0, 0.0, rest)
+        return -1.0 + 0j, 1.0 + 0j, 2.0 + 0j, -1.0 + 0j
+    if kind is AlgorithmKind.LONG:
+        ed = cmath.exp(1j * params.diffusion_phase)
+        return cmath.exp(1j * params.oracle_phase), 1.0 + 0j, 1.0 - ed, -1.0 + 0j
+    if kind is AlgorithmKind.LI_DF:
+        w = 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
+        return 1.0 - w, 1.0 + 0j, w, -1.0 + 0j
+    if kind is AlgorithmKind.LI_CM:
+        eg1, eg2 = cmath.exp(1j * params.gamma1), cmath.exp(1j * params.gamma2)
+        return -cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2), eg1 - eg2, eg2
+    e = cmath.exp(1j * params.beta)
+    return cmath.exp(-1j * params.beta), 1.0 + 0j, 1.0 - e, e
 
 
-def subspace_diffusion(
-    kind: AlgorithmKind, params: PhaseParams, g: SubspaceGeometry
-) -> np.ndarray:
-    """2x2 diffusion: c * |s><s| + d * I with per-kind coefficients."""
-    check_params_tag(kind, params)
-    if kind is AlgorithmKind.ORIGINAL:
-        c, d = 2.0 + 0j, -1.0 + 0j
-    elif kind is AlgorithmKind.LONG:
-        c, d = 1.0 - cmath.exp(1j * params.diffusion_phase), -1.0 + 0j
-    elif kind is AlgorithmKind.LI_DF:
-        c = 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
-        d = -1.0 + 0j
-    elif kind is AlgorithmKind.LI_CM:
-        c = cmath.exp(1j * params.gamma1) - cmath.exp(1j * params.gamma2)
-        d = cmath.exp(1j * params.gamma2)
-    else:
-        c = 1.0 - cmath.exp(1j * params.beta)
-        d = cmath.exp(1j * params.beta)
-    return c * uniform_projector(g) + d * IDENTITY2
+def iteration_matrices(kind: AlgorithmKind, coefficients, sin_theta, cos_theta) -> np.ndarray:
+    """(c * |s><s| + d * I) @ diag(target, rest) with |s> = (sin_theta, cos_theta).
+
+    coefficients is (target, rest, c, d): four scalars or a (4, ...) array.
+    sin_theta and cos_theta share one shape; the two shapes broadcast to one
+    (..., 2, 2) stack, checked unitary in a single call.
+    """
+    target, rest, c, d = np.asarray(coefficients, dtype=complex)[..., None, None]
+    s = np.stack([sin_theta, cos_theta], axis=-1)
+    m = c * (s[..., :, None] * s[..., None, :]) + d * np.eye(2)
+    # The diagonal oracle scales the columns; numpy's complex products keep
+    # every entry equal to the full 2x2 matmul to the last bit.
+    m *= np.concatenate([target, rest], axis=-1)
+    if not is_unitary(m, UNITARITY_TOL):
+        raise ValueError(
+            f"{kind.value} iteration matrix failed the unitarity check at {UNITARITY_TOL}"
+        )
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +82,10 @@ class IterationMatrix:
 def iteration_matrix(
     kind: AlgorithmKind, params: PhaseParams, g: SubspaceGeometry
 ) -> IterationMatrix:
-    """Composed iteration: diffusion @ oracle, checked unitary."""
-    m = subspace_diffusion(kind, params, g) @ subspace_oracle(kind, params)
-    if not is_unitary(m, UNITARITY_TOL):
-        raise ValueError(
-            f"{kind.value} iteration matrix failed the unitarity check at {UNITARITY_TOL}"
-        )
+    """Composed iteration for one parameter bundle: diffusion @ oracle, checked unitary."""
+    m = iteration_matrices(
+        kind, operator_coefficients(kind, params), math.sin(g.theta), math.cos(g.theta)
+    )
     return IterationMatrix(m=m, kind=kind, params=params, geometry=g)
 
 
@@ -112,9 +101,10 @@ def long_iteration_closed_form(
     s, c = math.sin(g.theta), math.cos(g.theta)
     eo = cmath.exp(1j * phi)
     ed = cmath.exp(1j * vphi)
-    return mat2(
-        -eo * (s * s * ed + c * c),
-        s * c * (1.0 - ed),
-        s * c * eo * (1.0 - ed),
-        -(c * c * ed + s * s),
+    return np.array(
+        [
+            [-eo * (s * s * ed + c * c), s * c * (1.0 - ed)],
+            [s * c * eo * (1.0 - ed), -(c * c * ed + s * s)],
+        ],
+        dtype=complex,
     )

@@ -98,7 +98,7 @@ def test_criterion_4_single_iteration_equivalence_across_variants():
 
 def test_criterion_5_matched_sweep_identity():
     fields = [
-        sweep(SweepGrid(kind=kind, k=5), matched_from_long=True).probability_grid()
+        sweep(SweepGrid(kind=kind, k=5), matched_from_long=True).probabilities
         for kind in VARIANTS
     ]
     worst = max(float(np.max(np.abs(fields[0] - f))) for f in fields[1:])

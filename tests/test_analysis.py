@@ -158,26 +158,29 @@ class TestSweep:
             SweepGrid(kind=AlgorithmKind.LONG, k=1, phase_steps=0)
         with pytest.raises(ValueError):
             SweepGrid(kind=AlgorithmKind.LONG, k=-1)
+        with pytest.raises(ValueError, match="phase endpoints must be finite"):
+            SweepGrid(kind=AlgorithmKind.LONG, k=1, phase_max=float("inf"))
+        with pytest.raises(ValueError, match="phase endpoints must be finite"):
+            SweepGrid(kind=AlgorithmKind.LONG, k=1, phase_min=float("nan"))
 
     def test_row_count_and_order(self):
         grid = SweepGrid(kind=AlgorithmKind.LONG, k=2, lambda_steps=4, phase_steps=3)
-        result = sweep(grid)
-        assert len(result.rows) == 12
-        lambdas = [row[0] for row in result.rows]
+        rows = list(sweep(grid).rows())
+        assert len(rows) == 12
+        lambdas = [row[0] for row in rows]
         assert lambdas == sorted(lambdas)  # lambda-major ordering
-        phases = [row[1] for row in result.rows[:3]]
+        phases = [row[1] for row in rows[:3]]
         assert phases == sorted(phases)
-        assert all(row[2] == 2 for row in result.rows)
-        assert all(0.0 <= row[3] <= 1.0 for row in result.rows)
+        assert all(row[2] == 2 for row in rows)
+        assert all(0.0 <= row[3] <= 1.0 for row in rows)
 
     def test_deterministic_across_calls(self):
         grid = SweepGrid(kind=AlgorithmKind.LI_CM, k=5, lambda_steps=7, phase_steps=9)
-        assert sweep(grid).rows == sweep(grid).rows
+        assert list(sweep(grid).rows()) == list(sweep(grid).rows())
 
     def test_matches_per_cell_engine_runs(self):
         grid = SweepGrid(kind=AlgorithmKind.LI_PC, k=4, lambda_steps=5, phase_steps=6)
-        result = sweep(grid)
-        for lam, phase, k, prob in result.rows:
+        for lam, phase, k, prob in sweep(grid).rows():
             g = geometry_from_lambda(lam)
             it = iteration_matrix(grid.kind, phase_params_for(grid.kind, phase), g)
             assert abs(prob - success_probability(run(it, k))) < 1e-14
@@ -187,16 +190,16 @@ class TestSweep:
             kind=AlgorithmKind.ORIGINAL, k=1,
             lambda_min=0.5, lambda_max=0.5, lambda_steps=1, phase_steps=5,
         )
-        result = sweep(grid)
-        probs = {row[3] for row in result.rows}
-        assert len(result.rows) == 5
+        rows = list(sweep(grid).rows())
+        probs = {row[3] for row in rows}
+        assert len(rows) == 5
         assert all(p == pytest.approx(0.5, abs=1e-12) for p in probs)
 
     def test_matched_sweeps_tabulate_one_field(self):
         fields = []
         for kind in (AlgorithmKind.LONG, AlgorithmKind.LI_DF, AlgorithmKind.LI_CM, AlgorithmKind.LI_PC):
             grid = SweepGrid(kind=kind, k=5, lambda_steps=11, phase_steps=13)
-            fields.append(sweep(grid, matched_from_long=True).probability_grid())
+            fields.append(sweep(grid, matched_from_long=True).probabilities)
         for other in fields[1:]:
             assert np.max(np.abs(fields[0] - other)) < 1e-10
 
@@ -206,4 +209,4 @@ class TestSweep:
             lambda_min=0.25, lambda_max=0.25, lambda_steps=1,
             phase_min=math.pi, phase_max=math.pi, phase_steps=1,
         )
-        assert sweep(grid).rows[0][3] == pytest.approx(1.0, abs=1e-12)
+        assert list(sweep(grid).rows())[0][3] == pytest.approx(1.0, abs=1e-12)

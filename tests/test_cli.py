@@ -161,7 +161,9 @@ class TestMainEntryPoint:
         assert out.exists()
 
     def test_domain_errors_become_usage_errors(self, capsys):
-        code = main(["check-equivalence", "--phi", "nan", "--lambda", "0.5", "--k", "1"])
+        # Finite flags whose perturbed licm phase overflows to inf.
+        code = main(["check-equivalence", "--phi", "1e308", "--lambda", "0.5", "--k", "1",
+                     "--perturb", "1e308"])
         assert code == 1
         assert "error" in capsys.readouterr().err
 
@@ -174,3 +176,68 @@ class TestMainEntryPoint:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 1
+
+
+class TestNegativeValues:
+    def test_negative_axis_reads_as_a_value(self, tmp_path):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        common = ["sweep", "--kind", "lipc", "--k", "3", "--lambda", "0.1:0.9:4"]
+        assert main([*common, "--phase", "-0.05:6.3:5", "--out", str(spaced)]) == 0
+        assert main([*common, "--phase=-0.05:6.3:5", "--out", str(joined)]) == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+        assert spaced.read_text().splitlines()[1].split(",")[1] == "-0.05"
+
+    @pytest.mark.parametrize("phi", ["-1e-3", "-.5"])
+    def test_negative_scalar_reads_as_a_value(self, phi, capsys):
+        assert main(["check-equivalence", "--phi", phi, "--lambda", "0.3", "--k", "2"]) == 0
+        assert capsys.readouterr().out.count("HOLD") == 3
+
+    @pytest.mark.parametrize("argv,message", [
+        (["crosscheck", "--n", "3", "--seed", "1", "--samples", "2", "--tol", "-1e-3"],
+         "--tol positive"),
+        (["check-equivalence", "--phi", "1", "--lambda", "-5e-1", "--k", "1"],
+         "--lambda must lie in (0, 1]"),
+        (["sweep", "--kind", "long", "--k", "1", "--lambda", "-0.1:1:3", "--phase", "0:1:2"],
+         "lambda_min must lie in (0, 1]"),
+    ])
+    def test_negative_value_reaches_the_domain_check(self, argv, message, tmp_path, capsys):
+        if argv[0] == "sweep":
+            argv = [*argv, "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+
+    def test_negative_perturb_reads_as_a_value(self, capsys):
+        code = main(["check-equivalence", "--phi", "1.3", "--lambda", "0.37", "--k", "5",
+                     "--perturb", "-1e-1"])
+        assert code == 2
+        assert capsys.readouterr().out.count("FAIL") == 3
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("flag,argv", [
+        ("--phase", ["sweep", "--kind", "long", "--k", "1", "--lambda", "0.1:1:3",
+                     "--phase", "0:inf:3"]),
+        ("--lambda", ["sweep", "--kind", "long", "--k", "1", "--lambda", "nan:1:3",
+                      "--phase", "0:1:3"]),
+        ("--phi", ["check-equivalence", "--phi", "nan", "--lambda", "0.5", "--k", "1"]),
+        ("--tol", ["check-equivalence", "--phi", "1", "--lambda", "0.5", "--k", "1",
+                   "--tol", "nan"]),
+        ("--perturb", ["check-equivalence", "--phi", "1", "--lambda", "0.5", "--k", "1",
+                       "--perturb", "inf"]),
+        ("--tol", ["crosscheck", "--n", "3", "--seed", "1", "--samples", "2", "--tol", "nan"]),
+    ])
+    def test_rejected_at_the_boundary_naming_the_flag(self, flag, argv, tmp_path, capsys,
+                                                      recwarn):
+        if argv[0] == "sweep":
+            argv = [*argv, "--out", str(tmp_path / "x.csv")]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 1
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not recwarn.list
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_non_numeric_float_keeps_the_argparse_message(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["check-equivalence", "--phi", "abc", "--lambda", "0.5", "--k", "1"])
+        assert "argument --phi: invalid float value: 'abc'" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for the 2x2 complex helpers and global-phase alignment."""
+"""Tests for angle wrapping, the unitarity check and global-phase alignment."""
 import cmath
 import math
 
@@ -8,33 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groverlab.linalg import (
-    IDENTITY2,
     angle_distance,
     global_phase_align,
     is_unitary,
-    mat2,
-    mat2_apply,
-    mat2_mul,
     max_entry_deviation,
     wrap_angle,
 )
 
-PAULI_X = mat2(0, 1, 1, 0)
-PAULI_Y = mat2(0, -1j, 1j, 0)
-REFLECT = mat2(-1, 0, 0, 1)
+IDENTITY2 = np.eye(2, dtype=complex)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SHEAR = np.array([[1, 1], [0, 1]], dtype=complex)
 
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
 def rotation(angle):
     c, s = math.cos(angle), math.sin(angle)
-    return mat2(c, s, -s, c)
+    return np.array([[c, s], [-s, c]], dtype=complex)
 
 
 def random_unitary(a, b, t):
     """diag-phase * rotation * diag-phase: dense in enough of U(2) for testing."""
-    left = mat2(cmath.exp(1j * a), 0, 0, cmath.exp(1j * b))
-    right = mat2(cmath.exp(1j * (a - b)), 0, 0, 1)
+    left = np.diag([cmath.exp(1j * a), cmath.exp(1j * b)])
+    right = np.diag([cmath.exp(1j * (a - b)), 1.0])
     return left @ rotation(t) @ right
 
 
@@ -61,15 +57,20 @@ class TestWrapAngle:
         assert angle_distance(wrapped, x) < 1e-9
 
 
-class TestMat2Mul:
-    def test_identity_product(self):
-        assert np.array_equal(mat2_mul(IDENTITY2, IDENTITY2), IDENTITY2)
+class TestIsUnitary:
+    def test_identity(self):
+        assert is_unitary(IDENTITY2, 1e-12)
 
-    def test_reflection_involution(self):
-        assert np.array_equal(mat2_mul(REFLECT, REFLECT), IDENTITY2)
+    def test_shear_is_not(self):
+        assert not is_unitary(SHEAR, 1e-12)
 
-    def test_pauli_product(self):
-        assert np.array_equal(mat2_mul(PAULI_X, PAULI_Y), mat2(1j, 0, 0, -1j))
+    def test_stack_fails_on_one_non_unitary_slice(self):
+        assert is_unitary(np.stack([IDENTITY2, PAULI_X, rotation(0.7)]), 1e-12)
+        assert not is_unitary(np.stack([IDENTITY2, SHEAR, PAULI_X]), 1e-12)
+
+    def test_rejects_nonpositive_tol(self):
+        with pytest.raises(ValueError):
+            is_unitary(IDENTITY2, 0.0)
 
     @given(angles, angles, angles, angles, angles, angles)
     @settings(max_examples=200)
@@ -77,45 +78,7 @@ class TestMat2Mul:
         u = random_unitary(a1, b1, t1)
         v = random_unitary(a2, b2, t2)
         assert is_unitary(u, 1e-12) and is_unitary(v, 1e-12)
-        assert is_unitary(mat2_mul(u, v), 1e-10)
-
-
-class TestMat2Apply:
-    def test_identity(self):
-        v = np.array([math.sin(0.4), math.cos(0.4)], dtype=complex)
-        assert np.array_equal(mat2_apply(IDENTITY2, v), v)
-
-    def test_oracle_reflection(self):
-        out = mat2_apply(REFLECT, np.array([0.3 + 0.1j, 0.8], dtype=complex))
-        assert out[0] == -(0.3 + 0.1j) and out[1] == 0.8
-
-    @pytest.mark.parametrize("theta", np.linspace(0.05, 1.5, 9))
-    def test_rotation_angle_addition(self, theta):
-        v = np.array([math.sin(theta), math.cos(theta)], dtype=complex)
-        out = mat2_apply(rotation(2 * theta), v)
-        assert out[0] == pytest.approx(math.sin(3 * theta), abs=1e-12)
-        assert out[1] == pytest.approx(math.cos(3 * theta), abs=1e-12)
-
-    @given(angles, angles, angles, st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
-           st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False))
-    @settings(max_examples=200)
-    def test_unitary_preserves_norm(self, a, b, t, x, y):
-        u = random_unitary(a, b, t)
-        v = np.array([x, y], dtype=complex)
-        out = mat2_apply(u, v)
-        assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(v), abs=1e-12)
-
-
-class TestIsUnitary:
-    def test_identity(self):
-        assert is_unitary(IDENTITY2, 1e-12)
-
-    def test_shear_is_not(self):
-        assert not is_unitary(mat2(1, 1, 0, 1), 1e-12)
-
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            is_unitary(IDENTITY2, 0.0)
+        assert is_unitary(u @ v, 1e-10)
 
 
 class TestGlobalPhaseAlign:
@@ -149,7 +112,7 @@ class TestGlobalPhaseAlign:
         assert angle_distance(forward, -backward) < 1e-10
 
     def test_inequivalent_matrices_return_none(self):
-        assert global_phase_align(IDENTITY2, mat2(1, 0, 0, cmath.exp(0.5j)), 1e-10) is None
+        assert global_phase_align(IDENTITY2, np.diag([1, cmath.exp(0.5j)]), 1e-10) is None
         assert global_phase_align(IDENTITY2, rotation(0.3), 1e-6) is None
 
     def test_magnitude_mismatch_returns_none(self):

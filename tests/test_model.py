@@ -74,9 +74,6 @@ class TestGeometry:
             0.3934810829739611, abs=1e-14
         )
 
-    def test_m_passes_through(self):
-        assert geometry_from_lambda(1 / 3).m == 1 / 3
-
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0000001, float("nan"), float("inf")])
     def test_from_lambda_rejects_out_of_domain(self, bad):
         with pytest.raises(ValueError):
@@ -97,7 +94,6 @@ class TestGeometry:
             for num_targets in range(1, size + 1):
                 g = geometry_of(make_search_space(n, range(num_targets)))
                 assert abs(math.sin(g.theta) ** 2 - g.lambda_) <= 1e-15
-                assert g.m == g.lambda_
 
 
 class TestPhaseParams:

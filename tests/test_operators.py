@@ -1,11 +1,11 @@
-"""Tests for the 2x2 oracle/diffusion constructors and composed iterations."""
+"""Tests for the operator coefficient table and composed iterations."""
 import cmath
 import math
 
 import numpy as np
 import pytest
 
-from groverlab.linalg import global_phase_align, is_unitary, mat2
+from groverlab.linalg import global_phase_align, is_unitary
 from groverlab.model import (
     AlgorithmKind,
     LiCMParams,
@@ -16,71 +16,102 @@ from groverlab.model import (
     geometry_from_lambda,
 )
 from groverlab.operators import (
+    iteration_matrices,
     iteration_matrix,
     long_iteration_closed_form,
-    subspace_diffusion,
-    subspace_oracle,
-    uniform_projector,
+    operator_coefficients,
 )
 
 from helpers import random_kind, random_params
 
 
-class TestSubspaceOracle:
+def oracle(kind, params):
+    target, rest, _, _ = operator_coefficients(kind, params)
+    return np.diag([target, rest])
+
+
+def diffusion(kind, params, g):
+    """c * |s><s| + d * I: the composer with the oracle set to the identity."""
+    _, _, c, d = operator_coefficients(kind, params)
+    return iteration_matrices(kind, (1.0, 1.0, c, d), math.sin(g.theta), math.cos(g.theta))
+
+
+class TestOracleCoefficients:
     def test_original(self):
         assert np.array_equal(
-            subspace_oracle(AlgorithmKind.ORIGINAL, OriginalParams()), mat2(-1, 0, 0, 1)
+            oracle(AlgorithmKind.ORIGINAL, OriginalParams()), np.array([[-1, 0], [0, 1]])
         )
 
     def test_long_at_pi_reduces_to_original(self):
-        oracle = subspace_oracle(AlgorithmKind.LONG, LongParams(math.pi))
-        assert np.allclose(oracle, mat2(-1, 0, 0, 1), atol=1e-12)
+        assert np.allclose(oracle(AlgorithmKind.LONG, LongParams(math.pi)), np.diag([-1, 1]),
+                           atol=1e-12)
 
     def test_lidf_at_zero_reduces_to_original(self):
-        oracle = subspace_oracle(AlgorithmKind.LI_DF, LiDFParams(0.0))
-        assert np.allclose(oracle, mat2(-1, 0, 0, 1), atol=1e-15)
+        assert np.allclose(oracle(AlgorithmKind.LI_DF, LiDFParams(0.0)), np.diag([-1, 1]),
+                           atol=1e-15)
 
     def test_lipc_at_zero_degenerates_to_identity(self):
-        oracle = subspace_oracle(AlgorithmKind.LI_PC, LiPCParams(0.0))
-        assert np.allclose(oracle, np.eye(2), atol=1e-15)
+        assert np.allclose(oracle(AlgorithmKind.LI_PC, LiPCParams(0.0)), np.eye(2), atol=1e-15)
 
     def test_licm_phases_land_on_both_eigenvalues(self):
-        oracle = subspace_oracle(AlgorithmKind.LI_CM, LiCMParams(0, 0, 0.9, -0.4))
-        assert oracle[0, 0] == pytest.approx(-cmath.exp(0.9j), abs=1e-15)
-        assert oracle[1, 1] == pytest.approx(-cmath.exp(-0.4j), abs=1e-15)
+        target, rest, _, _ = operator_coefficients(
+            AlgorithmKind.LI_CM, LiCMParams(0, 0, 0.9, -0.4)
+        )
+        assert target == pytest.approx(-cmath.exp(0.9j), abs=1e-15)
+        assert rest == pytest.approx(-cmath.exp(-0.4j), abs=1e-15)
 
     def test_tag_mismatch(self):
         with pytest.raises(TypeError):
-            subspace_oracle(AlgorithmKind.LONG, LiPCParams(0.1))
+            operator_coefficients(AlgorithmKind.LONG, LiPCParams(0.1))
 
 
-class TestSubspaceDiffusion:
+class TestDiffusionCoefficients:
     def test_original_at_quarter_pi_is_swap(self):
         g = geometry_from_lambda(0.5)
-        diffusion = subspace_diffusion(AlgorithmKind.ORIGINAL, OriginalParams(), g)
-        assert np.allclose(diffusion, mat2(0, 1, 1, 0), atol=1e-12)
+        assert np.allclose(diffusion(AlgorithmKind.ORIGINAL, OriginalParams(), g),
+                           np.array([[0, 1], [1, 0]]), atol=1e-12)
 
     def test_long_at_pi_reduces_to_original(self):
         g = geometry_from_lambda(0.3)
-        long_diff = subspace_diffusion(AlgorithmKind.LONG, LongParams(math.pi), g)
-        orig_diff = subspace_diffusion(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        long_diff = diffusion(AlgorithmKind.LONG, LongParams(math.pi), g)
+        orig_diff = diffusion(AlgorithmKind.ORIGINAL, OriginalParams(), g)
         assert np.allclose(long_diff, orig_diff, atol=1e-12)
 
     def test_licm_with_equal_phases_at_zero_is_identity(self):
         g = geometry_from_lambda(0.3)
-        diffusion = subspace_diffusion(AlgorithmKind.LI_CM, LiCMParams(0, 0, 0, 0), g)
-        assert np.allclose(diffusion, np.eye(2), atol=1e-15)
-
-    def test_projector_is_rank_one_and_idempotent(self):
-        g = geometry_from_lambda(0.42)
-        proj = uniform_projector(g)
-        assert np.allclose(proj @ proj, proj, atol=1e-14)
-        assert np.trace(proj).real == pytest.approx(1.0, abs=1e-14)
+        assert np.allclose(diffusion(AlgorithmKind.LI_CM, LiCMParams(0, 0, 0, 0), g),
+                           np.eye(2), atol=1e-15)
 
     def test_tag_mismatch(self):
-        g = geometry_from_lambda(0.3)
         with pytest.raises(TypeError):
-            subspace_diffusion(AlgorithmKind.LI_DF, LongParams(0.1), g)
+            operator_coefficients(AlgorithmKind.LI_DF, LongParams(0.1))
+
+
+class TestIterationMatrices:
+    def test_stack_equals_scalar_builds_exactly(self):
+        rng = np.random.default_rng(11)
+        for kind in AlgorithmKind:
+            params = [random_params(rng, kind) for _ in range(4)]
+            gs = [geometry_from_lambda(float(lam)) for lam in rng.uniform(1e-4, 1.0, size=3)]
+            rows = np.array([operator_coefficients(kind, p) for p in params]).T
+            s = np.array([[math.sin(g.theta)] for g in gs])
+            c = np.array([[math.cos(g.theta)] for g in gs])
+            stack = iteration_matrices(kind, rows, s, c)
+            assert stack.shape == (3, 4, 2, 2)
+            for i, g in enumerate(gs):
+                for j, p in enumerate(params):
+                    assert np.array_equal(stack[i, j], iteration_matrix(kind, p, g).m)
+
+    def test_one_non_unitary_cell_fails_the_stack(self):
+        rows = np.array([operator_coefficients(AlgorithmKind.LI_PC, LiPCParams(b))
+                         for b in (0.1, 0.2, 0.3)]).T
+        rows[3, 1] = 0.0  # d = 0 leaves the middle diffusion rank one
+        with pytest.raises(ValueError, match="lipc iteration matrix failed the unitarity"):
+            iteration_matrices(AlgorithmKind.LI_PC, rows, np.full((2, 1), 0.6), np.full((2, 1), 0.8))
+
+    def test_non_unitary_coefficients_name_the_kind(self):
+        with pytest.raises(ValueError, match="lidf iteration matrix failed the unitarity"):
+            iteration_matrices(AlgorithmKind.LI_DF, (1.0, 1.0, 1.0, 0.0), 0.6, 0.8)
 
 
 class TestIterationMatrix:
@@ -88,7 +119,7 @@ class TestIterationMatrix:
         g = geometry_from_lambda(0.25)  # theta = pi/6
         it = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
         c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
-        assert np.allclose(it.m, mat2(c, s, -s, c), atol=1e-12)
+        assert np.allclose(it.m, np.array([[c, s], [-s, c]]), atol=1e-12)
 
     def test_long_at_pi_equals_original(self):
         g = geometry_from_lambda(0.37)
