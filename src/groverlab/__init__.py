@@ -46,7 +46,6 @@ from .model import (
     make_search_space,
 )
 from .operators import (
-    IterationMatrix,
     iteration_matrices,
     iteration_matrix,
     long_iteration_closed_form,
@@ -61,14 +60,13 @@ from .statevector import (
     target_probability,
     uniform_state,
 )
-from .subspace import SubspaceState, initial_state, run, success_probability
+from .subspace import initial_state, run, success_probability
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmKind",
     "EquivalenceReport",
-    "IterationMatrix",
     "LiCMParams",
     "LiDFParams",
     "LiPCParams",
@@ -78,7 +76,6 @@ __all__ = [
     "SearchSpace",
     "StateVector",
     "SubspaceGeometry",
-    "SubspaceState",
     "SweepGrid",
     "SweepResult",
     "TRANSFORMABLE_KINDS",

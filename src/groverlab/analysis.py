@@ -21,6 +21,7 @@ from .model import (
 )
 from .operators import iteration_matrices, operator_coefficients
 from .equivalence import transform_phases
+from .subspace import run, success_probability
 
 
 def _check_proportion(name: str, value: float) -> None:
@@ -148,11 +149,8 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> SweepResult:
         params = [phase_params_for(grid.kind, float(p)) for p in grid.phases()]
     coefficients = np.array([operator_coefficients(grid.kind, p) for p in params]).T
     # |s> = (sin theta, cos theta) per lambda through math.sin/cos, so every
-    # cell matches its scalar iteration_matrix and run bit for bit.
+    # cell equals its scalar iteration_matrix, initial_state and run bit for bit.
     thetas = [geometry_from_lambda(float(lam)).theta for lam in grid.lambdas()]
     start = np.array([[math.sin(t), math.cos(t)] for t in thetas])[:, None, :]
     mats = iteration_matrices(grid.kind, coefficients, start[..., 0], start[..., 1])
-    v = np.broadcast_to(start, mats.shape[:-1]).astype(complex)
-    for _ in range(grid.k):
-        v = np.einsum("...ij,...j->...i", mats, v)
-    return SweepResult(grid=grid, probabilities=np.clip(np.abs(v[..., 0]) ** 2, 0.0, 1.0))
+    return SweepResult(grid=grid, probabilities=success_probability(run(mats, grid.k, start)))

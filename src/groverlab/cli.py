@@ -35,7 +35,7 @@ from .model import (
 )
 from .operators import iteration_matrix
 from .statevector import project_to_subspace, run_full, target_probability
-from .subspace import run, success_probability
+from .subspace import initial_state, run, success_probability
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -195,25 +195,21 @@ def cmd_check_equivalence(args: argparse.Namespace) -> int:
     if args.tol <= 0 or args.k < 0:
         print("groverlab: error: --tol must be positive and --k >= 0", file=sys.stderr)
         return EXIT_USAGE
-    g = geometry_from_lambda(args.lam)
-    params_long = LongParams(args.phi)
-    reports = verify_phase_equivalence(params_long, g, tol=args.tol, perturb=args.perturb)
-    p_long = success_probability(run(iteration_matrix(AlgorithmKind.LONG, params_long, g), args.k))
-    all_hold = True
+    if not math.isfinite(abs(args.phi) + abs(args.perturb)):
+        # beta = -phi, so one perturbed phase has magnitude |phi| + |perturb|.
+        print(f"groverlab: error: --phi {args.phi} and --perturb {args.perturb} "
+              f"overflow when added; |--phi| + |--perturb| must be finite", file=sys.stderr)
+        return EXIT_USAGE
+    reports = verify_phase_equivalence(LongParams(args.phi), geometry_from_lambda(args.lam),
+                                       tol=args.tol, perturb=args.perturb, k=args.k)
     for rep in reports:
-        p_other = success_probability(
-            run(iteration_matrix(rep.target_kind, rep.target_params, g), args.k)
-        )
-        prob_dev = abs(p_other - p_long)
-        ok = rep.holds and prob_dev <= args.tol
-        all_hold = all_hold and ok
         measured = "none" if rep.measured_phase is None else _fmt(rep.measured_phase)
         print(
             f"long->{rep.target_kind.value}: predicted_phase={_fmt(rep.predicted_phase)} "
             f"measured_phase={measured} max_entry_deviation={rep.max_entry_deviation:.3e} "
-            f"prob_deviation_k{args.k}={prob_dev:.3e} {'HOLD' if ok else 'FAIL'}"
+            f"prob_deviation_k{args.k}={rep.prob_deviation:.3e} {'HOLD' if rep.holds else 'FAIL'}"
         )
-    return EXIT_OK if all_hold else EXIT_VERIFICATION
+    return EXIT_OK if all(rep.holds for rep in reports) else EXIT_VERIFICATION
 
 
 def _random_case(rng: np.random.Generator, n: int):
@@ -244,6 +240,9 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         print("groverlab: error: --samples must be >= 0 and --tol positive",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.seed < 0:
+        print(f"groverlab: error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     rng = np.random.default_rng(args.seed)
     print(f"rng={type(rng.bit_generator).__name__} seed={args.seed} "
           f"n={args.n} samples={args.samples}")
@@ -255,7 +254,8 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     for _ in range(args.samples):
         space, kind, params, k = _random_case(rng, args.n)
         full = run_full(space, kind, params, k)
-        sub = run(iteration_matrix(kind, params, geometry_of(space)), k)
+        g = geometry_of(space)
+        sub = run(iteration_matrix(kind, params, g), k, initial_state(g))
         max_prob_dev = max(
             max_prob_dev, abs(target_probability(full) - success_probability(sub))
         )

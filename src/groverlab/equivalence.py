@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .linalg import angle_distance, global_phase_align, max_entry_deviation, wrap_angle
 from .model import (
     AlgorithmKind,
@@ -31,6 +33,7 @@ from .model import (
     SubspaceGeometry,
 )
 from .operators import iteration_matrix
+from .subspace import initial_state, run, success_probability
 
 #: Variants covered by the transform condition (everything but the original).
 TRANSFORMABLE_KINDS = (
@@ -112,9 +115,10 @@ def predicted_global_phase(params_a: PhaseParams, params_b: PhaseParams) -> floa
 class EquivalenceReport:
     """Outcome of aligning one variant pair at a tolerance.
 
-    holds requires all three: the alignment succeeded, its residual entry
-    deviation is within tolerance, and the measured phase matches the
-    prediction mod 2*pi.
+    holds requires all four: the alignment succeeded, its residual entry
+    deviation is within tolerance, the measured phase matches the
+    prediction mod 2*pi, and the success probabilities after k steps differ
+    by at most the tolerance.
     """
 
     source_kind: AlgorithmKind
@@ -124,6 +128,7 @@ class EquivalenceReport:
     predicted_phase: float
     measured_phase: float | None
     max_entry_deviation: float
+    prob_deviation: float
     holds: bool
 
 
@@ -143,41 +148,51 @@ def verify_phase_equivalence(
     g: SubspaceGeometry,
     tol: float = 1e-10,
     perturb: float = 0.0,
+    k: int = 0,
 ) -> list[EquivalenceReport]:
     """Map a long iteration's phase to every other variant and test the claim.
 
     Failures are recorded in the reports, never raised.  A nonzero perturb
     offsets each mapped variant's leading phase, stepping off the chain; the
     reports then demonstrate that the condition is necessary, not just
-    sufficient.
+    sufficient.  The long iteration and the three variants run k steps as
+    one (4, 2, 2) stack; prob_deviation compares their success
+    probabilities (at k = 0 it is 0).
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    g_long = iteration_matrix(AlgorithmKind.LONG, params_long, g).m
+    mapped = [transform_phases(params_long, to_kind) for to_kind in TRANSFORMABLE_KINDS[1:]]
+    realized = [_perturbed(p, perturb) if perturb else p for p in mapped]
+    mats = np.stack([iteration_matrix(kind, p, g)
+                     for kind, p in zip(TRANSFORMABLE_KINDS, [params_long, *realized])])
+    probs = success_probability(run(mats, k, initial_state(g)))
+    g_long = mats[0]
     reports = []
-    for to_kind in (AlgorithmKind.LI_DF, AlgorithmKind.LI_CM, AlgorithmKind.LI_PC):
-        mapped = transform_phases(params_long, to_kind)
-        predicted = predicted_global_phase(params_long, mapped)
-        realized = _perturbed(mapped, perturb) if perturb else mapped
-        g_other = iteration_matrix(to_kind, realized, g).m
+    for to_kind, mapped_params, realized_params, g_other, p in zip(
+        TRANSFORMABLE_KINDS[1:], mapped, realized, mats[1:], probs[1:]
+    ):
+        predicted = predicted_global_phase(params_long, mapped_params)
         measured = global_phase_align(g_long, g_other, tol)
         deviation = max_entry_deviation(
             g_long, g_other, predicted if measured is None else measured
         )
+        prob_deviation = float(abs(p - probs[0]))
         holds = (
             measured is not None
             and deviation <= tol
             and angle_distance(measured, predicted) <= tol
+            and prob_deviation <= tol
         )
         reports.append(
             EquivalenceReport(
                 source_kind=AlgorithmKind.LONG,
                 source_params=params_long,
                 target_kind=to_kind,
-                target_params=realized,
+                target_params=realized_params,
                 predicted_phase=predicted,
                 measured_phase=measured,
                 max_entry_deviation=deviation,
+                prob_deviation=prob_deviation,
                 holds=holds,
             )
         )

@@ -64,8 +64,7 @@ class SubspaceGeometry:
 
 def geometry_of(space: SearchSpace) -> SubspaceGeometry:
     """Subspace geometry of a concrete search space."""
-    lam = space.num_targets / space.size
-    return SubspaceGeometry(theta=math.asin(math.sqrt(lam)), lambda_=lam)
+    return geometry_from_lambda(space.num_targets / space.size)
 
 
 def geometry_from_lambda(lambda_: float) -> SubspaceGeometry:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,24 +68,13 @@ def iteration_matrices(kind: AlgorithmKind, coefficients, sin_theta, cos_theta) 
     return m
 
 
-@dataclass(frozen=True, eq=False)
-class IterationMatrix:
-    """One Grover-type iteration in the (|alpha>, |beta>) basis."""
-
-    m: np.ndarray
-    kind: AlgorithmKind
-    params: PhaseParams
-    geometry: SubspaceGeometry
-
-
 def iteration_matrix(
     kind: AlgorithmKind, params: PhaseParams, g: SubspaceGeometry
-) -> IterationMatrix:
-    """Composed iteration for one parameter bundle: diffusion @ oracle, checked unitary."""
-    m = iteration_matrices(
+) -> np.ndarray:
+    """Composed (2, 2) iteration for one parameter bundle: diffusion @ oracle, checked unitary."""
+    return iteration_matrices(
         kind, operator_coefficients(kind, params), math.sin(g.theta), math.cos(g.theta)
     )
-    return IterationMatrix(m=m, kind=kind, params=params, geometry=g)
 
 
 def long_iteration_closed_form(

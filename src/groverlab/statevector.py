@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import AlgorithmKind, PhaseParams, SearchSpace, check_params_tag
-from .subspace import SubspaceState
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,8 +99,8 @@ def target_probability(v: StateVector) -> float:
     return min(1.0, max(0.0, p))
 
 
-def project_to_subspace(v: StateVector) -> tuple[SubspaceState, float]:
-    """Amplitude pair (<alpha|v>, <beta|v>) and the norm of what lies outside the span.
+def project_to_subspace(v: StateVector) -> tuple[np.ndarray, float]:
+    """The (2,) amplitudes (<alpha|v>, <beta|v>) and the norm of what lies outside the span.
 
     With M = N there are no non-target indices; the |beta> component is 0.
     """
@@ -116,4 +115,4 @@ def project_to_subspace(v: StateVector) -> tuple[SubspaceState, float]:
         residual_vec[~marked] -= b / math.sqrt(size - num_targets)
     else:
         b = 0j
-    return SubspaceState(a, b), float(np.linalg.norm(residual_vec))
+    return np.array([a, b]), float(np.linalg.norm(residual_vec))

@@ -1,40 +1,38 @@
-"""Run a 2x2 Grover-type iteration on the subspace initial state."""
+"""Propagate Grover-type iterations from the subspace initial state.
+
+States are complex arrays of shape (..., 2): the amplitudes on |alpha> and
+|beta>, target component first.
+"""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import SubspaceGeometry
-from .operators import IterationMatrix
 
 
-@dataclass(frozen=True)
-class SubspaceState:
-    """Amplitude pair (a on |alpha>, b on |beta>); normalized states have |a|^2+|b|^2 = 1."""
-
-    a: complex
-    b: complex
-
-
-def initial_state(g: SubspaceGeometry) -> SubspaceState:
+def initial_state(g: SubspaceGeometry) -> np.ndarray:
     """The uniform superposition (sin(theta), cos(theta))."""
-    return SubspaceState(complex(math.sin(g.theta)), complex(math.cos(g.theta)))
+    return np.array([math.sin(g.theta), math.cos(g.theta)], dtype=complex)
 
 
-def run(it: IterationMatrix, k: int) -> SubspaceState:
-    """State after k applications of the iteration; k = 0 returns the initial state."""
+def run(m: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
+    """State after k applications of m to start; k = 0 returns start.
+
+    m is one (2, 2) matrix or a (..., 2, 2) stack; start broadcasts to
+    m.shape[:-1], the shape of the result.
+    """
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
-    v = np.array(
-        [math.sin(it.geometry.theta), math.cos(it.geometry.theta)], dtype=complex
-    )
+    v = np.broadcast_to(start, m.shape[:-1]).astype(complex)
     for _ in range(k):
-        v = it.m @ v
-    return SubspaceState(complex(v[0]), complex(v[1]))
+        v = np.einsum("...ij,...j->...i", m, v)
+    return v
 
 
-def success_probability(state: SubspaceState) -> float:
-    """|a|^2, clamped into [0, 1] against roundoff."""
-    return min(1.0, max(0.0, abs(state.a) ** 2))
+def success_probability(v: np.ndarray):
+    """|v[..., 0]|^2, clamped into [0, 1] against roundoff."""
+    # np.square, not ** 2: on a float64 scalar ** 2 calls pow, which can
+    # differ in the last bit from the x * x that a stack gets.
+    return np.clip(np.square(np.abs(v[..., 0])), 0.0, 1.0)

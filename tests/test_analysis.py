@@ -15,9 +15,10 @@ from groverlab.analysis import (
     single_iteration_probability,
     sweep,
 )
-from groverlab.model import AlgorithmKind, geometry_from_lambda
+from groverlab.equivalence import transform_phases
+from groverlab.model import AlgorithmKind, LongParams, geometry_from_lambda
 from groverlab.operators import iteration_matrix
-from groverlab.subspace import run, success_probability
+from groverlab.subspace import initial_state, run, success_probability
 
 
 def cubic_exact(m: Fraction) -> Fraction:
@@ -48,7 +49,7 @@ class TestClosedFormProbability:
             g = geometry_from_lambda(float(lam))
             it = iteration_matrix(AlgorithmKind.ORIGINAL, phase_params_for(AlgorithmKind.ORIGINAL, 0.0), g)
             for k in (0, 1, 2, 5, 9):
-                engine = success_probability(run(it, k))
+                engine = success_probability(run(it, k, initial_state(g)))
                 assert abs(engine - closed_form_probability(float(lam), k)) < 1e-10
 
 
@@ -183,7 +184,21 @@ class TestSweep:
         for lam, phase, k, prob in sweep(grid).rows():
             g = geometry_from_lambda(lam)
             it = iteration_matrix(grid.kind, phase_params_for(grid.kind, phase), g)
-            assert abs(prob - success_probability(run(it, k))) < 1e-14
+            assert abs(prob - success_probability(run(it, k, initial_state(g)))) < 1e-14
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    @pytest.mark.parametrize("matched", [False, True])
+    def test_every_cell_equals_its_scalar_run_exactly(self, kind, matched):
+        matched = matched and kind is not AlgorithmKind.ORIGINAL
+        for k in (0, 1, 5, 17):
+            grid = SweepGrid(kind=kind, k=k, lambda_min=0.003, lambda_steps=11,
+                             phase_min=-0.05, phase_max=6.3, phase_steps=11)
+            for lam, phase, _, prob in sweep(grid, matched_from_long=matched).rows():
+                params = (transform_phases(LongParams(phase), kind) if matched
+                          else phase_params_for(kind, phase))
+                g = geometry_from_lambda(lam)
+                m = iteration_matrix(kind, params, g)
+                assert prob == success_probability(run(m, k, initial_state(g)))
 
     def test_original_kind_ignores_phase_axis(self):
         grid = SweepGrid(

@@ -241,3 +241,31 @@ class TestNonFiniteInput:
         with pytest.raises(SystemExit):
             main(["check-equivalence", "--phi", "abc", "--lambda", "0.5", "--k", "1"])
         assert "argument --phi: invalid float value: 'abc'" in capsys.readouterr().err
+
+
+class TestFlagNamedDomainErrors:
+    def test_overflowing_perturbed_phase_names_the_flags(self, capsys):
+        code = main(["check-equivalence", "--phi", "1e308", "--lambda", "0.5", "--k", "1",
+                     "--perturb", "1e308"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--phi" in err and "--perturb" in err
+        assert "gamma1" not in err
+
+    @pytest.mark.parametrize("phi,perturb,rejected", [
+        ("1e308", "0", False),       # no perturbation: nothing is added
+        ("1e308", "7e307", False),   # |phi| + |perturb| is still finite
+        ("1e308", "-1e308", True),   # -phi + perturb overflows on the lipc side
+    ])
+    def test_rejects_exactly_the_overflowing_sums(self, phi, perturb, rejected, capsys):
+        code = main(["check-equivalence", "--phi", phi, "--lambda", "0.5", "--k", "1",
+                     "--perturb", perturb])
+        err = capsys.readouterr().err
+        assert (code == 1) is rejected
+        assert ("--perturb" in err) is rejected
+
+    def test_negative_seed_names_the_flag(self, capsys):
+        assert main(["crosscheck", "--n", "4", "--seed", "-1", "--samples", "2"]) == 1
+        captured = capsys.readouterr()
+        assert "--seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""

@@ -21,7 +21,7 @@ from groverlab.model import (
     geometry_from_lambda,
 )
 from groverlab.operators import iteration_matrix
-from groverlab.subspace import run, success_probability
+from groverlab.subspace import initial_state, run, success_probability
 
 
 class TestTransformPhases:
@@ -126,6 +126,34 @@ class TestVerifyPhaseEquivalence:
             assert rep.measured_phase is None
             assert rep.max_entry_deviation > 1e-6
 
+    def test_k_steps_fill_in_prob_deviation(self):
+        g = geometry_from_lambda(0.37)
+        params_long = LongParams(1.3)
+        for rep in verify_phase_equivalence(params_long, g):
+            assert rep.prob_deviation == 0.0
+        p_long = success_probability(
+            run(iteration_matrix(AlgorithmKind.LONG, params_long, g), 25, initial_state(g))
+        )
+        for rep in verify_phase_equivalence(params_long, g, k=25):
+            assert rep.holds
+            p_other = success_probability(
+                run(iteration_matrix(rep.target_kind, rep.target_params, g), 25, initial_state(g))
+            )
+            assert abs(rep.prob_deviation - abs(p_other - p_long)) < 1e-15
+            assert rep.prob_deviation < 1e-10
+
+    def test_probability_drift_fails_where_one_step_aligns(self):
+        # A 1e-12 offset keeps each matrix aligned within tol, but over
+        # 10000 steps the success probabilities drift apart by > 1e-9.
+        g = geometry_from_lambda(0.37)
+        one_step = verify_phase_equivalence(LongParams(1.3), g, perturb=1e-12)
+        assert all(rep.holds for rep in one_step)
+        for rep in verify_phase_equivalence(LongParams(1.3), g, perturb=1e-12, k=10000):
+            assert rep.measured_phase is not None
+            assert rep.max_entry_deviation <= 1e-10
+            assert rep.prob_deviation > 1e-10
+            assert not rep.holds
+
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             verify_phase_equivalence(LongParams(1.0), geometry_from_lambda(0.5), tol=0.0)
@@ -140,11 +168,14 @@ class TestProbabilityEqualityAcrossVariants:
             g = geometry_from_lambda(lam)
             params_long = LongParams(phi)
             reference = [
-                success_probability(run(iteration_matrix(AlgorithmKind.LONG, params_long, g), k))
+                success_probability(
+                    run(iteration_matrix(AlgorithmKind.LONG, params_long, g), k, initial_state(g))
+                )
                 for k in range(26)
             ]
             for to_kind in TRANSFORMABLE_KINDS[1:]:
                 mapped = transform_phases(params_long, to_kind)
                 it = iteration_matrix(to_kind, mapped, g)
                 for k in range(26):
-                    assert abs(success_probability(run(it, k)) - reference[k]) < 1e-10
+                    p = success_probability(run(it, k, initial_state(g)))
+                    assert abs(p - reference[k]) < 1e-10

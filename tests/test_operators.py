@@ -100,7 +100,7 @@ class TestIterationMatrices:
             assert stack.shape == (3, 4, 2, 2)
             for i, g in enumerate(gs):
                 for j, p in enumerate(params):
-                    assert np.array_equal(stack[i, j], iteration_matrix(kind, p, g).m)
+                    assert np.array_equal(stack[i, j], iteration_matrix(kind, p, g))
 
     def test_one_non_unitary_cell_fails_the_stack(self):
         rows = np.array([operator_coefficients(AlgorithmKind.LI_PC, LiPCParams(b))
@@ -117,15 +117,15 @@ class TestIterationMatrices:
 class TestIterationMatrix:
     def test_original_is_rotation_by_two_theta(self):
         g = geometry_from_lambda(0.25)  # theta = pi/6
-        it = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        m = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
         c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
-        assert np.allclose(it.m, np.array([[c, s], [-s, c]]), atol=1e-12)
+        assert np.allclose(m, np.array([[c, s], [-s, c]]), atol=1e-12)
 
     def test_long_at_pi_equals_original(self):
         g = geometry_from_lambda(0.37)
         matched = iteration_matrix(AlgorithmKind.LONG, LongParams(math.pi), g)
         original = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
-        assert np.max(np.abs(matched.m - original.m)) < 1e-12
+        assert np.max(np.abs(matched - original)) < 1e-12
 
     @pytest.mark.parametrize("offset", [0.37, -1.2, 2.0])
     def test_licm_is_scaled_copy_of_long(self, offset):
@@ -135,14 +135,14 @@ class TestIterationMatrix:
             LiCMParams(math.pi / 2 + offset, offset, math.pi / 2 + offset, offset),
             g,
         )
-        long_mat = iteration_matrix(AlgorithmKind.LONG, LongParams(math.pi / 2), g).m
-        assert np.max(np.abs(licm.m - cmath.exp(2j * offset) * long_mat)) < 1e-12
+        long_mat = iteration_matrix(AlgorithmKind.LONG, LongParams(math.pi / 2), g)
+        assert np.max(np.abs(licm - cmath.exp(2j * offset) * long_mat)) < 1e-12
 
     def test_closed_form_matches_product_at_matched_phases(self):
         for phi in np.linspace(0.0, 2 * math.pi, 50):
             for theta_frac in np.linspace(0.02, 1.0, 50):
                 g = geometry_from_lambda(theta_frac)
-                built = iteration_matrix(AlgorithmKind.LONG, LongParams(float(phi)), g).m
+                built = iteration_matrix(AlgorithmKind.LONG, LongParams(float(phi)), g)
                 closed = long_iteration_closed_form(g, float(phi))
                 assert np.max(np.abs(built - closed)) < 1e-12
 
@@ -150,7 +150,7 @@ class TestIterationMatrix:
         g = geometry_from_lambda(0.09)  # theta = 0.3 to ~1e-3
         rng = np.random.default_rng(7)
         for phi, vphi in rng.uniform(-6, 6, size=(50, 2)):
-            built = iteration_matrix(AlgorithmKind.LONG, LongParams(phi, vphi), g).m
+            built = iteration_matrix(AlgorithmKind.LONG, LongParams(phi, vphi), g)
             assert np.max(np.abs(built - long_iteration_closed_form(g, phi, vphi))) < 1e-12
 
     def test_closed_form_matrix_is_unitary(self):
@@ -162,9 +162,9 @@ class TestIterationMatrix:
         for _ in range(1000):
             kind = random_kind(rng)
             g = geometry_from_lambda(float(rng.uniform(1e-4, 1.0)))
-            it = iteration_matrix(kind, random_params(rng, kind), g)
-            assert is_unitary(it.m, 1e-10)
-            det = it.m[0, 0] * it.m[1, 1] - it.m[0, 1] * it.m[1, 0]
+            m = iteration_matrix(kind, random_params(rng, kind), g)
+            assert is_unitary(m, 1e-10)
+            det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert abs(abs(det) - 1.0) < 1e-10
 
     def test_tag_mismatch(self):
@@ -177,22 +177,22 @@ class TestOriginalIsASliceOfEveryVariant:
     @pytest.mark.parametrize("lam", [0.08, 0.25, 0.5, 0.9])
     def test_long_and_lidf_slices_match_entrywise(self, lam):
         g = geometry_from_lambda(lam)
-        original = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g).m
-        long_slice = iteration_matrix(AlgorithmKind.LONG, LongParams(math.pi), g).m
-        lidf_slice = iteration_matrix(AlgorithmKind.LI_DF, LiDFParams(0.0), g).m
+        original = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        long_slice = iteration_matrix(AlgorithmKind.LONG, LongParams(math.pi), g)
+        lidf_slice = iteration_matrix(AlgorithmKind.LI_DF, LiDFParams(0.0), g)
         assert np.max(np.abs(long_slice - original)) < 1e-12
         assert np.max(np.abs(lidf_slice - original)) < 1e-12
 
     @pytest.mark.parametrize("lam", [0.08, 0.25, 0.5, 0.9])
     def test_licm_slice_matches_up_to_global_phase(self, lam):
         g = geometry_from_lambda(lam)
-        original = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g).m
+        original = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
         for gamma2, eta2 in [(0.0, 0.0), (0.8, -0.3)]:
             licm = iteration_matrix(
                 AlgorithmKind.LI_CM,
                 LiCMParams(math.pi + gamma2, gamma2, math.pi + eta2, eta2),
                 g,
-            ).m
+            )
             measured = global_phase_align(original, licm, 1e-10)
             assert measured is not None
             expected = -(gamma2 + eta2)
@@ -201,8 +201,8 @@ class TestOriginalIsASliceOfEveryVariant:
     @pytest.mark.parametrize("lam", [0.08, 0.25, 0.5, 0.9])
     def test_lipc_slice_matches_up_to_global_phase(self, lam):
         g = geometry_from_lambda(lam)
-        original = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g).m
-        lipc = iteration_matrix(AlgorithmKind.LI_PC, LiPCParams(-math.pi), g).m
+        original = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        lipc = iteration_matrix(AlgorithmKind.LI_PC, LiPCParams(-math.pi), g)
         measured = global_phase_align(original, lipc, 1e-10)
         assert measured is not None
         assert abs(measured) < 1e-10  # -e^{-i beta} = 1 at beta = -pi

@@ -25,7 +25,7 @@ from groverlab.statevector import (
     target_probability,
     uniform_state,
 )
-from groverlab.subspace import run, success_probability
+from groverlab.subspace import initial_state, run, success_probability
 
 from helpers import random_kind, random_params
 
@@ -152,8 +152,8 @@ class TestProjectToSubspace:
         space = make_search_space(4, {3, 9, 10})
         g = geometry_of(space)
         state, residual = project_to_subspace(uniform_state(space))
-        assert state.a == pytest.approx(math.sin(g.theta), abs=1e-12)
-        assert state.b == pytest.approx(math.cos(g.theta), abs=1e-12)
+        assert state[0] == pytest.approx(math.sin(g.theta), abs=1e-12)
+        assert state[1] == pytest.approx(math.cos(g.theta), abs=1e-12)
         assert residual < 1e-12
 
     def test_pure_target_superposition(self):
@@ -161,15 +161,15 @@ class TestProjectToSubspace:
         amps = np.zeros(4, dtype=complex)
         amps[[1, 2]] = 1 / math.sqrt(2)
         state, residual = project_to_subspace(StateVector(amps, space))
-        assert state.a == pytest.approx(1.0, abs=1e-15)
-        assert state.b == pytest.approx(0.0, abs=1e-15)
+        assert state[0] == pytest.approx(1.0, abs=1e-15)
+        assert state[1] == pytest.approx(0.0, abs=1e-15)
         assert residual < 1e-15
 
     def test_component_outside_span_shows_as_residual(self):
         space = make_search_space(2, {0})
         amps = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
         state, residual = project_to_subspace(StateVector(amps, space))
-        assert abs(state.a) < 1e-15 and abs(state.b) < 1e-15
+        assert abs(state[0]) < 1e-15 and abs(state[1]) < 1e-15
         assert residual == pytest.approx(1.0, abs=1e-12)
 
     def test_runs_stay_in_the_subspace(self):
@@ -187,7 +187,8 @@ class TestCrossEngineAgreement:
             n = int(rng.integers(1, 11))
             space, kind, params, k = random_case(rng, n)
             full = run_full(space, kind, params, k)
-            sub = run(iteration_matrix(kind, params, geometry_of(space)), k)
+            g = geometry_of(space)
+            sub = run(iteration_matrix(kind, params, g), k, initial_state(g))
             assert abs(target_probability(full) - success_probability(sub)) < 1e-10
             assert project_to_subspace(full)[1] < 1e-10
 
@@ -196,9 +197,10 @@ class TestCrossEngineAgreement:
         for _ in range(20):
             space, kind, params, k = random_case(rng, 6)
             projected, _ = project_to_subspace(run_full(space, kind, params, k))
-            direct = run(iteration_matrix(kind, params, geometry_of(space)), k)
-            assert abs(projected.a - direct.a) < 1e-10
-            assert abs(projected.b - direct.b) < 1e-10
+            g = geometry_of(space)
+            direct = run(iteration_matrix(kind, params, g), k, initial_state(g))
+            assert abs(projected[0] - direct[0]) < 1e-10
+            assert abs(projected[1] - direct[1]) < 1e-10
 
     @pytest.mark.parametrize("to_kind", [AlgorithmKind.LI_CM, AlgorithmKind.LI_PC])
     def test_variant_amplitudes_differ_by_the_predicted_phase_per_step(self, to_kind):
@@ -215,7 +217,7 @@ class TestCrossEngineAgreement:
         for k in range(0, 11):
             projected, residual = project_to_subspace(run_full(space, to_kind, mapped, k))
             assert residual < 1e-10
-            reference = run(it_long, k)
+            reference = run(it_long, k, initial_state(g))
             factor = cmath.exp(-1j * k * chi)
-            assert abs(projected.a - factor * reference.a) < 1e-10
-            assert abs(projected.b - factor * reference.b) < 1e-10
+            assert abs(projected[0] - factor * reference[0]) < 1e-10
+            assert abs(projected[1] - factor * reference[1]) < 1e-10
