@@ -22,6 +22,7 @@ import numpy as np
 
 from .analysis import SweepGrid, closed_form_probability, optimal_iterations, sweep
 from .equivalence import verify_phase_equivalence
+from .linalg import wrap_angle
 from .model import (
     AlgorithmKind,
     LiCMParams,
@@ -115,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     chk = sub.add_parser("check-equivalence",
                          help="verify the variants coincide up to a global phase")
-    chk.add_argument("--phi", required=True, type=_finite, help="long oracle phase, radians")
+    chk.add_argument("--phi", required=True, type=_finite,
+                     help="long oracle phase, radians, read mod 2*pi")
     chk.add_argument("--lambda", dest="lam", required=True, type=float,
                      help="target proportion in (0, 1]")
     chk.add_argument("--k", required=True, type=int,
@@ -170,20 +172,16 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     lam_min, lam_max, lam_steps = args.lam
     phase_min, phase_max, phase_steps = args.phase
-    try:
-        grid = SweepGrid(
-            kind=_KIND_NAMES[args.kind],
-            k=args.k,
-            lambda_min=lam_min,
-            lambda_max=lam_max,
-            lambda_steps=lam_steps,
-            phase_min=phase_min,
-            phase_max=phase_max,
-            phase_steps=phase_steps,
-        )
-    except ValueError as exc:
-        print(f"groverlab: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    grid = SweepGrid(
+        kind=_KIND_NAMES[args.kind],
+        k=args.k,
+        lambda_min=lam_min,
+        lambda_max=lam_max,
+        lambda_steps=lam_steps,
+        phase_min=phase_min,
+        phase_max=phase_max,
+        phase_steps=phase_steps,
+    )
     return _write_sweep(args.out, "phase", grid, args.matched)
 
 
@@ -200,7 +198,8 @@ def cmd_check_equivalence(args: argparse.Namespace) -> int:
         print(f"groverlab: error: --phi {args.phi} and --perturb {args.perturb} "
               f"overflow when added; |--phi| + |--perturb| must be finite", file=sys.stderr)
         return EXIT_USAGE
-    reports = verify_phase_equivalence(LongParams(args.phi), geometry_from_lambda(args.lam),
+    phi = wrap_angle(args.phi)  # mod 2*pi keeps the phase transforms exact for large |--phi|
+    reports = verify_phase_equivalence(LongParams(phi), geometry_from_lambda(args.lam),
                                        tol=args.tol, perturb=args.perturb, k=args.k)
     for rep in reports:
         measured = "none" if rep.measured_phase is None else _fmt(rep.measured_phase)

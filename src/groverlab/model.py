@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from enum import Enum, unique
 from typing import ClassVar, Iterable, Union
 
+import numpy as np
+
 
 @unique
 class AlgorithmKind(Enum):
@@ -24,12 +26,12 @@ class AlgorithmKind(Enum):
     LI_PC = "lipc"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchSpace:
-    """Database of 2**n items with a sorted, duplicate-free target index set."""
+    """Database of 2**n items; marked is the read-only length-N bool mask of its targets."""
 
     n: int
-    targets: tuple[int, ...]
+    marked: np.ndarray
 
     @property
     def size(self) -> int:
@@ -38,20 +40,25 @@ class SearchSpace:
 
     @property
     def num_targets(self) -> int:
-        return len(self.targets)
+        return int(np.count_nonzero(self.marked))
 
 
 def make_search_space(n: int, targets: Iterable[int]) -> SearchSpace:
-    """Normalized search space; rejects empty or out-of-range target sets."""
+    """Search space marking the given indices; rejects empty or out-of-range target sets."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     size = 2 ** n
-    normalized = sorted({int(t) for t in targets})
-    if not normalized:
+    # Range-checked before the intp cast, so a Python int beyond intp is rejected too.
+    indices = np.asarray(targets if isinstance(targets, np.ndarray) else list(targets))
+    if indices.size == 0:
         raise ValueError("at least one target index is required")
-    if normalized[0] < 0 or normalized[-1] >= size:
-        raise ValueError(f"target indices must lie in [0, {size}), got {normalized}")
-    return SearchSpace(n=n, targets=tuple(normalized))
+    lo, hi = indices.min(), indices.max()
+    if lo < 0 or hi >= size:
+        raise ValueError(f"target indices must lie in [0, {size}), got min {lo} and max {hi}")
+    marked = np.zeros(size, dtype=bool)
+    marked[indices.astype(np.intp, copy=False)] = True
+    marked.flags.writeable = False
+    return SearchSpace(n=n, marked=marked)
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ class StateVector:
     space: SearchSpace
 
 
-def _target_indices(space: SearchSpace) -> np.ndarray:
-    return np.fromiter(space.targets, dtype=np.intp, count=space.num_targets)
-
-
 def uniform_state(space: SearchSpace) -> StateVector:
     """Equal superposition: every amplitude 1/sqrt(N)."""
     size = space.size
@@ -41,21 +37,21 @@ def apply_oracle(v: StateVector, kind: AlgorithmKind, params: PhaseParams) -> St
     Only licm also rescales the unmarked amplitudes (by -e^{i eta2}).
     """
     check_params_tag(kind, params)
-    amps = v.amplitudes.copy()
-    targets = _target_indices(v.space)
+    rest = 1.0
     if kind is AlgorithmKind.ORIGINAL:
-        amps[targets] *= -1.0
+        target = -1.0
     elif kind is AlgorithmKind.LONG:
-        amps[targets] *= cmath.exp(1j * params.oracle_phase)
+        target = cmath.exp(1j * params.oracle_phase)
     elif kind is AlgorithmKind.LI_DF:
-        amps[targets] *= 1.0 - 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
+        target = 1.0 - 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
     elif kind is AlgorithmKind.LI_CM:
-        marked = np.zeros(v.space.size, dtype=bool)
-        marked[targets] = True
-        amps[marked] *= -cmath.exp(1j * params.eta1)
-        amps[~marked] *= -cmath.exp(1j * params.eta2)
+        target, rest = -cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2)
     else:
-        amps[targets] *= cmath.exp(-1j * params.beta)
+        target = cmath.exp(-1j * params.beta)
+    amps = v.amplitudes.copy()
+    amps[v.space.marked] *= target
+    if rest != 1:
+        amps[~v.space.marked] *= rest
     return StateVector(amps, v.space)
 
 
@@ -94,8 +90,7 @@ def run_full(
 
 def target_probability(v: StateVector) -> float:
     """Summed |amplitude|^2 over the target indices, clamped into [0, 1]."""
-    targets = _target_indices(v.space)
-    p = float(np.sum(np.abs(v.amplitudes[targets]) ** 2))
+    p = float(np.sum(np.abs(v.amplitudes[v.space.marked]) ** 2))
     return min(1.0, max(0.0, p))
 
 
@@ -104,9 +99,7 @@ def project_to_subspace(v: StateVector) -> tuple[np.ndarray, float]:
 
     With M = N there are no non-target indices; the |beta> component is 0.
     """
-    size, num_targets = v.space.size, v.space.num_targets
-    marked = np.zeros(size, dtype=bool)
-    marked[_target_indices(v.space)] = True
+    size, num_targets, marked = v.space.size, v.space.num_targets, v.space.marked
     a = complex(v.amplitudes[marked].sum() / math.sqrt(num_targets))
     residual_vec = v.amplitudes.copy()
     residual_vec[marked] -= a / math.sqrt(num_targets)

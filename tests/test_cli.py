@@ -106,7 +106,7 @@ class TestSweepCommand:
                        "--lambda", "0:1:5", "--phase", "0:1:2",
                        "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 1
-        assert "error" in proc.stderr
+        assert proc.stderr == "groverlab: error: lambda_min must lie in (0, 1], got 0.0\n"
 
 
 class TestCheckEquivalenceCommand:
@@ -127,6 +127,14 @@ class TestCheckEquivalenceCommand:
                        "--k", "5", "--perturb", "0.1")
         assert proc.returncode == 2
         assert proc.stdout.count("FAIL") == 3
+
+    @pytest.mark.parametrize("phi", ["1e9", "-1e12"])
+    def test_large_phase_is_read_mod_two_pi(self, phi, capsys):
+        # Unreduced, |phi| * 2.2e-16 error in the phase transforms failed lidf and lipc.
+        assert main(["check-equivalence", "--phi", phi, "--lambda", "0.5", "--k", "1"]) == 0
+        out = capsys.readouterr().out
+        assert out.count("HOLD") == 3
+        assert "FAIL" not in out
 
     def test_bad_lambda_is_usage_error(self):
         proc = run_cli("check-equivalence", "--phi", "1.0", "--lambda", "1.5", "--k", "1")

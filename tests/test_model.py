@@ -1,6 +1,7 @@
 """Tests for the search-space model and phase parameter bundles."""
 import math
 
+import numpy as np
 import pytest
 
 from groverlab.model import (
@@ -22,12 +23,12 @@ class TestMakeSearchSpace:
         space = make_search_space(2, {3})
         assert space.size == 4
         assert space.num_targets == 1
-        assert space.targets == (3,)
+        assert np.flatnonzero(space.marked).tolist() == [3]
 
     def test_deduplicates_and_sorts(self):
         space = make_search_space(3, [5, 1, 1])
         assert space.size == 8
-        assert space.targets == (1, 5)
+        assert np.flatnonzero(space.marked).tolist() == [1, 5]
 
     def test_full_target_edge(self):
         space = make_search_space(1, {0, 1})
@@ -39,10 +40,32 @@ class TestMakeSearchSpace:
         with pytest.raises(ValueError):
             make_search_space(2, [])
 
-    @pytest.mark.parametrize("bad", [[4], [-1], [0, 7]])
+    @pytest.mark.parametrize("bad", [[4], [-1], [0, 7], [2 ** 70], np.array([3, 4])])
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             make_search_space(2, bad)
+
+    @pytest.mark.parametrize("targets", [{1, 5}, [5, 1, 5, 1], range(1, 6, 4),
+                                         np.array([5, 1, 1, 5]), (t for t in (1, 5))])
+    def test_every_iterable_gives_the_same_mask(self, targets):
+        space = make_search_space(3, targets)
+        expected = np.array([False, True, False, False, False, True, False, False])
+        assert space.marked.dtype == bool
+        assert np.array_equal(space.marked, expected)
+        assert space.num_targets == 2
+
+    def test_mask_is_read_only(self):
+        space = make_search_space(2, {1})
+        with pytest.raises(ValueError):
+            space.marked[0] = True
+        assert np.flatnonzero(space.marked).tolist() == [1]
+
+    def test_out_of_range_message_names_the_bounds_and_stays_short(self):
+        bad = np.arange(-3, 2 ** 16 + 5)
+        with pytest.raises(ValueError) as excinfo:
+            make_search_space(16, bad)
+        message = str(excinfo.value)
+        assert message == "target indices must lie in [0, 65536), got min -3 and max 65540"
 
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):

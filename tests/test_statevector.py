@@ -72,12 +72,13 @@ class TestApplyOracle:
         out = apply_oracle(state, AlgorithmKind.LI_PC, LiPCParams(0.0))
         assert np.array_equal(out.amplitudes, state.amplitudes)
 
-    def test_licm_scales_both_sectors(self):
-        space = make_search_space(2, {1})
+    @pytest.mark.parametrize("targets", [{1}, [3, 0, 3], range(4)])
+    def test_licm_scales_both_sectors(self, targets):
+        space = make_search_space(2, targets)
         out = apply_oracle(uniform_state(space), AlgorithmKind.LI_CM, LiCMParams(0, 0, 0.9, -0.4))
-        assert out.amplitudes[1] == pytest.approx(0.5 * -cmath.exp(0.9j), abs=1e-15)
-        for idx in (0, 2, 3):
-            assert out.amplitudes[idx] == pytest.approx(0.5 * -cmath.exp(-0.4j), abs=1e-15)
+        for idx in range(4):
+            eta = 0.9 if space.marked[idx] else -0.4
+            assert out.amplitudes[idx] == pytest.approx(0.5 * -cmath.exp(1j * eta), abs=1e-15)
 
     def test_tag_mismatch(self):
         space = make_search_space(2, {1})
@@ -171,6 +172,17 @@ class TestProjectToSubspace:
         state, residual = project_to_subspace(StateVector(amps, space))
         assert abs(state[0]) < 1e-15 and abs(state[1]) < 1e-15
         assert residual == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_full_target_space_has_no_beta_component(self, kind):
+        # M = N: every amplitude is marked, so |beta> is absent and b = 0.
+        space = make_search_space(3, range(8))
+        assert not np.any(~space.marked)
+        out = run_full(space, kind, random_params(np.random.default_rng(11), kind), 4)
+        state, residual = project_to_subspace(out)
+        assert state[1] == 0
+        assert residual < 1e-12
+        assert target_probability(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_runs_stay_in_the_subspace(self):
         rng = np.random.default_rng(9)
