@@ -21,7 +21,7 @@ from .model import (
 )
 from .operators import iteration_matrices, operator_coefficients
 from .equivalence import transform_phases
-from .subspace import run, success_probability
+from .subspace import MAX_ITERATIONS, run, success_probability
 
 
 def _check_proportion(name: str, value: float) -> None:
@@ -99,6 +99,8 @@ class SweepGrid:
             raise ValueError("step counts must be >= 1")
         if self.k < 0:
             raise ValueError(f"iteration count must be >= 0, got {self.k}")
+        if self.k > MAX_ITERATIONS:
+            raise ValueError(f"iteration count must be <= 2**53 = {MAX_ITERATIONS}, got {self.k}")
 
     def lambdas(self) -> np.ndarray:
         return np.linspace(self.lambda_min, self.lambda_max, self.lambda_steps)

@@ -36,7 +36,7 @@ from .model import (
 )
 from .operators import iteration_matrix
 from .statevector import project_to_subspace, run_full, target_probability
-from .subspace import initial_state, run, success_probability
+from .subspace import MAX_ITERATIONS, initial_state, run, success_probability
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,6 +170,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if not 0 <= args.k <= MAX_ITERATIONS:
+        print(f"groverlab: error: --k must lie in [0, 2**53 = {MAX_ITERATIONS}], got {args.k}",
+              file=sys.stderr)
+        return EXIT_USAGE
     lam_min, lam_max, lam_steps = args.lam
     phase_min, phase_max, phase_steps = args.phase
     grid = SweepGrid(
@@ -190,8 +194,9 @@ def cmd_check_equivalence(args: argparse.Namespace) -> int:
         print(f"groverlab: error: --lambda must lie in (0, 1], got {args.lam}",
               file=sys.stderr)
         return EXIT_USAGE
-    if args.tol <= 0 or args.k < 0:
-        print("groverlab: error: --tol must be positive and --k >= 0", file=sys.stderr)
+    if args.tol <= 0 or not 0 <= args.k <= MAX_ITERATIONS:
+        print(f"groverlab: error: --tol must be positive and --k in [0, 2**53 = "
+              f"{MAX_ITERATIONS}], got --tol {args.tol} --k {args.k}", file=sys.stderr)
         return EXIT_USAGE
     if not math.isfinite(abs(args.phi) + abs(args.perturb)):
         # beta = -phi, so one perturbed phase has magnitude |phi| + |perturb|.

@@ -37,8 +37,9 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     m = np.asarray(m, dtype=complex)
-    deviation = np.max(np.abs(m @ m.conj().swapaxes(-1, -2) - np.eye(m.shape[-1])))
-    return bool(deviation <= tol)
+    gram = m @ m.conj().swapaxes(-1, -2)
+    np.einsum("...ii->...i", gram)[...] -= 1  # the diagonal, as a writable view
+    return bool(np.max(np.abs(gram)) <= tol)
 
 
 def global_phase_align(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> float | None:

@@ -13,9 +13,8 @@ from groverlab.model import (
 KINDS = list(AlgorithmKind)
 
 
-def random_params(rng, kind):
-    """Uniformly random phase bundle for a kind (angles in [-2pi, 2pi])."""
-    a = rng.uniform(-2 * math.pi, 2 * math.pi, size=4)
+def params_of(kind, a):
+    """A kind's phase bundle built from the four phases a."""
     if kind is AlgorithmKind.ORIGINAL:
         return OriginalParams()
     if kind is AlgorithmKind.LONG:
@@ -25,6 +24,11 @@ def random_params(rng, kind):
     if kind is AlgorithmKind.LI_CM:
         return LiCMParams(*a)
     return LiPCParams(a[0])
+
+
+def random_params(rng, kind):
+    """Uniformly random phase bundle for a kind (angles in [-2pi, 2pi])."""
+    return params_of(kind, rng.uniform(-2 * math.pi, 2 * math.pi, size=4))
 
 
 def random_kind(rng):

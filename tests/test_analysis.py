@@ -164,6 +164,11 @@ class TestSweep:
         with pytest.raises(ValueError, match="phase endpoints must be finite"):
             SweepGrid(kind=AlgorithmKind.LONG, k=1, phase_min=float("nan"))
 
+    def test_iteration_count_is_bounded_by_float64_integers(self):
+        SweepGrid(kind=AlgorithmKind.LONG, k=2 ** 53)
+        with pytest.raises(ValueError, match=r"must be <= 2\*\*53 = 9007199254740992, got"):
+            SweepGrid(kind=AlgorithmKind.LONG, k=2 ** 53 + 1)
+
     def test_row_count_and_order(self):
         grid = SweepGrid(kind=AlgorithmKind.LONG, k=2, lambda_steps=4, phase_steps=3)
         rows = list(sweep(grid).rows())

@@ -277,3 +277,24 @@ class TestFlagNamedDomainErrors:
         captured = capsys.readouterr()
         assert "--seed must be >= 0, got -1" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("k,accepted", [(2 ** 53, True), (2 ** 53 + 1, False),
+                                            (10 ** 30, False), (-1, False)])
+    def test_huge_k_is_rejected_naming_the_bound(self, k, accepted, tmp_path, capsys):
+        # Above 2**53 a float64 cannot hold k, so a result would mean nothing.
+        code = main(["check-equivalence", "--phi", "1", "--lambda", "0.25", "--k", str(k)])
+        captured = capsys.readouterr()
+        if accepted:
+            assert code != 1 and captured.err == ""
+            assert len(captured.out.splitlines()) == 3
+        else:
+            assert code == 1 and captured.out == ""
+            assert f"--k in [0, 2**53 = 9007199254740992], got --tol 1e-10 --k {k}" in captured.err
+        out = tmp_path / "x.csv"
+        code = main(["sweep", "--kind", "long", "--k", str(k), "--lambda=0.1:1:3",
+                     "--phase=0:1:3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == (0 if accepted else 1) and out.exists() is accepted
+        if not accepted:
+            assert captured.err == ("groverlab: error: --k must lie in "
+                                    f"[0, 2**53 = 9007199254740992], got {k}\n")

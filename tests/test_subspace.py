@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groverlab.analysis import single_iteration_amplitude_long
+from groverlab.analysis import closed_form_probability, single_iteration_amplitude_long
 from groverlab.model import (
     AlgorithmKind,
     LiCMParams,
@@ -16,9 +18,35 @@ from groverlab.model import (
     geometry_from_lambda,
 )
 from groverlab.operators import iteration_matrix
-from groverlab.subspace import initial_state, run, success_probability
+from groverlab.subspace import MAX_ITERATIONS, initial_state, run, success_probability
 
-from helpers import random_kind, random_params
+from helpers import KINDS, params_of, random_kind, random_params
+
+
+def k_fold(m, k, start):
+    """k einsum steps: the multiply run replaced, kept as the reference."""
+    v = np.broadcast_to(start, m.shape[:-1]).astype(complex)
+    for _ in range(k):
+        v = np.einsum("...ij,...j->...i", m, v)
+    return v
+
+
+# Phases on all of R, lambda at both ends of (0, 1] and in between.
+real_phases = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4)
+lambdas = st.one_of(st.just(1.0), st.just(1e-14), st.floats(min_value=1e-14, max_value=1.0))
+steps = st.integers(min_value=0, max_value=300)
+
+# Degenerate phases: lidf at tau = pi/2 (c = 2 cos(tau) e^{i tau} ~ 1e-16, so
+# sin w ~ 7e-17); long and lipc at 0 (m = -I and m = I: sin w = 0, the limit
+# branch) and at pi; licm at all-zero phases (m = -I).
+CORNERS = [
+    (AlgorithmKind.LI_DF, LiDFParams(math.pi / 2)),
+    (AlgorithmKind.LONG, LongParams(0.0)),
+    (AlgorithmKind.LONG, LongParams(math.pi)),
+    (AlgorithmKind.LI_PC, LiPCParams(0.0)),
+    (AlgorithmKind.LI_PC, LiPCParams(math.pi)),
+    (AlgorithmKind.LI_CM, LiCMParams(0.0, 0.0, 0.0, 0.0)),
+]
 
 
 class TestInitialState:
@@ -116,6 +144,88 @@ class TestRun:
                 p = success_probability(run(m, k, initial_state(g)))
                 p_shifted = success_probability(run(shifted, k, initial_state(g)))
                 assert abs(p - p_shifted) < 1e-12
+
+
+class TestClosedFormPower:
+    @given(st.sampled_from(KINDS), real_phases, lambdas, steps)
+    @settings(max_examples=300)
+    def test_equals_the_k_fold_multiply(self, kind, phases, lam, k):
+        g = geometry_from_lambda(lam)
+        m = iteration_matrix(kind, params_of(kind, phases), g)
+        start = initial_state(g)
+        assert np.max(np.abs(run(m, k, start) - k_fold(m, k, start))) < 1e-12
+
+    @pytest.mark.parametrize("kind,params", CORNERS)
+    @given(lam=lambdas, k=steps)
+    @settings(max_examples=50)
+    def test_corners_equal_the_k_fold_multiply(self, kind, params, lam, k):
+        g = geometry_from_lambda(lam)
+        m = iteration_matrix(kind, params, g)
+        start = initial_state(g)
+        assert np.max(np.abs(run(m, k, start) - k_fold(m, k, start))) < 1e-12
+
+    @given(st.lists(st.tuples(st.sampled_from(KINDS), real_phases, lambdas),
+                    min_size=1, max_size=6), steps)
+    @settings(max_examples=100)
+    def test_mixed_stack_equals_its_slice_by_slice_runs(self, cells, k):
+        cases = [(iteration_matrix(kind, params_of(kind, a), g), initial_state(g))
+                 for kind, a, g in ((kind, a, geometry_from_lambda(lam))
+                                    for kind, a, lam in cells)]
+        cases += [(iteration_matrix(kind, params, geometry_from_lambda(0.3)),
+                   initial_state(geometry_from_lambda(0.3))) for kind, params in CORNERS]
+        stack = np.stack([m for m, _ in cases])
+        states = run(stack, k, np.stack([s for _, s in cases]))
+        for state, (m, start) in zip(states, cases):
+            assert np.array_equal(state, run(m, k, start))
+
+    @pytest.mark.parametrize("k", [0, 1, 9])
+    def test_neither_mutates_nor_aliases_start(self, k):
+        g = geometry_from_lambda(0.3)
+        m = iteration_matrix(AlgorithmKind.LONG, LongParams(1.1), g)
+        for matrices in (m, np.stack([m, m.T])):
+            start = initial_state(g)
+            start.flags.writeable = False
+            state = run(matrices, k, start)
+            assert np.array_equal(start, initial_state(g))
+            assert not np.shares_memory(state, start)
+            assert state.flags.c_contiguous and state.flags.writeable
+
+    def test_no_drift_at_a_million_steps(self):
+        # The k-fold multiply drifted 1.9e-10 from the closed form here.
+        g = geometry_from_lambda(1e-6)
+        m = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        p = success_probability(run(m, 10 ** 6, initial_state(g)))
+        assert abs(p - closed_form_probability(1e-6, 10 ** 6)) < 1e-12
+
+    @pytest.mark.parametrize("chi", [math.pi, -math.pi / 2, 2.0, 3.0])
+    def test_a_global_phase_costs_no_accuracy(self, chi):
+        # With the other square root of det m, w would sit near pi and the
+        # rounding of k w (about k * pi * 2**-53) would reach the probability.
+        g = geometry_from_lambda(1e-6)
+        m = cmath.exp(1j * chi) * iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        p = success_probability(run(m, 10 ** 6, initial_state(g)))
+        assert abs(p - closed_form_probability(1e-6, 10 ** 6)) < 1e-12
+
+    def test_norm_holds_at_any_k(self):
+        # Only k w is rounded, so no error accumulates in the norm.
+        rng = np.random.default_rng(29)
+        for lam in (1e-6, 0.3, 1.0):
+            g = geometry_from_lambda(lam)
+            for kind in KINDS:
+                m = iteration_matrix(kind, random_params(rng, kind), g)
+                for k in (10 ** 9, 10 ** 12, MAX_ITERATIONS):
+                    state = run(m, k, initial_state(g))
+                    assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
+
+    def test_iteration_count_is_bounded_by_float64_integers(self):
+        g = geometry_from_lambda(0.25)
+        m = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        assert MAX_ITERATIONS == 2 ** 53
+        state = run(m, MAX_ITERATIONS, initial_state(g))
+        assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
+        for matrices in (m, np.stack([m, m])):
+            with pytest.raises(ValueError, match=r"must be <= 2\*\*53"):
+                run(matrices, MAX_ITERATIONS + 1, initial_state(g))
 
 
 class TestSuccessProbability:
