@@ -13,7 +13,6 @@ from .analysis import (
     optimal_iterations,
     phase_params_for,
     probability_floor,
-    single_iteration_amplitude_long,
     single_iteration_probability,
     sweep,
 )
@@ -44,11 +43,11 @@ from .model import (
     geometry_from_lambda,
     geometry_of,
     make_search_space,
+    params_from_phases,
 )
 from .operators import (
     iteration_matrices,
     iteration_matrix,
-    long_iteration_closed_form,
     operator_coefficients,
 )
 from .statevector import (
@@ -90,18 +89,17 @@ __all__ = [
     "is_unitary",
     "iteration_matrices",
     "iteration_matrix",
-    "long_iteration_closed_form",
     "make_search_space",
     "max_entry_deviation",
     "operator_coefficients",
     "optimal_iterations",
+    "params_from_phases",
     "phase_params_for",
     "predicted_global_phase",
     "probability_floor",
     "project_to_subspace",
     "run",
     "run_full",
-    "single_iteration_amplitude_long",
     "single_iteration_probability",
     "success_probability",
     "sweep",

@@ -1,8 +1,8 @@
 """Closed-form success probabilities and (phase, proportion) sweep tables."""
 from __future__ import annotations
 
-import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -11,13 +11,10 @@ import numpy as np
 from .linalg import TAU
 from .model import (
     AlgorithmKind,
-    LiCMParams,
-    LiDFParams,
-    LiPCParams,
     LongParams,
-    OriginalParams,
     PhaseParams,
     geometry_from_lambda,
+    params_from_phases,
 )
 from .operators import iteration_matrices, operator_coefficients
 from .equivalence import transform_phases
@@ -41,16 +38,6 @@ def optimal_iterations(lambda_: float) -> int:
     """Iteration count floor(pi / (4 * sqrt(lambda))) for the original algorithm."""
     _check_proportion("lambda_", lambda_)
     return int(math.floor(math.pi / (4.0 * math.sqrt(lambda_))))
-
-
-def single_iteration_amplitude_long(m: float, phi: float) -> complex:
-    """Target amplitude after one long iteration from the uniform state.
-
-    sqrt(m) * (1 - 2 e^{i phi} - (1 - e^{i phi})^2 * m), with m = sin^2(theta).
-    """
-    _check_proportion("m", m)
-    e = cmath.exp(1j * phi)
-    return math.sqrt(m) * (1.0 - 2.0 * e - (1.0 - e) ** 2 * m)
 
 
 def single_iteration_probability(m: float) -> float:
@@ -97,6 +84,7 @@ class SweepGrid:
             raise ValueError("phase_min must not exceed phase_max")
         if self.lambda_steps < 1 or self.phase_steps < 1:
             raise ValueError("step counts must be >= 1")
+        operator.index(self.k)  # a float k, even 3.0, is a TypeError
         if self.k < 0:
             raise ValueError(f"iteration count must be >= 0, got {self.k}")
         if self.k > MAX_ITERATIONS:
@@ -125,16 +113,13 @@ class SweepResult:
 
 
 def phase_params_for(kind: AlgorithmKind, phase: float) -> PhaseParams:
-    """Single-scalar-phase bundle used by sweeps (licm pins gamma2 = eta2 = 0)."""
-    if kind is AlgorithmKind.ORIGINAL:
-        return OriginalParams()
-    if kind is AlgorithmKind.LONG:
-        return LongParams(phase)
-    if kind is AlgorithmKind.LI_DF:
-        return LiDFParams(phase)
-    if kind is AlgorithmKind.LI_CM:
-        return LiCMParams(phase, 0.0, phase, 0.0)
-    return LiPCParams(phase)
+    """Single-scalar-phase bundle used by sweeps: phase in every field of the kind.
+
+    licm alone pins gamma2 = eta2 = 0.  LongParams(phase, phase) has the
+    coefficients of LongParams(phase).
+    """
+    pin = 0.0 if kind is AlgorithmKind.LI_CM else phase
+    return params_from_phases(kind, (phase, pin, phase, pin))
 
 
 def sweep(grid: SweepGrid, matched_from_long: bool = False) -> SweepResult:
@@ -149,7 +134,7 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> SweepResult:
         params = [transform_phases(LongParams(float(p)), grid.kind) for p in grid.phases()]
     else:
         params = [phase_params_for(grid.kind, float(p)) for p in grid.phases()]
-    coefficients = np.array([operator_coefficients(grid.kind, p) for p in params]).T
+    coefficients = np.array([operator_coefficients(p) for p in params]).T
     # |s> = (sin theta, cos theta) per lambda through math.sin/cos, so every
     # cell equals its scalar iteration_matrix, initial_state and run bit for bit.
     thetas = [geometry_from_lambda(float(lam)).theta for lam in grid.lambdas()]

@@ -21,18 +21,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import SweepGrid, closed_form_probability, optimal_iterations, sweep
-from .equivalence import verify_phase_equivalence
+from .equivalence import TRANSFORMABLE_KINDS, verify_phase_equivalence
 from .linalg import wrap_angle
 from .model import (
     AlgorithmKind,
-    LiCMParams,
-    LiDFParams,
-    LiPCParams,
     LongParams,
-    OriginalParams,
     geometry_from_lambda,
     geometry_of,
     make_search_space,
+    params_from_phases,
 )
 from .operators import iteration_matrix
 from .statevector import project_to_subspace, run_full, target_probability
@@ -41,15 +38,6 @@ from .subspace import MAX_ITERATIONS, initial_state, run, success_probability
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFICATION = 2
-
-_FIGURE_KINDS = {
-    2: AlgorithmKind.LONG,
-    3: AlgorithmKind.LI_DF,
-    4: AlgorithmKind.LI_CM,
-    5: AlgorithmKind.LI_PC,
-}
-
-_KIND_NAMES = {kind.value: kind for kind in AlgorithmKind}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,6 +77,8 @@ def _axis(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"endpoints must be finite, got {text!r}")
+    if steps < 1:
+        raise argparse.ArgumentTypeError(f"steps must be >= 1, got {text!r}")
     return lo, hi, steps
 
 
@@ -102,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.set_defaults(func=cmd_figure)
 
     sw = sub.add_parser("sweep", help="explicit probability sweep to CSV")
-    sw.add_argument("--kind", required=True, choices=sorted(_KIND_NAMES))
+    sw.add_argument("--kind", required=True, choices=sorted(kind.value for kind in AlgorithmKind))
     sw.add_argument("--k", required=True, type=int, help="iterations per cell")
     sw.add_argument("--lambda", dest="lam", required=True, type=_axis,
                     metavar="MIN:MAX:STEPS", help="target proportion axis")
@@ -166,7 +156,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
             k = optimal_iterations(lam)
             rows.append((_fmt(lam), str(k), _fmt(closed_form_probability(lam, k))))
         return _write_csv(args.out, ("lambda", "k", "probability"), rows)
-    return _write_sweep(args.out, "phi", SweepGrid(kind=_FIGURE_KINDS[args.index], k=5), True)
+    # Figures 2-5 are long, lidf, licm and lipc: the chain order.
+    kind = TRANSFORMABLE_KINDS[args.index - 2]
+    return _write_sweep(args.out, "phi", SweepGrid(kind=kind, k=5), True)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -177,7 +169,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     lam_min, lam_max, lam_steps = args.lam
     phase_min, phase_max, phase_steps = args.phase
     grid = SweepGrid(
-        kind=_KIND_NAMES[args.kind],
+        kind=AlgorithmKind(args.kind),
         k=args.k,
         lambda_min=lam_min,
         lambda_max=lam_max,
@@ -221,19 +213,9 @@ def _random_case(rng: np.random.Generator, n: int):
     num_targets = int(rng.integers(1, size + 1))
     targets = rng.choice(size, size=num_targets, replace=False)
     kind = list(AlgorithmKind)[int(rng.integers(0, len(AlgorithmKind)))]
-    angles = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=4)
-    if kind is AlgorithmKind.ORIGINAL:
-        params = OriginalParams()
-    elif kind is AlgorithmKind.LONG:
-        params = LongParams(angles[0], angles[1])
-    elif kind is AlgorithmKind.LI_DF:
-        params = LiDFParams(angles[0])
-    elif kind is AlgorithmKind.LI_CM:
-        params = LiCMParams(*angles)
-    else:
-        params = LiPCParams(angles[0])
+    params = params_from_phases(kind, rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=4))
     k = int(rng.integers(0, 26))
-    return make_search_space(n, targets), kind, params, k
+    return make_search_space(n, targets), params, k
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
@@ -256,10 +238,10 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     max_prob_dev = 0.0
     max_residual = 0.0
     for _ in range(args.samples):
-        space, kind, params, k = _random_case(rng, args.n)
-        full = run_full(space, kind, params, k)
+        space, params, k = _random_case(rng, args.n)
+        full = run_full(space, params, k)
         g = geometry_of(space)
-        sub = run(iteration_matrix(kind, params, g), k, initial_state(g))
+        sub = run(iteration_matrix(params, g), k, initial_state(g))
         max_prob_dev = max(
             max_prob_dev, abs(target_probability(full) - success_probability(sub))
         )

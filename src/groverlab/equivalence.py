@@ -13,12 +13,14 @@ iteration is
     lipc   pi - beta
 
 The licm entry generalizes the two-parameter case (where gamma = eta and the
-relative phase is -2*gamma2) to independent gamma2, eta2 offsets.
+relative phase is -2*gamma2) to independent gamma2, eta2 offsets.  The chain
+is Long's phase matching (PRA 64, 022307, 2001); _CHAIN holds it per kind.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,68 +37,65 @@ from .model import (
 from .operators import iteration_matrix
 from .subspace import initial_state, run, success_probability
 
-#: Variants covered by the transform condition (everything but the original).
-TRANSFORMABLE_KINDS = (
-    AlgorithmKind.LONG,
-    AlgorithmKind.LI_DF,
-    AlgorithmKind.LI_CM,
-    AlgorithmKind.LI_PC,
-)
-
 _CONDITION_TOL = 1e-9
+
+
+def _long_phi(params: LongParams) -> float:
+    if params.diffusion_phase != params.phi:
+        raise ValueError(
+            "the transform condition covers only the single-phase long "
+            "iteration (diffusion phase equal to phi)"
+        )
+    return params.phi
+
+
+def _licm_phi(params: LiCMParams) -> float:
+    if angle_distance(params.gamma1 - params.gamma2, params.eta1 - params.eta2) > _CONDITION_TOL:
+        raise ValueError(
+            "licm parameters must satisfy gamma1 - gamma2 = eta1 - eta2 "
+            "to sit on the transform chain"
+        )
+    return params.gamma1 - params.gamma2
+
+
+class _ChainEntry(NamedTuple):
+    at: Callable[[float], PhaseParams]     # the kind's bundle on the chain at phi
+    phi: Callable[[PhaseParams], float]    # the chain value a bundle carries
+    chi: Callable[[PhaseParams], float]    # chi with G_long = e^{i chi} * G_kind
+
+
+# licm gets the canonical representative (phi, 0, phi, 0): the chain pins
+# only the differences gamma1 - gamma2 and eta1 - eta2, and zero offsets make
+# the mapping a function (and the predicted relative phase 0).
+_CHAIN = {
+    AlgorithmKind.LONG: _ChainEntry(LongParams, _long_phi, lambda p: 0.0),
+    AlgorithmKind.LI_DF: _ChainEntry(lambda phi: LiDFParams((phi - math.pi) / 2.0),
+                                     lambda p: 2.0 * p.tau + math.pi, lambda p: 0.0),
+    AlgorithmKind.LI_CM: _ChainEntry(lambda phi: LiCMParams(phi, 0.0, phi, 0.0),
+                                     _licm_phi, lambda p: -(p.gamma2 + p.eta2)),
+    AlgorithmKind.LI_PC: _ChainEntry(lambda phi: LiPCParams(-phi),
+                                     lambda p: -p.beta, lambda p: math.pi - p.beta),
+}
+
+#: Variants covered by the transform condition (everything but the original).
+TRANSFORMABLE_KINDS = tuple(_CHAIN)
+
+
+def _chain_entry(kind: AlgorithmKind) -> _ChainEntry:
+    if kind not in _CHAIN:
+        raise ValueError(f"the {kind.value} iteration is not on the transform chain")
+    return _CHAIN[kind]
 
 
 def _common_phase(params: PhaseParams) -> float:
     """The chain value phi carried by a variant's parameter bundle."""
-    if isinstance(params, LongParams):
-        if params.diffusion_phase != params.phi:
-            raise ValueError(
-                "the transform condition covers only the single-phase long "
-                "iteration (diffusion phase equal to phi)"
-            )
-        return params.phi
-    if isinstance(params, LiDFParams):
-        return 2.0 * params.tau + math.pi
-    if isinstance(params, LiCMParams):
-        if angle_distance(params.gamma1 - params.gamma2, params.eta1 - params.eta2) > _CONDITION_TOL:
-            raise ValueError(
-                "licm parameters must satisfy gamma1 - gamma2 = eta1 - eta2 "
-                "to sit on the transform chain"
-            )
-        return params.gamma1 - params.gamma2
-    if isinstance(params, LiPCParams):
-        return -params.beta
-    raise ValueError("the original iteration carries no transformable phase")
+    return _chain_entry(params.kind).phi(params)
 
 
 def transform_phases(params: PhaseParams, to_kind: AlgorithmKind) -> PhaseParams:
-    """Map a variant's parameters to another variant along the condition chain.
-
-    licm gets the canonical representative (phi, 0, phi, 0): the chain pins
-    only the differences gamma1 - gamma2 and eta1 - eta2, and zero offsets
-    make the mapping a function (and the predicted relative phase 0).
-    """
+    """Map a variant's parameters to another variant along the condition chain."""
     phi = _common_phase(params)
-    if to_kind is AlgorithmKind.LONG:
-        return LongParams(phi)
-    if to_kind is AlgorithmKind.LI_DF:
-        return LiDFParams((phi - math.pi) / 2.0)
-    if to_kind is AlgorithmKind.LI_CM:
-        return LiCMParams(phi, 0.0, phi, 0.0)
-    if to_kind is AlgorithmKind.LI_PC:
-        return LiPCParams(-phi)
-    raise ValueError("the original iteration is not a transform target")
-
-
-def _phase_relative_to_long(params: PhaseParams) -> float:
-    """chi with G_long = e^{i chi} * G_variant at matched parameters."""
-    if isinstance(params, (LongParams, LiDFParams)):
-        return 0.0
-    if isinstance(params, LiCMParams):
-        return -(params.gamma2 + params.eta2)
-    if isinstance(params, LiPCParams):
-        return math.pi - params.beta
-    raise ValueError("the original iteration carries no transformable phase")
+    return _chain_entry(to_kind).at(phi)
 
 
 def predicted_global_phase(params_a: PhaseParams, params_b: PhaseParams) -> float:
@@ -108,7 +107,7 @@ def predicted_global_phase(params_a: PhaseParams, params_b: PhaseParams) -> floa
             f"parameters do not satisfy the phase-transform condition: "
             f"chain values {phi_a} vs {phi_b}"
         )
-    return wrap_angle(_phase_relative_to_long(params_b) - _phase_relative_to_long(params_a))
+    return wrap_angle(_CHAIN[params_b.kind].chi(params_b) - _CHAIN[params_a.kind].chi(params_a))
 
 
 @dataclass(frozen=True)
@@ -133,14 +132,9 @@ class EquivalenceReport:
 
 
 def _perturbed(params: PhaseParams, delta: float) -> PhaseParams:
-    """Shift a variant's leading phase off the chain (for necessity checks)."""
-    if isinstance(params, LiDFParams):
-        return LiDFParams(params.tau + delta)
-    if isinstance(params, LiCMParams):
-        return LiCMParams(params.gamma1 + delta, params.gamma2, params.eta1, params.eta2)
-    if isinstance(params, LiPCParams):
-        return LiPCParams(params.beta + delta)
-    return params
+    """Shift a variant's leading phase (its first field) off the chain, for necessity checks."""
+    lead = fields(params)[0].name
+    return replace(params, **{lead: getattr(params, lead) + delta})
 
 
 def verify_phase_equivalence(
@@ -163,8 +157,7 @@ def verify_phase_equivalence(
         raise ValueError(f"tolerance must be positive, got {tol}")
     mapped = [transform_phases(params_long, to_kind) for to_kind in TRANSFORMABLE_KINDS[1:]]
     realized = [_perturbed(p, perturb) if perturb else p for p in mapped]
-    mats = np.stack([iteration_matrix(kind, p, g)
-                     for kind, p in zip(TRANSFORMABLE_KINDS, [params_long, *realized])])
+    mats = np.stack([iteration_matrix(p, g) for p in [params_long, *realized]])
     probs = success_probability(run(mats, k, initial_state(g)))
     g_long = mats[0]
     reports = []

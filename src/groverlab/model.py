@@ -8,9 +8,9 @@ the AlgorithmKind they drive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, unique
-from typing import ClassVar, Iterable, Union
+from typing import ClassVar, Iterable, Sequence, Union, get_args
 
 import numpy as np
 
@@ -158,11 +158,10 @@ class LiPCParams:
 
 PhaseParams = Union[OriginalParams, LongParams, LiDFParams, LiCMParams, LiPCParams]
 
+_PARAMS_OF_KIND = {cls.kind: cls for cls in get_args(PhaseParams)}
 
-def check_params_tag(kind: AlgorithmKind, params: PhaseParams) -> None:
-    """Reject parameter bundles used with the wrong algorithm."""
-    if params.kind is not kind:
-        raise TypeError(
-            f"phase parameters tagged {params.kind.value!r} cannot drive "
-            f"the {kind.value!r} iteration"
-        )
+
+def params_from_phases(kind: AlgorithmKind, phases: Sequence[float]) -> PhaseParams:
+    """The kind's bundle with its fields, in declaration order, taken from the leading phases."""
+    cls = _PARAMS_OF_KIND[kind]
+    return cls(*phases[:len(fields(cls))])

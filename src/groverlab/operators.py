@@ -23,25 +23,22 @@ import math
 import numpy as np
 
 from .linalg import is_unitary
-from .model import AlgorithmKind, PhaseParams, SubspaceGeometry, check_params_tag
+from .model import AlgorithmKind, PhaseParams, SubspaceGeometry
 
 UNITARITY_TOL = 1e-10
 
 
-def operator_coefficients(
-    kind: AlgorithmKind, params: PhaseParams
-) -> tuple[complex, complex, complex, complex]:
-    """One row of the table above: (target, rest, c, d)."""
-    check_params_tag(kind, params)
-    if kind is AlgorithmKind.ORIGINAL:
+def operator_coefficients(params: PhaseParams) -> tuple[complex, complex, complex, complex]:
+    """One row of the table above, for the bundle's own kind: (target, rest, c, d)."""
+    if params.kind is AlgorithmKind.ORIGINAL:
         return -1.0 + 0j, 1.0 + 0j, 2.0 + 0j, -1.0 + 0j
-    if kind is AlgorithmKind.LONG:
+    if params.kind is AlgorithmKind.LONG:
         ed = cmath.exp(1j * params.diffusion_phase)
         return cmath.exp(1j * params.oracle_phase), 1.0 + 0j, 1.0 - ed, -1.0 + 0j
-    if kind is AlgorithmKind.LI_DF:
+    if params.kind is AlgorithmKind.LI_DF:
         w = 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
         return 1.0 - w, 1.0 + 0j, w, -1.0 + 0j
-    if kind is AlgorithmKind.LI_CM:
+    if params.kind is AlgorithmKind.LI_CM:
         eg1, eg2 = cmath.exp(1j * params.gamma1), cmath.exp(1j * params.gamma2)
         return -cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2), eg1 - eg2, eg2
     e = cmath.exp(1j * params.beta)
@@ -68,31 +65,8 @@ def iteration_matrices(kind: AlgorithmKind, coefficients, sin_theta, cos_theta) 
     return m
 
 
-def iteration_matrix(
-    kind: AlgorithmKind, params: PhaseParams, g: SubspaceGeometry
-) -> np.ndarray:
+def iteration_matrix(params: PhaseParams, g: SubspaceGeometry) -> np.ndarray:
     """Composed (2, 2) iteration for one parameter bundle: diffusion @ oracle, checked unitary."""
     return iteration_matrices(
-        kind, operator_coefficients(kind, params), math.sin(g.theta), math.cos(g.theta)
-    )
-
-
-def long_iteration_closed_form(
-    g: SubspaceGeometry, phi: float, diffusion_phi: float | None = None
-) -> np.ndarray:
-    """Entrywise closed form of the two-phase long iteration.
-
-    phi drives the oracle, diffusion_phi the diffusion (defaulting to phi,
-    the phase-matched case).
-    """
-    vphi = phi if diffusion_phi is None else diffusion_phi
-    s, c = math.sin(g.theta), math.cos(g.theta)
-    eo = cmath.exp(1j * phi)
-    ed = cmath.exp(1j * vphi)
-    return np.array(
-        [
-            [-eo * (s * s * ed + c * c), s * c * (1.0 - ed)],
-            [s * c * eo * (1.0 - ed), -(c * c * ed + s * s)],
-        ],
-        dtype=complex,
+        params.kind, operator_coefficients(params), math.sin(g.theta), math.cos(g.theta)
     )

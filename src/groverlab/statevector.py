@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AlgorithmKind, PhaseParams, SearchSpace, check_params_tag
+from .model import AlgorithmKind, PhaseParams, SearchSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,20 +31,19 @@ def uniform_state(space: SearchSpace) -> StateVector:
     return StateVector(np.full(size, 1.0 / math.sqrt(size), dtype=complex), space)
 
 
-def apply_oracle(v: StateVector, kind: AlgorithmKind, params: PhaseParams) -> StateVector:
-    """Multiply marked amplitudes by the kind's target eigenvalue.
+def apply_oracle(v: StateVector, params: PhaseParams) -> StateVector:
+    """Multiply marked amplitudes by the target eigenvalue of the bundle's kind.
 
     Only licm also rescales the unmarked amplitudes (by -e^{i eta2}).
     """
-    check_params_tag(kind, params)
     rest = 1.0
-    if kind is AlgorithmKind.ORIGINAL:
+    if params.kind is AlgorithmKind.ORIGINAL:
         target = -1.0
-    elif kind is AlgorithmKind.LONG:
+    elif params.kind is AlgorithmKind.LONG:
         target = cmath.exp(1j * params.oracle_phase)
-    elif kind is AlgorithmKind.LI_DF:
+    elif params.kind is AlgorithmKind.LI_DF:
         target = 1.0 - 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
-    elif kind is AlgorithmKind.LI_CM:
+    elif params.kind is AlgorithmKind.LI_CM:
         target, rest = -cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2)
     else:
         target = cmath.exp(-1j * params.beta)
@@ -55,17 +54,16 @@ def apply_oracle(v: StateVector, kind: AlgorithmKind, params: PhaseParams) -> St
     return StateVector(amps, v.space)
 
 
-def apply_diffusion(v: StateVector, kind: AlgorithmKind, params: PhaseParams) -> StateVector:
-    """v -> c * <s|v> * |s> + d * v with per-kind coefficients (c, d)."""
-    check_params_tag(kind, params)
-    if kind is AlgorithmKind.ORIGINAL:
+def apply_diffusion(v: StateVector, params: PhaseParams) -> StateVector:
+    """v -> c * <s|v> * |s> + d * v with the coefficients (c, d) of the bundle's kind."""
+    if params.kind is AlgorithmKind.ORIGINAL:
         c, d = 2.0 + 0j, -1.0 + 0j
-    elif kind is AlgorithmKind.LONG:
+    elif params.kind is AlgorithmKind.LONG:
         c, d = 1.0 - cmath.exp(1j * params.diffusion_phase), -1.0 + 0j
-    elif kind is AlgorithmKind.LI_DF:
+    elif params.kind is AlgorithmKind.LI_DF:
         c = 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
         d = -1.0 + 0j
-    elif kind is AlgorithmKind.LI_CM:
+    elif params.kind is AlgorithmKind.LI_CM:
         c = cmath.exp(1j * params.gamma1) - cmath.exp(1j * params.gamma2)
         d = cmath.exp(1j * params.gamma2)
     else:
@@ -76,15 +74,13 @@ def apply_diffusion(v: StateVector, kind: AlgorithmKind, params: PhaseParams) ->
     return StateVector(d * v.amplitudes + uniform_part, v.space)
 
 
-def run_full(
-    space: SearchSpace, kind: AlgorithmKind, params: PhaseParams, k: int
-) -> StateVector:
+def run_full(space: SearchSpace, params: PhaseParams, k: int) -> StateVector:
     """k alternations of oracle then diffusion, starting from the uniform state."""
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
     v = uniform_state(space)
     for _ in range(k):
-        v = apply_diffusion(apply_oracle(v, kind, params), kind, params)
+        v = apply_diffusion(apply_oracle(v, params), params)
     return v
 
 

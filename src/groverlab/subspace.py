@@ -6,6 +6,7 @@ States are complex arrays of shape (..., 2): the amplitudes on |alpha> and
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -26,7 +27,7 @@ def run(m: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
 
     m is one unitary (2, 2) matrix or a (..., 2, 2) stack of them (callers
     pass matrices that iteration_matrices has checked); start broadcasts to
-    m.shape[:-1], the shape of the result.  0 <= k <= MAX_ITERATIONS.
+    m.shape[:-1], the shape of the result.  k is an int, 0 <= k <= MAX_ITERATIONS.
 
     The cost does not depend on k.  With m = e^{i delta} V, det V = 1,
     tr V = 2 cos w and G = (m - (tr m / 2) I) / e^{i delta}, the Chebyshev
@@ -36,6 +37,7 @@ def run(m: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
     k w and k delta grows with k: the state keeps unit norm, and those
     angles are off by about |k w| * 2**-53 and |k delta| * 2**-53.
     """
+    k = operator.index(k)
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
     if k > MAX_ITERATIONS:

@@ -1,35 +1,46 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers for the test suite, and closed-form references that only tests use."""
+import cmath
 import math
 
-from groverlab.model import (
-    AlgorithmKind,
-    LiCMParams,
-    LiDFParams,
-    LiPCParams,
-    LongParams,
-    OriginalParams,
-)
+import numpy as np
+
+from groverlab.model import AlgorithmKind, params_from_phases
 
 KINDS = list(AlgorithmKind)
 
 
-def params_of(kind, a):
-    """A kind's phase bundle built from the four phases a."""
-    if kind is AlgorithmKind.ORIGINAL:
-        return OriginalParams()
-    if kind is AlgorithmKind.LONG:
-        return LongParams(a[0], a[1])
-    if kind is AlgorithmKind.LI_DF:
-        return LiDFParams(a[0])
-    if kind is AlgorithmKind.LI_CM:
-        return LiCMParams(*a)
-    return LiPCParams(a[0])
-
-
 def random_params(rng, kind):
     """Uniformly random phase bundle for a kind (angles in [-2pi, 2pi])."""
-    return params_of(kind, rng.uniform(-2 * math.pi, 2 * math.pi, size=4))
+    return params_from_phases(kind, rng.uniform(-2 * math.pi, 2 * math.pi, size=4))
 
 
 def random_kind(rng):
     return KINDS[int(rng.integers(0, len(KINDS)))]
+
+
+def long_iteration_closed_form(g, phi, diffusion_phi=None):
+    """Entrywise closed form of the two-phase long iteration.
+
+    phi drives the oracle, diffusion_phi the diffusion (defaulting to phi,
+    the phase-matched case).
+    """
+    vphi = phi if diffusion_phi is None else diffusion_phi
+    s, c = math.sin(g.theta), math.cos(g.theta)
+    eo = cmath.exp(1j * phi)
+    ed = cmath.exp(1j * vphi)
+    return np.array(
+        [
+            [-eo * (s * s * ed + c * c), s * c * (1.0 - ed)],
+            [s * c * eo * (1.0 - ed), -(c * c * ed + s * s)],
+        ],
+        dtype=complex,
+    )
+
+
+def single_iteration_amplitude_long(m, phi):
+    """Target amplitude after one long iteration from the uniform state.
+
+    sqrt(m) * (1 - 2 e^{i phi} - (1 - e^{i phi})^2 * m), with m = sin^2(theta).
+    """
+    e = cmath.exp(1j * phi)
+    return math.sqrt(m) * (1.0 - 2.0 * e - (1.0 - e) ** 2 * m)

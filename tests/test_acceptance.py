@@ -90,7 +90,7 @@ def test_criterion_4_single_iteration_equivalence_across_variants():
         g = geometry_from_lambda(float(m))
         expected = single_iteration_probability(float(m))
         for kind, params in matched.items():
-            p = success_probability(run(iteration_matrix(kind, params, g), 1, initial_state(g)))
+            p = success_probability(run(iteration_matrix(params, g), 1, initial_state(g)))
             worst = max(worst, abs(p - expected))
     report(4, "single-iteration cubic across variants", worst < 1e-10,
            f"max |P - cubic| = {worst:.3e}")
@@ -118,9 +118,9 @@ def test_criterion_6_engine_cross_validation():
             kind = random_kind(rng)
             params = random_params(rng, kind)
             k = int(rng.integers(0, 26))
-            full = run_full(space, kind, params, k)
+            full = run_full(space, params, k)
             g = geometry_of(space)
-            sub = run(iteration_matrix(kind, params, g), k, initial_state(g))
+            sub = run(iteration_matrix(params, g), k, initial_state(g))
             worst_prob = max(
                 worst_prob, abs(target_probability(full) - success_probability(sub))
             )
@@ -137,9 +137,9 @@ def test_criterion_7_reduction_to_the_original_iteration():
     worst_aligned = 0.0
     for lam in np.linspace(0.01, 1.0, 50):
         g = geometry_from_lambda(float(lam))
-        original = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
-        long_slice = iteration_matrix(AlgorithmKind.LONG, LongParams(math.pi), g)
-        lidf_slice = iteration_matrix(AlgorithmKind.LI_DF, LiDFParams(0.0), g)
+        original = iteration_matrix(OriginalParams(), g)
+        long_slice = iteration_matrix(LongParams(math.pi), g)
+        lidf_slice = iteration_matrix(LiDFParams(0.0), g)
         worst_entrywise = max(
             worst_entrywise,
             float(np.max(np.abs(long_slice - original))),
@@ -147,7 +147,7 @@ def test_criterion_7_reduction_to_the_original_iteration():
         )
         for kind in (AlgorithmKind.LI_CM, AlgorithmKind.LI_PC):
             mapped = transform_phases(LongParams(math.pi), kind)
-            variant = iteration_matrix(kind, mapped, g)
+            variant = iteration_matrix(mapped, g)
             chi = global_phase_align(original, variant, 1e-10)
             if chi is None:
                 worst_aligned = math.inf
@@ -167,13 +167,13 @@ def test_criterion_8_unitarity_and_norm_stability():
     for _ in range(1000):
         kind = random_kind(rng)
         g = geometry_from_lambda(float(rng.uniform(1e-4, 1.0)))
-        m = iteration_matrix(kind, random_params(rng, kind), g)
+        m = iteration_matrix(random_params(rng, kind), g)
         unitary_ok = unitary_ok and is_unitary(m, 1e-10)
     worst_norm = 0.0
     for _ in range(20):
         kind = random_kind(rng)
         g = geometry_from_lambda(float(rng.uniform(1e-4, 1.0)))
-        m = iteration_matrix(kind, random_params(rng, kind), g)
+        m = iteration_matrix(random_params(rng, kind), g)
         v = np.array([math.sin(g.theta), math.cos(g.theta)], dtype=complex)
         for _ in range(1000):
             v = m @ v

@@ -11,7 +11,6 @@ from groverlab.analysis import (
     optimal_iterations,
     phase_params_for,
     probability_floor,
-    single_iteration_amplitude_long,
     single_iteration_probability,
     sweep,
 )
@@ -19,6 +18,8 @@ from groverlab.equivalence import transform_phases
 from groverlab.model import AlgorithmKind, LongParams, geometry_from_lambda
 from groverlab.operators import iteration_matrix
 from groverlab.subspace import initial_state, run, success_probability
+
+from helpers import single_iteration_amplitude_long
 
 
 def cubic_exact(m: Fraction) -> Fraction:
@@ -47,7 +48,7 @@ class TestClosedFormProbability:
     def test_matches_engine_on_a_grid(self):
         for lam in np.linspace(0.01, 1.0, 60):
             g = geometry_from_lambda(float(lam))
-            it = iteration_matrix(AlgorithmKind.ORIGINAL, phase_params_for(AlgorithmKind.ORIGINAL, 0.0), g)
+            it = iteration_matrix(phase_params_for(AlgorithmKind.ORIGINAL, 0.0), g)
             for k in (0, 1, 2, 5, 9):
                 engine = success_probability(run(it, k, initial_state(g)))
                 assert abs(engine - closed_form_probability(float(lam), k)) < 1e-10
@@ -81,10 +82,6 @@ class TestSingleIterationAmplitude:
             1.0, abs=1e-12
         )
 
-    def test_rejects_out_of_domain(self):
-        with pytest.raises(ValueError):
-            single_iteration_amplitude_long(0.0, 1.0)
-
 
 class TestSingleIterationProbability:
     def test_agrees_with_exact_rational_cubic(self):
@@ -114,7 +111,7 @@ class TestSingleIterationProbability:
             size = 2 ** n
             for num_targets in {1, max(1, size // 3), size // 2 or 1, size}:
                 space = make_search_space(n, range(num_targets))
-                out = run_full(space, AlgorithmKind.LONG, LongParams(math.pi / 2), 1)
+                out = run_full(space, LongParams(math.pi / 2), 1)
                 expected = single_iteration_probability(num_targets / size)
                 assert abs(target_probability(out) - expected) < 1e-10
 
@@ -169,6 +166,16 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"must be <= 2\*\*53 = 9007199254740992, got"):
             SweepGrid(kind=AlgorithmKind.LONG, k=2 ** 53 + 1)
 
+    @pytest.mark.parametrize("k", [2.5, np.float64(3.0)])
+    def test_non_integer_k_is_rejected(self, k):
+        with pytest.raises(TypeError):
+            SweepGrid(kind=AlgorithmKind.LONG, k=k)
+
+    def test_numpy_integer_k_sweeps_like_a_python_int(self):
+        grid = dict(kind=AlgorithmKind.LI_CM, lambda_steps=5, phase_steps=4)
+        assert np.array_equal(sweep(SweepGrid(k=np.int64(7), **grid)).probabilities,
+                              sweep(SweepGrid(k=7, **grid)).probabilities)
+
     def test_row_count_and_order(self):
         grid = SweepGrid(kind=AlgorithmKind.LONG, k=2, lambda_steps=4, phase_steps=3)
         rows = list(sweep(grid).rows())
@@ -188,7 +195,7 @@ class TestSweep:
         grid = SweepGrid(kind=AlgorithmKind.LI_PC, k=4, lambda_steps=5, phase_steps=6)
         for lam, phase, k, prob in sweep(grid).rows():
             g = geometry_from_lambda(lam)
-            it = iteration_matrix(grid.kind, phase_params_for(grid.kind, phase), g)
+            it = iteration_matrix(phase_params_for(grid.kind, phase), g)
             assert abs(prob - success_probability(run(it, k, initial_state(g)))) < 1e-14
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
@@ -202,7 +209,7 @@ class TestSweep:
                 params = (transform_phases(LongParams(phase), kind) if matched
                           else phase_params_for(kind, phase))
                 g = geometry_from_lambda(lam)
-                m = iteration_matrix(kind, params, g)
+                m = iteration_matrix(params, g)
                 assert prob == success_probability(run(m, k, initial_state(g)))
 
     def test_original_kind_ignores_phase_axis(self):

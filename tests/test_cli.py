@@ -108,6 +108,20 @@ class TestSweepCommand:
         assert proc.returncode == 1
         assert proc.stderr == "groverlab: error: lambda_min must lie in (0, 1], got 0.0\n"
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--phase"])
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_step_count_below_one_names_the_flag(self, flag, steps, tmp_path, capsys):
+        axes = {"--lambda": "0.1:1:3", "--phase": "0:1:3"}
+        axes[flag] = axes[flag][:-1] + steps
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--kind", "long", "--k", "1", f"--lambda={axes['--lambda']}",
+                  f"--phase={axes['--phase']}", "--out", str(out)])
+        assert excinfo.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: steps must be >= 1, got '{axes[flag]}'" in err
+        assert not out.exists()
+
 
 class TestCheckEquivalenceCommand:
     def test_reference_point_holds(self):

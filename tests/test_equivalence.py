@@ -1,8 +1,11 @@
 """Tests for the phase-transform condition, its predictions, and verification."""
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverlab.equivalence import (
     TRANSFORMABLE_KINDS,
@@ -10,7 +13,7 @@ from groverlab.equivalence import (
     transform_phases,
     verify_phase_equivalence,
 )
-from groverlab.linalg import angle_distance, wrap_angle
+from groverlab.linalg import angle_distance, global_phase_align, wrap_angle
 from groverlab.model import (
     AlgorithmKind,
     LiCMParams,
@@ -22,6 +25,48 @@ from groverlab.model import (
 )
 from groverlab.operators import iteration_matrix
 from groverlab.subspace import initial_state, run, success_probability
+
+
+chain_kinds = st.sampled_from(TRANSFORMABLE_KINDS)
+chain_values = st.floats(min_value=-1e3, max_value=1e3)
+offsets = st.floats(min_value=-math.pi, max_value=math.pi)
+lambdas = st.one_of(st.just(1.0), st.just(1e-14), st.floats(min_value=1e-14, max_value=1.0))
+
+
+def on_chain(kind, phi, gamma2, eta2):
+    """The kind's bundle at chain value phi; licm also carries the offsets gamma2, eta2."""
+    if kind is AlgorithmKind.LI_CM:
+        return LiCMParams(phi + gamma2, gamma2, phi + eta2, eta2)
+    return transform_phases(LongParams(phi), kind)
+
+
+class TestChainTable:
+    @given(chain_kinds, chain_kinds, chain_values, offsets, offsets)
+    @settings(max_examples=300)
+    def test_round_trip_through_any_pair_recovers_phi(self, a, b, phi, gamma2, eta2):
+        there = transform_phases(on_chain(a, phi, gamma2, eta2), b)
+        back = transform_phases(there, AlgorithmKind.LONG)
+        assert angle_distance(back.phi, phi) <= 1e-12 * max(1.0, abs(phi))
+
+    @given(chain_kinds, chain_kinds, chain_values, offsets, offsets, lambdas)
+    @settings(max_examples=300)
+    def test_aligned_phase_equals_the_prediction(self, a, b, phi, gamma2, eta2, lam):
+        g = geometry_from_lambda(lam)
+        params_a, params_b = on_chain(a, phi, gamma2, eta2), on_chain(b, phi, eta2, gamma2)
+        measured = global_phase_align(iteration_matrix(params_a, g),
+                                      iteration_matrix(params_b, g), 1e-10)
+        assert measured is not None
+        assert angle_distance(measured, predicted_global_phase(params_a, params_b)) <= 1e-10
+
+    @given(chain_values, st.floats(min_value=-10.0, max_value=10.0), lambdas)
+    @settings(max_examples=100)
+    def test_perturb_shifts_only_the_leading_field(self, phi, delta, lam):
+        reports = verify_phase_equivalence(LongParams(phi), geometry_from_lambda(lam),
+                                           perturb=delta)
+        for rep in reports:
+            mapped = astuple(transform_phases(LongParams(phi), rep.target_kind))
+            assert rep.target_params.kind is rep.target_kind
+            assert astuple(rep.target_params) == (mapped[0] + delta, *mapped[1:])
 
 
 class TestTransformPhases:
@@ -132,12 +177,12 @@ class TestVerifyPhaseEquivalence:
         for rep in verify_phase_equivalence(params_long, g):
             assert rep.prob_deviation == 0.0
         p_long = success_probability(
-            run(iteration_matrix(AlgorithmKind.LONG, params_long, g), 25, initial_state(g))
+            run(iteration_matrix(params_long, g), 25, initial_state(g))
         )
         for rep in verify_phase_equivalence(params_long, g, k=25):
             assert rep.holds
             p_other = success_probability(
-                run(iteration_matrix(rep.target_kind, rep.target_params, g), 25, initial_state(g))
+                run(iteration_matrix(rep.target_params, g), 25, initial_state(g))
             )
             assert abs(rep.prob_deviation - abs(p_other - p_long)) < 1e-15
             assert rep.prob_deviation < 1e-10
@@ -158,6 +203,10 @@ class TestVerifyPhaseEquivalence:
         with pytest.raises(ValueError):
             verify_phase_equivalence(LongParams(1.0), geometry_from_lambda(0.5), tol=0.0)
 
+    def test_rejects_a_non_integer_k(self):
+        with pytest.raises(TypeError):
+            verify_phase_equivalence(LongParams(1.0), geometry_from_lambda(0.5), k=2.5)
+
 
 class TestProbabilityEqualityAcrossVariants:
     def test_matched_variants_share_probabilities(self):
@@ -169,13 +218,13 @@ class TestProbabilityEqualityAcrossVariants:
             params_long = LongParams(phi)
             reference = [
                 success_probability(
-                    run(iteration_matrix(AlgorithmKind.LONG, params_long, g), k, initial_state(g))
+                    run(iteration_matrix(params_long, g), k, initial_state(g))
                 )
                 for k in range(26)
             ]
             for to_kind in TRANSFORMABLE_KINDS[1:]:
                 mapped = transform_phases(params_long, to_kind)
-                it = iteration_matrix(to_kind, mapped, g)
+                it = iteration_matrix(mapped, g)
                 for k in range(26):
                     p = success_probability(run(it, k, initial_state(g)))
                     assert abs(p - reference[k]) < 1e-10

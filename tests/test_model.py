@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groverlab.model import (
     AlgorithmKind,
@@ -11,10 +13,10 @@ from groverlab.model import (
     LiPCParams,
     LongParams,
     OriginalParams,
-    check_params_tag,
     geometry_from_lambda,
     geometry_of,
     make_search_space,
+    params_from_phases,
 )
 
 
@@ -119,6 +121,34 @@ class TestGeometry:
                 assert abs(math.sin(g.theta) ** 2 - g.lambda_) <= 1e-15
 
 
+def five_way_ladder(kind, a):
+    """The per-kind constructor that params_from_phases replaced, kept as the reference."""
+    if kind is AlgorithmKind.ORIGINAL:
+        return OriginalParams()
+    if kind is AlgorithmKind.LONG:
+        return LongParams(a[0], a[1])
+    if kind is AlgorithmKind.LI_DF:
+        return LiDFParams(a[0])
+    if kind is AlgorithmKind.LI_CM:
+        return LiCMParams(*a)
+    return LiPCParams(a[0])
+
+
+class TestParamsFromPhases:
+    @given(st.sampled_from(list(AlgorithmKind)),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4))
+    def test_equals_the_five_way_ladder(self, kind, phases):
+        for a in (phases, np.array(phases)):
+            params = params_from_phases(kind, a)
+            assert params == five_way_ladder(kind, a)
+            assert params.kind is kind
+
+    def test_takes_only_the_leading_phases(self):
+        assert params_from_phases(AlgorithmKind.LI_PC, (0.3,)) == LiPCParams(0.3)
+        assert params_from_phases(AlgorithmKind.LONG, (0.3,)) == LongParams(0.3)
+        assert params_from_phases(AlgorithmKind.ORIGINAL, ()) == OriginalParams()
+
+
 class TestPhaseParams:
     def test_kinds_are_tagged(self):
         assert OriginalParams().kind is AlgorithmKind.ORIGINAL
@@ -147,8 +177,3 @@ class TestPhaseParams:
             LiCMParams(0.0, bad, 0.0, 0.0)
         with pytest.raises(ValueError):
             LiPCParams(bad)
-
-    def test_tag_check(self):
-        check_params_tag(AlgorithmKind.LONG, LongParams(0.1))
-        with pytest.raises(TypeError):
-            check_params_tag(AlgorithmKind.LONG, LiDFParams(0.1))

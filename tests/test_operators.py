@@ -15,76 +15,61 @@ from groverlab.model import (
     OriginalParams,
     geometry_from_lambda,
 )
-from groverlab.operators import (
-    iteration_matrices,
-    iteration_matrix,
-    long_iteration_closed_form,
-    operator_coefficients,
-)
+from groverlab.operators import iteration_matrices, iteration_matrix, operator_coefficients
 
-from helpers import random_kind, random_params
+from helpers import long_iteration_closed_form, random_kind, random_params
 
 
-def oracle(kind, params):
-    target, rest, _, _ = operator_coefficients(kind, params)
+def oracle(params):
+    target, rest, _, _ = operator_coefficients(params)
     return np.diag([target, rest])
 
 
-def diffusion(kind, params, g):
+def diffusion(params, g):
     """c * |s><s| + d * I: the composer with the oracle set to the identity."""
-    _, _, c, d = operator_coefficients(kind, params)
-    return iteration_matrices(kind, (1.0, 1.0, c, d), math.sin(g.theta), math.cos(g.theta))
+    _, _, c, d = operator_coefficients(params)
+    return iteration_matrices(params.kind, (1.0, 1.0, c, d), math.sin(g.theta), math.cos(g.theta))
 
 
 class TestOracleCoefficients:
     def test_original(self):
         assert np.array_equal(
-            oracle(AlgorithmKind.ORIGINAL, OriginalParams()), np.array([[-1, 0], [0, 1]])
+            oracle(OriginalParams()), np.array([[-1, 0], [0, 1]])
         )
 
     def test_long_at_pi_reduces_to_original(self):
-        assert np.allclose(oracle(AlgorithmKind.LONG, LongParams(math.pi)), np.diag([-1, 1]),
+        assert np.allclose(oracle(LongParams(math.pi)), np.diag([-1, 1]),
                            atol=1e-12)
 
     def test_lidf_at_zero_reduces_to_original(self):
-        assert np.allclose(oracle(AlgorithmKind.LI_DF, LiDFParams(0.0)), np.diag([-1, 1]),
+        assert np.allclose(oracle(LiDFParams(0.0)), np.diag([-1, 1]),
                            atol=1e-15)
 
     def test_lipc_at_zero_degenerates_to_identity(self):
-        assert np.allclose(oracle(AlgorithmKind.LI_PC, LiPCParams(0.0)), np.eye(2), atol=1e-15)
+        assert np.allclose(oracle(LiPCParams(0.0)), np.eye(2), atol=1e-15)
 
     def test_licm_phases_land_on_both_eigenvalues(self):
-        target, rest, _, _ = operator_coefficients(
-            AlgorithmKind.LI_CM, LiCMParams(0, 0, 0.9, -0.4)
-        )
+        target, rest, _, _ = operator_coefficients(LiCMParams(0, 0, 0.9, -0.4))
         assert target == pytest.approx(-cmath.exp(0.9j), abs=1e-15)
         assert rest == pytest.approx(-cmath.exp(-0.4j), abs=1e-15)
-
-    def test_tag_mismatch(self):
-        with pytest.raises(TypeError):
-            operator_coefficients(AlgorithmKind.LONG, LiPCParams(0.1))
 
 
 class TestDiffusionCoefficients:
     def test_original_at_quarter_pi_is_swap(self):
         g = geometry_from_lambda(0.5)
-        assert np.allclose(diffusion(AlgorithmKind.ORIGINAL, OriginalParams(), g),
+        assert np.allclose(diffusion(OriginalParams(), g),
                            np.array([[0, 1], [1, 0]]), atol=1e-12)
 
     def test_long_at_pi_reduces_to_original(self):
         g = geometry_from_lambda(0.3)
-        long_diff = diffusion(AlgorithmKind.LONG, LongParams(math.pi), g)
-        orig_diff = diffusion(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        long_diff = diffusion(LongParams(math.pi), g)
+        orig_diff = diffusion(OriginalParams(), g)
         assert np.allclose(long_diff, orig_diff, atol=1e-12)
 
     def test_licm_with_equal_phases_at_zero_is_identity(self):
         g = geometry_from_lambda(0.3)
-        assert np.allclose(diffusion(AlgorithmKind.LI_CM, LiCMParams(0, 0, 0, 0), g),
+        assert np.allclose(diffusion(LiCMParams(0, 0, 0, 0), g),
                            np.eye(2), atol=1e-15)
-
-    def test_tag_mismatch(self):
-        with pytest.raises(TypeError):
-            operator_coefficients(AlgorithmKind.LI_DF, LongParams(0.1))
 
 
 class TestIterationMatrices:
@@ -93,17 +78,17 @@ class TestIterationMatrices:
         for kind in AlgorithmKind:
             params = [random_params(rng, kind) for _ in range(4)]
             gs = [geometry_from_lambda(float(lam)) for lam in rng.uniform(1e-4, 1.0, size=3)]
-            rows = np.array([operator_coefficients(kind, p) for p in params]).T
+            rows = np.array([operator_coefficients(p) for p in params]).T
             s = np.array([[math.sin(g.theta)] for g in gs])
             c = np.array([[math.cos(g.theta)] for g in gs])
             stack = iteration_matrices(kind, rows, s, c)
             assert stack.shape == (3, 4, 2, 2)
             for i, g in enumerate(gs):
                 for j, p in enumerate(params):
-                    assert np.array_equal(stack[i, j], iteration_matrix(kind, p, g))
+                    assert np.array_equal(stack[i, j], iteration_matrix(p, g))
 
     def test_one_non_unitary_cell_fails_the_stack(self):
-        rows = np.array([operator_coefficients(AlgorithmKind.LI_PC, LiPCParams(b))
+        rows = np.array([operator_coefficients(LiPCParams(b))
                          for b in (0.1, 0.2, 0.3)]).T
         rows[3, 1] = 0.0  # d = 0 leaves the middle diffusion rank one
         with pytest.raises(ValueError, match="lipc iteration matrix failed the unitarity"):
@@ -117,32 +102,30 @@ class TestIterationMatrices:
 class TestIterationMatrix:
     def test_original_is_rotation_by_two_theta(self):
         g = geometry_from_lambda(0.25)  # theta = pi/6
-        m = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        m = iteration_matrix(OriginalParams(), g)
         c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
         assert np.allclose(m, np.array([[c, s], [-s, c]]), atol=1e-12)
 
     def test_long_at_pi_equals_original(self):
         g = geometry_from_lambda(0.37)
-        matched = iteration_matrix(AlgorithmKind.LONG, LongParams(math.pi), g)
-        original = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        matched = iteration_matrix(LongParams(math.pi), g)
+        original = iteration_matrix(OriginalParams(), g)
         assert np.max(np.abs(matched - original)) < 1e-12
 
     @pytest.mark.parametrize("offset", [0.37, -1.2, 2.0])
     def test_licm_is_scaled_copy_of_long(self, offset):
         g = geometry_from_lambda(0.3)
         licm = iteration_matrix(
-            AlgorithmKind.LI_CM,
-            LiCMParams(math.pi / 2 + offset, offset, math.pi / 2 + offset, offset),
-            g,
+            LiCMParams(math.pi / 2 + offset, offset, math.pi / 2 + offset, offset), g
         )
-        long_mat = iteration_matrix(AlgorithmKind.LONG, LongParams(math.pi / 2), g)
+        long_mat = iteration_matrix(LongParams(math.pi / 2), g)
         assert np.max(np.abs(licm - cmath.exp(2j * offset) * long_mat)) < 1e-12
 
     def test_closed_form_matches_product_at_matched_phases(self):
         for phi in np.linspace(0.0, 2 * math.pi, 50):
             for theta_frac in np.linspace(0.02, 1.0, 50):
                 g = geometry_from_lambda(theta_frac)
-                built = iteration_matrix(AlgorithmKind.LONG, LongParams(float(phi)), g)
+                built = iteration_matrix(LongParams(float(phi)), g)
                 closed = long_iteration_closed_form(g, float(phi))
                 assert np.max(np.abs(built - closed)) < 1e-12
 
@@ -150,7 +133,7 @@ class TestIterationMatrix:
         g = geometry_from_lambda(0.09)  # theta = 0.3 to ~1e-3
         rng = np.random.default_rng(7)
         for phi, vphi in rng.uniform(-6, 6, size=(50, 2)):
-            built = iteration_matrix(AlgorithmKind.LONG, LongParams(phi, vphi), g)
+            built = iteration_matrix(LongParams(phi, vphi), g)
             assert np.max(np.abs(built - long_iteration_closed_form(g, phi, vphi))) < 1e-12
 
     def test_closed_form_matrix_is_unitary(self):
@@ -162,36 +145,29 @@ class TestIterationMatrix:
         for _ in range(1000):
             kind = random_kind(rng)
             g = geometry_from_lambda(float(rng.uniform(1e-4, 1.0)))
-            m = iteration_matrix(kind, random_params(rng, kind), g)
+            m = iteration_matrix(random_params(rng, kind), g)
             assert is_unitary(m, 1e-10)
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert abs(abs(det) - 1.0) < 1e-10
-
-    def test_tag_mismatch(self):
-        g = geometry_from_lambda(0.3)
-        with pytest.raises(TypeError):
-            iteration_matrix(AlgorithmKind.LI_PC, LongParams(0.1), g)
 
 
 class TestOriginalIsASliceOfEveryVariant:
     @pytest.mark.parametrize("lam", [0.08, 0.25, 0.5, 0.9])
     def test_long_and_lidf_slices_match_entrywise(self, lam):
         g = geometry_from_lambda(lam)
-        original = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
-        long_slice = iteration_matrix(AlgorithmKind.LONG, LongParams(math.pi), g)
-        lidf_slice = iteration_matrix(AlgorithmKind.LI_DF, LiDFParams(0.0), g)
+        original = iteration_matrix(OriginalParams(), g)
+        long_slice = iteration_matrix(LongParams(math.pi), g)
+        lidf_slice = iteration_matrix(LiDFParams(0.0), g)
         assert np.max(np.abs(long_slice - original)) < 1e-12
         assert np.max(np.abs(lidf_slice - original)) < 1e-12
 
     @pytest.mark.parametrize("lam", [0.08, 0.25, 0.5, 0.9])
     def test_licm_slice_matches_up_to_global_phase(self, lam):
         g = geometry_from_lambda(lam)
-        original = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        original = iteration_matrix(OriginalParams(), g)
         for gamma2, eta2 in [(0.0, 0.0), (0.8, -0.3)]:
             licm = iteration_matrix(
-                AlgorithmKind.LI_CM,
-                LiCMParams(math.pi + gamma2, gamma2, math.pi + eta2, eta2),
-                g,
+                LiCMParams(math.pi + gamma2, gamma2, math.pi + eta2, eta2), g
             )
             measured = global_phase_align(original, licm, 1e-10)
             assert measured is not None
@@ -201,8 +177,8 @@ class TestOriginalIsASliceOfEveryVariant:
     @pytest.mark.parametrize("lam", [0.08, 0.25, 0.5, 0.9])
     def test_lipc_slice_matches_up_to_global_phase(self, lam):
         g = geometry_from_lambda(lam)
-        original = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
-        lipc = iteration_matrix(AlgorithmKind.LI_PC, LiPCParams(-math.pi), g)
+        original = iteration_matrix(OriginalParams(), g)
+        lipc = iteration_matrix(LiPCParams(-math.pi), g)
         measured = global_phase_align(original, lipc, 1e-10)
         assert measured is not None
         assert abs(measured) < 1e-10  # -e^{-i beta} = 1 at beta = -pi

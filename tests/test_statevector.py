@@ -1,4 +1,5 @@
 """Tests for the full N-dimensional engine and its agreement with the 2D engine."""
+import ast
 import cmath
 import math
 
@@ -16,6 +17,7 @@ from groverlab.model import (
     make_search_space,
 )
 from groverlab.operators import iteration_matrix
+import groverlab.statevector
 from groverlab.statevector import (
     StateVector,
     apply_diffusion,
@@ -39,8 +41,22 @@ def random_case(rng, n):
     size = 2 ** n
     num_targets = int(rng.integers(1, size + 1))
     targets = rng.choice(size, size=num_targets, replace=False)
-    kind = random_kind(rng)
-    return make_search_space(n, targets), kind, random_params(rng, kind), int(rng.integers(0, 26))
+    params = random_params(rng, random_kind(rng))
+    return make_search_space(n, targets), params, int(rng.integers(0, 26))
+
+
+def test_engine_imports_nothing_of_the_package_but_the_model():
+    # crosscheck means something only while this engine builds its own
+    # coefficients: no table from operators or equivalence may reach it.
+    with open(groverlab.statevector.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("groverlab")):
+            package_imports.add(node.module if node.level else node.module.split(".", 1)[-1])
+        elif isinstance(node, ast.Import):
+            package_imports.update(a.name for a in node.names if a.name.startswith("groverlab"))
+    assert package_imports == {"model"}
 
 
 class TestUniformState:
@@ -54,85 +70,80 @@ class TestUniformState:
 class TestApplyOracle:
     def test_original_negates_target(self):
         space = make_search_space(2, {3})
-        out = apply_oracle(uniform_state(space), AlgorithmKind.ORIGINAL, OriginalParams())
+        out = apply_oracle(uniform_state(space), OriginalParams())
         assert np.allclose(out.amplitudes, [0.5, 0.5, 0.5, -0.5], atol=1e-15)
 
     def test_long_at_pi_matches_original(self):
         rng = np.random.default_rng(3)
         space = make_search_space(4, {2, 7, 11})
         state = random_state(rng, space)
-        via_long = apply_oracle(state, AlgorithmKind.LONG, LongParams(math.pi))
-        via_original = apply_oracle(state, AlgorithmKind.ORIGINAL, OriginalParams())
+        via_long = apply_oracle(state, LongParams(math.pi))
+        via_original = apply_oracle(state, OriginalParams())
         assert np.max(np.abs(via_long.amplitudes - via_original.amplitudes)) < 1e-15
 
     def test_lipc_at_zero_is_identity(self):
         rng = np.random.default_rng(4)
         space = make_search_space(3, {0, 6})
         state = random_state(rng, space)
-        out = apply_oracle(state, AlgorithmKind.LI_PC, LiPCParams(0.0))
+        out = apply_oracle(state, LiPCParams(0.0))
         assert np.array_equal(out.amplitudes, state.amplitudes)
 
     @pytest.mark.parametrize("targets", [{1}, [3, 0, 3], range(4)])
     def test_licm_scales_both_sectors(self, targets):
         space = make_search_space(2, targets)
-        out = apply_oracle(uniform_state(space), AlgorithmKind.LI_CM, LiCMParams(0, 0, 0.9, -0.4))
+        out = apply_oracle(uniform_state(space), LiCMParams(0, 0, 0.9, -0.4))
         for idx in range(4):
             eta = 0.9 if space.marked[idx] else -0.4
             assert out.amplitudes[idx] == pytest.approx(0.5 * -cmath.exp(1j * eta), abs=1e-15)
-
-    def test_tag_mismatch(self):
-        space = make_search_space(2, {1})
-        with pytest.raises(TypeError):
-            apply_oracle(uniform_state(space), AlgorithmKind.LONG, OriginalParams())
 
 
 class TestApplyDiffusion:
     def test_uniform_state_is_fixed_point_of_original(self):
         space = make_search_space(3, {1})
         state = uniform_state(space)
-        out = apply_diffusion(state, AlgorithmKind.ORIGINAL, OriginalParams())
+        out = apply_diffusion(state, OriginalParams())
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-15
 
     def test_orthogonal_state_is_negated_by_original(self):
         space = make_search_space(2, {0})
         amps = np.array([1, -1, 0, 0], dtype=complex) / math.sqrt(2)
-        out = apply_diffusion(StateVector(amps, space), AlgorithmKind.ORIGINAL, OriginalParams())
+        out = apply_diffusion(StateVector(amps, space), OriginalParams())
         assert np.max(np.abs(out.amplitudes + amps)) < 1e-15
 
     def test_licm_with_equal_phases_is_global_factor(self):
         rng = np.random.default_rng(6)
         space = make_search_space(3, {2, 5})
         state = random_state(rng, space)
-        out = apply_diffusion(state, AlgorithmKind.LI_CM, LiCMParams(0.8, 0.8, 0.1, 0.2))
+        out = apply_diffusion(state, LiCMParams(0.8, 0.8, 0.1, 0.2))
         assert np.max(np.abs(out.amplitudes - cmath.exp(0.8j) * state.amplitudes)) < 1e-14
 
 
 class TestRunFull:
     def test_quarter_proportion_single_iteration_is_certain(self):
         space = make_search_space(2, {0})
-        out = run_full(space, AlgorithmKind.ORIGINAL, OriginalParams(), 1)
+        out = run_full(space, OriginalParams(), 1)
         assert target_probability(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_iterations_is_uniform(self):
         space = make_search_space(3, {4})
-        out = run_full(space, AlgorithmKind.LONG, LongParams(1.1), 0)
+        out = run_full(space, LongParams(1.1), 0)
         assert np.array_equal(out.amplitudes, uniform_state(space).amplitudes)
 
     @pytest.mark.parametrize("k", [0, 1, 3, 10])
     def test_full_target_space_always_succeeds(self, k):
         space = make_search_space(1, {0, 1})
-        out = run_full(space, AlgorithmKind.ORIGINAL, OriginalParams(), k)
+        out = run_full(space, OriginalParams(), k)
         assert target_probability(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
-            run_full(make_search_space(1, {0}), AlgorithmKind.ORIGINAL, OriginalParams(), -2)
+            run_full(make_search_space(1, {0}), OriginalParams(), -2)
 
     def test_norm_preserved_through_hundred_iterations(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            space, kind, params, _ = random_case(rng, 6)
-            out = run_full(space, kind, params, 100)
+            space, params, _ = random_case(rng, 6)
+            out = run_full(space, params, 100)
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-9
 
 
@@ -178,7 +189,7 @@ class TestProjectToSubspace:
         # M = N: every amplitude is marked, so |beta> is absent and b = 0.
         space = make_search_space(3, range(8))
         assert not np.any(~space.marked)
-        out = run_full(space, kind, random_params(np.random.default_rng(11), kind), 4)
+        out = run_full(space, random_params(np.random.default_rng(11), kind), 4)
         state, residual = project_to_subspace(out)
         assert state[1] == 0
         assert residual < 1e-12
@@ -187,8 +198,8 @@ class TestProjectToSubspace:
     def test_runs_stay_in_the_subspace(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
-            space, kind, params, k = random_case(rng, 5)
-            _, residual = project_to_subspace(run_full(space, kind, params, k))
+            space, params, k = random_case(rng, 5)
+            _, residual = project_to_subspace(run_full(space, params, k))
             assert residual < 1e-10
 
 
@@ -197,20 +208,20 @@ class TestCrossEngineAgreement:
         rng = np.random.default_rng(1234)
         for _ in range(60):
             n = int(rng.integers(1, 11))
-            space, kind, params, k = random_case(rng, n)
-            full = run_full(space, kind, params, k)
+            space, params, k = random_case(rng, n)
+            full = run_full(space, params, k)
             g = geometry_of(space)
-            sub = run(iteration_matrix(kind, params, g), k, initial_state(g))
+            sub = run(iteration_matrix(params, g), k, initial_state(g))
             assert abs(target_probability(full) - success_probability(sub)) < 1e-10
             assert project_to_subspace(full)[1] < 1e-10
 
     def test_amplitudes_match_for_the_same_kind(self):
         rng = np.random.default_rng(77)
         for _ in range(20):
-            space, kind, params, k = random_case(rng, 6)
-            projected, _ = project_to_subspace(run_full(space, kind, params, k))
+            space, params, k = random_case(rng, 6)
+            projected, _ = project_to_subspace(run_full(space, params, k))
             g = geometry_of(space)
-            direct = run(iteration_matrix(kind, params, g), k, initial_state(g))
+            direct = run(iteration_matrix(params, g), k, initial_state(g))
             assert abs(projected[0] - direct[0]) < 1e-10
             assert abs(projected[1] - direct[1]) < 1e-10
 
@@ -225,9 +236,9 @@ class TestCrossEngineAgreement:
         if to_kind is AlgorithmKind.LI_CM:
             mapped = LiCMParams(mapped.gamma1 + 0.6, 0.6, mapped.eta1 - 0.2, -0.2)
         chi = predicted_global_phase(params_long, mapped)
-        it_long = iteration_matrix(AlgorithmKind.LONG, params_long, g)
+        it_long = iteration_matrix(params_long, g)
         for k in range(0, 11):
-            projected, residual = project_to_subspace(run_full(space, to_kind, mapped, k))
+            projected, residual = project_to_subspace(run_full(space, mapped, k))
             assert residual < 1e-10
             reference = run(it_long, k, initial_state(g))
             factor = cmath.exp(-1j * k * chi)

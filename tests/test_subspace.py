@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverlab.analysis import closed_form_probability, single_iteration_amplitude_long
+from groverlab.analysis import closed_form_probability
 from groverlab.model import (
     AlgorithmKind,
     LiCMParams,
@@ -16,11 +16,12 @@ from groverlab.model import (
     LongParams,
     OriginalParams,
     geometry_from_lambda,
+    params_from_phases,
 )
 from groverlab.operators import iteration_matrix
 from groverlab.subspace import MAX_ITERATIONS, initial_state, run, success_probability
 
-from helpers import KINDS, params_of, random_kind, random_params
+from helpers import KINDS, random_kind, random_params, single_iteration_amplitude_long
 
 
 def k_fold(m, k, start):
@@ -69,13 +70,13 @@ class TestInitialState:
 class TestRun:
     def test_zero_iterations_returns_initial_state(self):
         g = geometry_from_lambda(0.33)
-        m = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        m = iteration_matrix(OriginalParams(), g)
         state = run(m, 0, initial_state(g))
         assert np.array_equal(state, initial_state(g))
 
     def test_negative_iterations_rejected(self):
         g = geometry_from_lambda(0.33)
-        m = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        m = iteration_matrix(OriginalParams(), g)
         for matrices in (m, np.stack([m, m])):
             with pytest.raises(ValueError, match="iteration count must be >= 0"):
                 run(matrices, -1, initial_state(g))
@@ -85,8 +86,7 @@ class TestRun:
         gs = [geometry_from_lambda(float(lam)) for lam in rng.uniform(1e-3, 1.0, size=3)]
         kinds = [random_kind(rng) for _ in range(4)]
         params = [random_params(rng, kind) for kind in kinds]
-        stack = np.array([[iteration_matrix(kind, p, g) for kind, p in zip(kinds, params)]
-                          for g in gs])
+        stack = np.array([[iteration_matrix(p, g) for p in params] for g in gs])
         starts = np.array([initial_state(g) for g in gs])[:, None, :]
         for k in (0, 1, 7, 250):
             states = run(stack, k, starts)
@@ -100,7 +100,7 @@ class TestRun:
         # (sin((2k+1) theta), cos((2k+1) theta)) for k up to 100
         for lam in np.linspace(0.01, 1.0, 100):
             g = geometry_from_lambda(float(lam))
-            m = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+            m = iteration_matrix(OriginalParams(), g)
             v = np.array([math.sin(g.theta), math.cos(g.theta)], dtype=complex)
             for k in range(1, 101):
                 v = m @ v
@@ -110,7 +110,7 @@ class TestRun:
 
     def test_long_one_iteration_at_half_proportion_is_certain(self):
         g = geometry_from_lambda(0.5)
-        m = iteration_matrix(AlgorithmKind.LONG, LongParams(math.pi / 2), g)
+        m = iteration_matrix(LongParams(math.pi / 2), g)
         assert success_probability(run(m, 1, initial_state(g))) == pytest.approx(1.0, abs=1e-12)
 
     def test_long_single_iteration_amplitude(self):
@@ -118,7 +118,7 @@ class TestRun:
         for phi in np.linspace(0.0, 2 * math.pi, 25):
             for m in np.linspace(0.02, 1.0, 25):
                 g = geometry_from_lambda(float(m))
-                it = iteration_matrix(AlgorithmKind.LONG, LongParams(float(phi)), g)
+                it = iteration_matrix(LongParams(float(phi)), g)
                 expected = single_iteration_amplitude_long(float(m), float(phi))
                 assert abs(run(it, 1, initial_state(g))[0] - expected) < 1e-12
 
@@ -127,7 +127,7 @@ class TestRun:
         for _ in range(25):
             kind = random_kind(rng)
             g = geometry_from_lambda(float(rng.uniform(1e-3, 1.0)))
-            m = iteration_matrix(kind, random_params(rng, kind), g)
+            m = iteration_matrix(random_params(rng, kind), g)
             state = run(m, 1000, initial_state(g))
             norm_sq = abs(state[0]) ** 2 + abs(state[1]) ** 2
             assert abs(norm_sq - 1.0) < 1e-9
@@ -137,7 +137,7 @@ class TestRun:
         g = geometry_from_lambda(0.21)
         for _ in range(20):
             kind = random_kind(rng)
-            m = iteration_matrix(kind, random_params(rng, kind), g)
+            m = iteration_matrix(random_params(rng, kind), g)
             chi = float(rng.uniform(-math.pi, math.pi))
             shifted = cmath.exp(1j * chi) * m
             for k in (1, 5, 13):
@@ -151,7 +151,7 @@ class TestClosedFormPower:
     @settings(max_examples=300)
     def test_equals_the_k_fold_multiply(self, kind, phases, lam, k):
         g = geometry_from_lambda(lam)
-        m = iteration_matrix(kind, params_of(kind, phases), g)
+        m = iteration_matrix(params_from_phases(kind, phases), g)
         start = initial_state(g)
         assert np.max(np.abs(run(m, k, start) - k_fold(m, k, start))) < 1e-12
 
@@ -160,7 +160,7 @@ class TestClosedFormPower:
     @settings(max_examples=50)
     def test_corners_equal_the_k_fold_multiply(self, kind, params, lam, k):
         g = geometry_from_lambda(lam)
-        m = iteration_matrix(kind, params, g)
+        m = iteration_matrix(params, g)
         start = initial_state(g)
         assert np.max(np.abs(run(m, k, start) - k_fold(m, k, start))) < 1e-12
 
@@ -168,10 +168,10 @@ class TestClosedFormPower:
                     min_size=1, max_size=6), steps)
     @settings(max_examples=100)
     def test_mixed_stack_equals_its_slice_by_slice_runs(self, cells, k):
-        cases = [(iteration_matrix(kind, params_of(kind, a), g), initial_state(g))
+        cases = [(iteration_matrix(params_from_phases(kind, a), g), initial_state(g))
                  for kind, a, g in ((kind, a, geometry_from_lambda(lam))
                                     for kind, a, lam in cells)]
-        cases += [(iteration_matrix(kind, params, geometry_from_lambda(0.3)),
+        cases += [(iteration_matrix(params, geometry_from_lambda(0.3)),
                    initial_state(geometry_from_lambda(0.3))) for kind, params in CORNERS]
         stack = np.stack([m for m, _ in cases])
         states = run(stack, k, np.stack([s for _, s in cases]))
@@ -181,7 +181,7 @@ class TestClosedFormPower:
     @pytest.mark.parametrize("k", [0, 1, 9])
     def test_neither_mutates_nor_aliases_start(self, k):
         g = geometry_from_lambda(0.3)
-        m = iteration_matrix(AlgorithmKind.LONG, LongParams(1.1), g)
+        m = iteration_matrix(LongParams(1.1), g)
         for matrices in (m, np.stack([m, m.T])):
             start = initial_state(g)
             start.flags.writeable = False
@@ -193,7 +193,7 @@ class TestClosedFormPower:
     def test_no_drift_at_a_million_steps(self):
         # The k-fold multiply drifted 1.9e-10 from the closed form here.
         g = geometry_from_lambda(1e-6)
-        m = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        m = iteration_matrix(OriginalParams(), g)
         p = success_probability(run(m, 10 ** 6, initial_state(g)))
         assert abs(p - closed_form_probability(1e-6, 10 ** 6)) < 1e-12
 
@@ -202,7 +202,7 @@ class TestClosedFormPower:
         # With the other square root of det m, w would sit near pi and the
         # rounding of k w (about k * pi * 2**-53) would reach the probability.
         g = geometry_from_lambda(1e-6)
-        m = cmath.exp(1j * chi) * iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        m = cmath.exp(1j * chi) * iteration_matrix(OriginalParams(), g)
         p = success_probability(run(m, 10 ** 6, initial_state(g)))
         assert abs(p - closed_form_probability(1e-6, 10 ** 6)) < 1e-12
 
@@ -212,14 +212,30 @@ class TestClosedFormPower:
         for lam in (1e-6, 0.3, 1.0):
             g = geometry_from_lambda(lam)
             for kind in KINDS:
-                m = iteration_matrix(kind, random_params(rng, kind), g)
+                m = iteration_matrix(random_params(rng, kind), g)
                 for k in (10 ** 9, 10 ** 12, MAX_ITERATIONS):
                     state = run(m, k, initial_state(g))
                     assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3.0)])
+    def test_non_integer_k_is_rejected(self, k):
+        g = geometry_from_lambda(0.3)
+        m = iteration_matrix(LongParams(1.1), g)
+        for matrices in (m, np.stack([m, m])):
+            with pytest.raises(TypeError):
+                run(matrices, k, initial_state(g))
+
+    def test_numpy_integer_k_gives_the_same_bits(self):
+        g = geometry_from_lambda(0.3)
+        m = iteration_matrix(LiPCParams(0.7), g)
+        for matrices in (m, np.stack([m, m.T])):
+            for k in (0, 3, 10 ** 6):
+                assert np.array_equal(run(matrices, np.int64(k), initial_state(g)),
+                                      run(matrices, k, initial_state(g)))
+
     def test_iteration_count_is_bounded_by_float64_integers(self):
         g = geometry_from_lambda(0.25)
-        m = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        m = iteration_matrix(OriginalParams(), g)
         assert MAX_ITERATIONS == 2 ** 53
         state = run(m, MAX_ITERATIONS, initial_state(g))
         assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
@@ -234,12 +250,12 @@ class TestSuccessProbability:
 
     def test_rotation_reaches_certainty_at_quarter_proportion(self):
         g = geometry_from_lambda(0.25)
-        m = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        m = iteration_matrix(OriginalParams(), g)
         assert success_probability(run(m, 1, initial_state(g))) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_proportion_single_iteration(self):
         g = geometry_from_lambda(0.5)
-        m = iteration_matrix(AlgorithmKind.ORIGINAL, OriginalParams(), g)
+        m = iteration_matrix(OriginalParams(), g)
         assert success_probability(run(m, 1, initial_state(g))) == pytest.approx(0.5, abs=1e-12)
 
     def test_clamps_roundoff_overshoot(self):
