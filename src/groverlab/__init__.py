@@ -8,7 +8,6 @@ as CSV data.
 """
 from .analysis import (
     SweepGrid,
-    SweepResult,
     closed_form_probability,
     optimal_iterations,
     phase_params_for,
@@ -26,7 +25,6 @@ from .equivalence import (
 from .linalg import (
     angle_distance,
     global_phase_align,
-    is_unitary,
     max_entry_deviation,
     wrap_angle,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "StateVector",
     "SubspaceGeometry",
     "SweepGrid",
-    "SweepResult",
     "TRANSFORMABLE_KINDS",
     "angle_distance",
     "apply_diffusion",
@@ -86,7 +83,6 @@ __all__ = [
     "geometry_of",
     "global_phase_align",
     "initial_state",
-    "is_unitary",
     "iteration_matrices",
     "iteration_matrix",
     "make_search_space",

@@ -1,10 +1,9 @@
-"""Closed-form success probabilities and (phase, proportion) sweep tables."""
+"""Closed-form success probabilities and (proportion, phase) probability sweeps."""
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -82,9 +81,10 @@ class SweepGrid:
             )
         if self.phase_min > self.phase_max:
             raise ValueError("phase_min must not exceed phase_max")
+        for count in (self.lambda_steps, self.phase_steps, self.k):
+            operator.index(count)  # a float count, even 3.0, is a TypeError
         if self.lambda_steps < 1 or self.phase_steps < 1:
             raise ValueError("step counts must be >= 1")
-        operator.index(self.k)  # a float k, even 3.0, is a TypeError
         if self.k < 0:
             raise ValueError(f"iteration count must be >= 0, got {self.k}")
         if self.k > MAX_ITERATIONS:
@@ -97,21 +97,6 @@ class SweepGrid:
         return np.linspace(self.phase_min, self.phase_max, self.phase_steps)
 
 
-@dataclass(frozen=True, eq=False)
-class SweepResult:
-    """Success probabilities over the grid, shape (lambda_steps, phase_steps)."""
-
-    grid: SweepGrid
-    probabilities: np.ndarray
-
-    def rows(self) -> Iterator[tuple[float, float, int, float]]:
-        """(lambda, phase, k, probability), lambda-major then phase."""
-        phases = self.grid.phases().tolist()
-        for lam, row in zip(self.grid.lambdas().tolist(), self.probabilities.tolist()):
-            for phase, p in zip(phases, row):
-                yield lam, phase, self.grid.k, p
-
-
 def phase_params_for(kind: AlgorithmKind, phase: float) -> PhaseParams:
     """Single-scalar-phase bundle used by sweeps: phase in every field of the kind.
 
@@ -122,8 +107,17 @@ def phase_params_for(kind: AlgorithmKind, phase: float) -> PhaseParams:
     return params_from_phases(kind, (phase, pin, phase, pin))
 
 
-def sweep(grid: SweepGrid, matched_from_long: bool = False) -> SweepResult:
-    """Tabulate the success probability over the grid.
+# A sweep runs in blocks of whole lambda rows of at most this many cells (one
+# row if a row is longer).  A block's matrix stack takes at most 128 KiB and
+# each per-cell temporary 32 KiB, reused from the allocator's heap; one
+# 201x201 stack (2.6 MB) and its temporaries would be mapped and unmapped
+# again, page fault by page fault, on every sweep.  Cells do not depend on
+# the block they are in.
+_BLOCK_CELLS = 2048
+
+
+def sweep(grid: SweepGrid, matched_from_long: bool = False) -> np.ndarray:
+    """Success probabilities over the grid, shape (lambda_steps, phase_steps).
 
     With matched_from_long the scalar phase axis is read as the long oracle
     phase and mapped to the grid's kind through the transform condition, so
@@ -139,5 +133,10 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> SweepResult:
     # cell equals its scalar iteration_matrix, initial_state and run bit for bit.
     thetas = [geometry_from_lambda(float(lam)).theta for lam in grid.lambdas()]
     start = np.array([[math.sin(t), math.cos(t)] for t in thetas])[:, None, :]
-    mats = iteration_matrices(grid.kind, coefficients, start[..., 0], start[..., 1])
-    return SweepResult(grid=grid, probabilities=success_probability(run(mats, grid.k, start)))
+    probabilities = np.empty((grid.lambda_steps, grid.phase_steps))
+    rows = max(1, _BLOCK_CELLS // grid.phase_steps)
+    for i in range(0, grid.lambda_steps, rows):
+        block = start[i:i + rows]
+        mats = iteration_matrices(grid.kind, coefficients, block[..., 0], block[..., 1])
+        probabilities[i:i + rows] = success_probability(run(mats, grid.k, block))
+    return probabilities

@@ -128,12 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> int:
+def _write_csv(path: str, header: Sequence[str], lines: Iterable[str]) -> int:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+            for line in lines:
+                fh.write(line + "\n")
     except OSError as exc:
         print(f"groverlab: error: cannot write {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -141,31 +141,38 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) 
 
 
 def _write_sweep(path: str, phase_column: str, grid: SweepGrid, matched: bool) -> int:
-    rows = ((_fmt(lam), _fmt(phase), str(k), _fmt(p))
-            for lam, phase, k, p in sweep(grid, matched_from_long=matched).rows())
-    return _write_csv(path, ("lambda", phase_column, "k", "probability"), rows)
+    probabilities = sweep(grid, matched_from_long=matched)
+    # Each axis value is formatted once; only the probability is per cell.
+    # Rows become floats one at a time, so few float objects are live at once.
+    lambdas = map(_fmt, grid.lambdas().tolist())
+    columns = [f",{_fmt(phase)},{grid.k}," for phase in grid.phases().tolist()]
+    lines = (lam + column + _fmt(p) for lam, row in zip(lambdas, probabilities)
+             for column, p in zip(columns, row.tolist()))
+    return _write_csv(path, ("lambda", phase_column, "k", "probability"), lines)
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
     if args.index == 1:
         # 200 uniform proportions j/200 ending at 1; the grid contains the
         # reference points 0.25, 0.5, and 1 exactly.
-        rows = []
+        lines = []
         for j in range(1, 201):
             lam = j / 200.0
             k = optimal_iterations(lam)
-            rows.append((_fmt(lam), str(k), _fmt(closed_form_probability(lam, k))))
-        return _write_csv(args.out, ("lambda", "k", "probability"), rows)
+            lines.append(f"{_fmt(lam)},{k},{_fmt(closed_form_probability(lam, k))}")
+        return _write_csv(args.out, ("lambda", "k", "probability"), lines)
     # Figures 2-5 are long, lidf, licm and lipc: the chain order.
     kind = TRANSFORMABLE_KINDS[args.index - 2]
     return _write_sweep(args.out, "phi", SweepGrid(kind=kind, k=5), True)
 
 
+def _check_k(k: int) -> None:
+    if not 0 <= k <= MAX_ITERATIONS:
+        raise ValueError(f"--k must lie in [0, 2**53 = {MAX_ITERATIONS}], got {k}")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if not 0 <= args.k <= MAX_ITERATIONS:
-        print(f"groverlab: error: --k must lie in [0, 2**53 = {MAX_ITERATIONS}], got {args.k}",
-              file=sys.stderr)
-        return EXIT_USAGE
+    _check_k(args.k)
     lam_min, lam_max, lam_steps = args.lam
     phase_min, phase_max, phase_steps = args.phase
     grid = SweepGrid(
@@ -183,18 +190,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_check_equivalence(args: argparse.Namespace) -> int:
     if not 0.0 < args.lam <= 1.0:
-        print(f"groverlab: error: --lambda must lie in (0, 1], got {args.lam}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    if args.tol <= 0 or not 0 <= args.k <= MAX_ITERATIONS:
-        print(f"groverlab: error: --tol must be positive and --k in [0, 2**53 = "
-              f"{MAX_ITERATIONS}], got --tol {args.tol} --k {args.k}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--lambda must lie in (0, 1], got {args.lam}")
+    if args.tol <= 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
+    _check_k(args.k)
     if not math.isfinite(abs(args.phi) + abs(args.perturb)):
         # beta = -phi, so one perturbed phase has magnitude |phi| + |perturb|.
-        print(f"groverlab: error: --phi {args.phi} and --perturb {args.perturb} "
-              f"overflow when added; |--phi| + |--perturb| must be finite", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--phi {args.phi} and --perturb {args.perturb} overflow when "
+                         f"added; |--phi| + |--perturb| must be finite")
     phi = wrap_angle(args.phi)  # mod 2*pi keeps the phase transforms exact for large |--phi|
     reports = verify_phase_equivalence(LongParams(phi), geometry_from_lambda(args.lam),
                                        tol=args.tol, perturb=args.perturb, k=args.k)
@@ -220,15 +223,13 @@ def _random_case(rng: np.random.Generator, n: int):
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
     if not 1 <= args.n <= 20:
-        print(f"groverlab: error: --n must lie in [1, 20], got {args.n}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.samples < 0 or args.tol <= 0:
-        print("groverlab: error: --samples must be >= 0 and --tol positive",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--n must lie in [1, 20], got {args.n}")
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
+    if args.tol <= 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
     if args.seed < 0:
-        print(f"groverlab: error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     print(f"rng={type(rng.bit_generator).__name__} seed={args.seed} "
           f"n={args.n} samples={args.samples}")
@@ -255,7 +256,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args)  # a ValueError is a usage error, flag checks included
     except ValueError as exc:
         print(f"groverlab: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,19 +29,6 @@ def angle_distance(a: float, b: float) -> float:
     return abs(wrap_angle(a - b))
 
 
-def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    """True iff m @ m^dagger deviates from the identity by at most tol (max entry).
-
-    m may be a (..., n, n) stack; every matrix in it must pass.
-    """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    m = np.asarray(m, dtype=complex)
-    gram = m @ m.conj().swapaxes(-1, -2)
-    np.einsum("...ii->...i", gram)[...] -= 1  # the diagonal, as a writable view
-    return bool(np.max(np.abs(gram)) <= tol)
-
-
 def global_phase_align(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> float | None:
     """Angle chi with a == e^{i chi} * b entrywise within tol, or None.
 

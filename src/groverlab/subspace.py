@@ -74,8 +74,7 @@ def run(m: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
     t_coef /= phase
     i_coef *= cos_kw
     del kw, cos_kw, phase
-    # T v, built in place so that few (..., 1) temporaries are live at once:
-    # a sweep stack must peak in its unitarity check, not here.
+    # T v, built in place so that few (..., 1) temporaries are live at once.
     out = np.empty_like(v)
     out0, out1 = out[..., :1], out[..., 1:]
     np.multiply(m01, v1, out=out1)

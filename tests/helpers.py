@@ -44,3 +44,16 @@ def single_iteration_amplitude_long(m, phi):
     """
     e = cmath.exp(1j * phi)
     return math.sqrt(m) * (1.0 - 2.0 * e - (1.0 - e) ** 2 * m)
+
+
+def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
+    """True iff m @ m^dagger deviates from the identity by at most tol (max entry).
+
+    m may be a (..., n, n) stack; every matrix in it must pass.
+    """
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    m = np.asarray(m, dtype=complex)
+    gram = m @ m.conj().swapaxes(-1, -2)
+    np.einsum("...ii->...i", gram)[...] -= 1  # the diagonal, as a writable view
+    return bool(np.max(np.abs(gram)) <= tol)

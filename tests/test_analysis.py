@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from groverlab import analysis
 from groverlab.analysis import (
     SweepGrid,
     closed_form_probability,
@@ -171,62 +172,73 @@ class TestSweep:
         with pytest.raises(TypeError):
             SweepGrid(kind=AlgorithmKind.LONG, k=k)
 
+    @pytest.mark.parametrize("field", ["lambda_steps", "phase_steps"])
+    @pytest.mark.parametrize("steps", [2.5, 3.0, np.float64(3.0)])
+    def test_non_integer_step_count_is_rejected(self, field, steps):
+        with pytest.raises(TypeError):
+            SweepGrid(kind=AlgorithmKind.LONG, k=1, **{field: steps})
+
+    @pytest.mark.parametrize("field", ["lambda_steps", "phase_steps"])
+    def test_numpy_integer_step_count_is_accepted(self, field):
+        grid = SweepGrid(kind=AlgorithmKind.LONG, k=1, **{field: np.int64(3)})
+        assert sweep(grid).shape == (grid.lambda_steps, grid.phase_steps)
+
     def test_numpy_integer_k_sweeps_like_a_python_int(self):
         grid = dict(kind=AlgorithmKind.LI_CM, lambda_steps=5, phase_steps=4)
-        assert np.array_equal(sweep(SweepGrid(k=np.int64(7), **grid)).probabilities,
-                              sweep(SweepGrid(k=7, **grid)).probabilities)
+        assert np.array_equal(sweep(SweepGrid(k=np.int64(7), **grid)),
+                              sweep(SweepGrid(k=7, **grid)))
 
-    def test_row_count_and_order(self):
+    def test_shape_is_lambda_by_phase(self):
         grid = SweepGrid(kind=AlgorithmKind.LONG, k=2, lambda_steps=4, phase_steps=3)
-        rows = list(sweep(grid).rows())
-        assert len(rows) == 12
-        lambdas = [row[0] for row in rows]
-        assert lambdas == sorted(lambdas)  # lambda-major ordering
-        phases = [row[1] for row in rows[:3]]
-        assert phases == sorted(phases)
-        assert all(row[2] == 2 for row in rows)
-        assert all(0.0 <= row[3] <= 1.0 for row in rows)
+        probabilities = sweep(grid)
+        assert probabilities.shape == (4, 3)  # lambda-major: one row per lambda
+        assert np.all(np.diff(grid.lambdas()) > 0) and np.all(np.diff(grid.phases()) > 0)
+        assert np.all((0.0 <= probabilities) & (probabilities <= 1.0))
 
     def test_deterministic_across_calls(self):
         grid = SweepGrid(kind=AlgorithmKind.LI_CM, k=5, lambda_steps=7, phase_steps=9)
-        assert list(sweep(grid).rows()) == list(sweep(grid).rows())
+        assert np.array_equal(sweep(grid), sweep(grid))
 
     def test_matches_per_cell_engine_runs(self):
         grid = SweepGrid(kind=AlgorithmKind.LI_PC, k=4, lambda_steps=5, phase_steps=6)
-        for lam, phase, k, prob in sweep(grid).rows():
-            g = geometry_from_lambda(lam)
-            it = iteration_matrix(phase_params_for(grid.kind, phase), g)
-            assert abs(prob - success_probability(run(it, k, initial_state(g)))) < 1e-14
+        for lam, row in zip(grid.lambdas().tolist(), sweep(grid).tolist()):
+            for phase, prob in zip(grid.phases().tolist(), row):
+                g = geometry_from_lambda(lam)
+                it = iteration_matrix(phase_params_for(grid.kind, phase), g)
+                assert abs(prob - success_probability(run(it, grid.k, initial_state(g)))) < 1e-14
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     @pytest.mark.parametrize("matched", [False, True])
-    def test_every_cell_equals_its_scalar_run_exactly(self, kind, matched):
+    def test_every_cell_equals_its_scalar_run_exactly(self, monkeypatch, kind, matched):
+        # Blocks of two of the 11 lambda rows, the last one short.
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 25)
         matched = matched and kind is not AlgorithmKind.ORIGINAL
         for k in (0, 1, 5, 17):
             grid = SweepGrid(kind=kind, k=k, lambda_min=0.003, lambda_steps=11,
                              phase_min=-0.05, phase_max=6.3, phase_steps=11)
-            for lam, phase, _, prob in sweep(grid, matched_from_long=matched).rows():
-                params = (transform_phases(LongParams(phase), kind) if matched
-                          else phase_params_for(kind, phase))
-                g = geometry_from_lambda(lam)
-                m = iteration_matrix(params, g)
-                assert prob == success_probability(run(m, k, initial_state(g)))
+            probabilities = sweep(grid, matched_from_long=matched).tolist()
+            for lam, row in zip(grid.lambdas().tolist(), probabilities):
+                for phase, prob in zip(grid.phases().tolist(), row):
+                    params = (transform_phases(LongParams(phase), kind) if matched
+                              else phase_params_for(kind, phase))
+                    g = geometry_from_lambda(lam)
+                    m = iteration_matrix(params, g)
+                    assert prob == success_probability(run(m, k, initial_state(g)))
 
     def test_original_kind_ignores_phase_axis(self):
         grid = SweepGrid(
             kind=AlgorithmKind.ORIGINAL, k=1,
             lambda_min=0.5, lambda_max=0.5, lambda_steps=1, phase_steps=5,
         )
-        rows = list(sweep(grid).rows())
-        probs = {row[3] for row in rows}
-        assert len(rows) == 5
-        assert all(p == pytest.approx(0.5, abs=1e-12) for p in probs)
+        probabilities = sweep(grid)
+        assert probabilities.shape == (1, 5)
+        assert all(p == pytest.approx(0.5, abs=1e-12) for p in probabilities.flat)
 
     def test_matched_sweeps_tabulate_one_field(self):
         fields = []
         for kind in (AlgorithmKind.LONG, AlgorithmKind.LI_DF, AlgorithmKind.LI_CM, AlgorithmKind.LI_PC):
             grid = SweepGrid(kind=kind, k=5, lambda_steps=11, phase_steps=13)
-            fields.append(sweep(grid, matched_from_long=True).probabilities)
+            fields.append(sweep(grid, matched_from_long=True))
         for other in fields[1:]:
             assert np.max(np.abs(fields[0] - other)) < 1e-10
 
@@ -236,4 +248,4 @@ class TestSweep:
             lambda_min=0.25, lambda_max=0.25, lambda_steps=1,
             phase_min=math.pi, phase_max=math.pi, phase_steps=1,
         )
-        assert list(sweep(grid).rows())[0][3] == pytest.approx(1.0, abs=1e-12)
+        assert sweep(grid)[0, 0] == pytest.approx(1.0, abs=1e-12)

@@ -1,18 +1,29 @@
 """End-to-end tests of the command-line interface (exit codes, CSV contracts)."""
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import groverlab
+from groverlab.analysis import SweepGrid, sweep
 from groverlab.cli import main
+from groverlab.model import AlgorithmKind
+
+
+# The child interpreter imports the same package as this test process.
+PACKAGE_ROOT = str(Path(groverlab.__file__).resolve().parents[1])
 
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "groverlab", *args],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
 
 
@@ -122,6 +133,24 @@ class TestSweepCommand:
         assert f"argument {flag}: steps must be >= 1, got '{axes[flag]}'" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("k,lam,phase", [(3, (0.3, 0.3, 1), (-0.05, -0.05, 1)),
+                                             (0, (0.003, 1.0, 4), (-0.05, 6.3, 5))])
+    @pytest.mark.parametrize("matched", [False, True])
+    def test_csv_text_is_the_formatted_array(self, k, lam, phase, matched, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--kind", "licm", "--k", str(k), "--lambda=%r:%r:%d" % lam,
+                "--phase=%r:%r:%d" % phase, "--out", str(out)]
+        assert main(argv + ["--matched"] * matched) == 0
+        grid = SweepGrid(kind=AlgorithmKind.LI_CM, k=k, lambda_min=lam[0], lambda_max=lam[1],
+                         lambda_steps=lam[2], phase_min=phase[0], phase_max=phase[1],
+                         phase_steps=phase[2])
+        probabilities = sweep(grid, matched_from_long=matched)
+        expected = ["lambda,phase,k,probability"] + [
+            f"{format(x, '.12g')},{format(p, '.12g')},{k},{format(probabilities[i, j], '.12g')}"
+            for i, x in enumerate(grid.lambdas()) for j, p in enumerate(grid.phases())
+        ]
+        assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
+
 
 class TestCheckEquivalenceCommand:
     def test_reference_point_holds(self):
@@ -216,7 +245,7 @@ class TestNegativeValues:
 
     @pytest.mark.parametrize("argv,message", [
         (["crosscheck", "--n", "3", "--seed", "1", "--samples", "2", "--tol", "-1e-3"],
-         "--tol positive"),
+         "--tol must be positive, got -0.001"),
         (["check-equivalence", "--phi", "1", "--lambda", "-5e-1", "--k", "1"],
          "--lambda must lie in (0, 1]"),
         (["sweep", "--kind", "long", "--k", "1", "--lambda", "-0.1:1:3", "--phase", "0:1:2"],
@@ -286,6 +315,20 @@ class TestFlagNamedDomainErrors:
         assert (code == 1) is rejected
         assert ("--perturb" in err) is rejected
 
+    @pytest.mark.parametrize("argv,message", [
+        (["check-equivalence", "--phi", "1", "--lambda", "0.5", "--k", "1", "--tol", "0"],
+         "--tol must be positive, got 0.0"),
+        (["crosscheck", "--n", "3", "--seed", "1", "--samples", "-1"],
+         "--samples must be >= 0, got -1"),
+        (["crosscheck", "--n", "3", "--seed", "1", "--samples", "2", "--tol", "0"],
+         "--tol must be positive, got 0.0"),
+    ])
+    def test_each_message_names_only_the_bad_flag(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"groverlab: error: {message}\n"
+        assert captured.out == ""
+
     def test_negative_seed_names_the_flag(self, capsys):
         assert main(["crosscheck", "--n", "4", "--seed", "-1", "--samples", "2"]) == 1
         captured = capsys.readouterr()
@@ -303,7 +346,8 @@ class TestFlagNamedDomainErrors:
             assert len(captured.out.splitlines()) == 3
         else:
             assert code == 1 and captured.out == ""
-            assert f"--k in [0, 2**53 = 9007199254740992], got --tol 1e-10 --k {k}" in captured.err
+            assert captured.err == ("groverlab: error: --k must lie in "
+                                    f"[0, 2**53 = 9007199254740992], got {k}\n")
         out = tmp_path / "x.csv"
         code = main(["sweep", "--kind", "long", "--k", str(k), "--lambda=0.1:1:3",
                      "--phase=0:1:3", "--out", str(out)])

@@ -1,4 +1,4 @@
-"""Tests for angle wrapping, the unitarity check and global-phase alignment."""
+"""Tests for angle wrapping, global-phase alignment and the tests' unitarity reference."""
 import cmath
 import math
 
@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from groverlab.linalg import (
     angle_distance,
     global_phase_align,
-    is_unitary,
     max_entry_deviation,
     wrap_angle,
 )
+
+from helpers import is_unitary
 
 IDENTITY2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

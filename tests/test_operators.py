@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groverlab.linalg import global_phase_align, is_unitary
+from groverlab.linalg import global_phase_align
 from groverlab.model import (
     AlgorithmKind,
     LiCMParams,
@@ -14,10 +16,16 @@ from groverlab.model import (
     LongParams,
     OriginalParams,
     geometry_from_lambda,
+    params_from_phases,
 )
-from groverlab.operators import iteration_matrices, iteration_matrix, operator_coefficients
+from groverlab.operators import (
+    UNITARITY_TOL,
+    iteration_matrices,
+    iteration_matrix,
+    operator_coefficients,
+)
 
-from helpers import long_iteration_closed_form, random_kind, random_params
+from helpers import KINDS, is_unitary, long_iteration_closed_form, random_kind, random_params
 
 
 def oracle(params):
@@ -72,6 +80,29 @@ class TestDiffusionCoefficients:
                            np.eye(2), atol=1e-15)
 
 
+# Relative errors put on the moduli of target, rest, d and c + d.
+MODULUS_ERRORS = [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6]
+
+
+def off_modulus(kind, phases, errors):
+    """A kind's table row with each of |target|, |rest|, |d|, |c + d| scaled by 1 + error."""
+    target, rest, c, d = operator_coefficients(params_from_phases(kind, phases))
+    e_target, e_rest, e_d, e_sum = errors
+    d_off = d * (1.0 + e_d)
+    return target * (1.0 + e_target), rest * (1.0 + e_rest), (c + d) * (1.0 + e_sum) - d_off, d_off
+
+
+def reference_stack(coefficients, sin_theta, cos_theta):
+    """diffusion @ oracle by explicit 2x2 matmuls, for the Gram check."""
+    target, rest, c, d = coefficients
+    s = np.stack(np.broadcast_arrays(sin_theta, cos_theta), axis=-1)
+    diffusion = c[..., None, None] * (s[..., :, None] * s[..., None, :])
+    diffusion += d[..., None, None] * np.eye(2)
+    oracle = np.zeros(target.shape + (2, 2), dtype=complex)
+    oracle[..., 0, 0], oracle[..., 1, 1] = target, rest
+    return diffusion @ oracle
+
+
 class TestIterationMatrices:
     def test_stack_equals_scalar_builds_exactly(self):
         rng = np.random.default_rng(11)
@@ -97,6 +128,28 @@ class TestIterationMatrices:
     def test_non_unitary_coefficients_name_the_kind(self):
         with pytest.raises(ValueError, match="lidf iteration matrix failed the unitarity"):
             iteration_matrices(AlgorithmKind.LI_DF, (1.0, 1.0, 1.0, 0.0), 0.6, 0.8)
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        rows=st.lists(st.tuples(st.tuples(*[st.floats(-1e3, 1e3)] * 4),
+                                st.tuples(*[st.sampled_from(MODULUS_ERRORS)] * 4)),
+                      min_size=1, max_size=3),
+        sines=st.lists(st.one_of(st.just(1.0), st.floats(0.0, 1.0)), min_size=1, max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_table_check_rejects_every_stack_the_gram_check_rejects(self, kind, rows, sines):
+        coefficients = np.array([off_modulus(kind, phases, errors)
+                                 for phases, errors in rows]).T
+        sin_theta = np.array(sines)[:, None]
+        cos_theta = np.sqrt(1.0 - sin_theta ** 2)
+        stack = reference_stack(coefficients, sin_theta, cos_theta)
+        if not is_unitary(stack, UNITARITY_TOL):
+            with pytest.raises(ValueError, match=f"{kind.value} iteration matrix failed the "
+                                                 f"unitarity check at {UNITARITY_TOL}"):
+                iteration_matrices(kind, coefficients, sin_theta, cos_theta)
+        if all(errors == (0.0,) * 4 for _, errors in rows):  # the table itself passes
+            built = iteration_matrices(kind, coefficients, sin_theta, cos_theta)
+            assert np.max(np.abs(built - stack)) < 1e-14
 
 
 class TestIterationMatrix:
