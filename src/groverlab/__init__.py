@@ -50,8 +50,6 @@ from .operators import (
 )
 from .statevector import (
     StateVector,
-    apply_diffusion,
-    apply_oracle,
     project_to_subspace,
     run_full,
     target_probability,
@@ -76,8 +74,6 @@ __all__ = [
     "SweepGrid",
     "TRANSFORMABLE_KINDS",
     "angle_distance",
-    "apply_diffusion",
-    "apply_oracle",
     "closed_form_probability",
     "geometry_from_lambda",
     "geometry_of",

@@ -1,10 +1,13 @@
 """Brute-force N-dimensional engine used to cross-validate the subspace engine.
 
-The oracle multiplies target amplitudes by the kind's eigenvalue; the
-diffusion maps v to c * <s|v> * |s> + d * v.  Both are rank-one updates,
-O(N) per application, and are written out here from the operator
-definitions on purpose: this module must stay an independent route from
-the 2x2 construction in operators.py, so no coefficient tables are shared.
+The oracle is a diagonal: the kind's target eigenvalue on marked indices and
+its rest eigenvalue (1 except for licm) elsewhere.  The diffusion maps v to
+c * <s|v> * |s> + d * v, a rank-one update.  run_full builds the oracle
+diagonal once and then works on one amplitude buffer, four O(N) passes per
+step: scale by the diagonal, sum, scale by d, add the uniform part.  The
+coefficients are written out here from the operator definitions on purpose:
+this module must stay an independent route from the 2x2 construction in
+operators.py, so no coefficient tables are shared.
 """
 from __future__ import annotations
 
@@ -31,63 +34,54 @@ def uniform_state(space: SearchSpace) -> StateVector:
     return StateVector(np.full(size, 1.0 / math.sqrt(size), dtype=complex), space)
 
 
-def apply_oracle(v: StateVector, params: PhaseParams) -> StateVector:
-    """Multiply marked amplitudes by the target eigenvalue of the bundle's kind.
-
-    Only licm also rescales the unmarked amplitudes (by -e^{i eta2}).
-    """
-    rest = 1.0
+def _oracle_eigenvalues(params: PhaseParams) -> tuple[complex, complex]:
+    """(target, rest): the oracle's eigenvalue on marked and on unmarked indices."""
     if params.kind is AlgorithmKind.ORIGINAL:
-        target = -1.0
-    elif params.kind is AlgorithmKind.LONG:
-        target = cmath.exp(1j * params.oracle_phase)
-    elif params.kind is AlgorithmKind.LI_DF:
-        target = 1.0 - 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
-    elif params.kind is AlgorithmKind.LI_CM:
-        target, rest = -cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2)
-    else:
-        target = cmath.exp(-1j * params.beta)
-    amps = v.amplitudes.copy()
-    amps[v.space.marked] *= target
-    if rest != 1:
-        amps[~v.space.marked] *= rest
-    return StateVector(amps, v.space)
+        return -1.0, 1.0
+    if params.kind is AlgorithmKind.LONG:
+        return cmath.exp(1j * params.oracle_phase), 1.0
+    if params.kind is AlgorithmKind.LI_DF:
+        return 1.0 - 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau), 1.0
+    if params.kind is AlgorithmKind.LI_CM:
+        return -cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2)
+    return cmath.exp(-1j * params.beta), 1.0
 
 
-def apply_diffusion(v: StateVector, params: PhaseParams) -> StateVector:
-    """v -> c * <s|v> * |s> + d * v with the coefficients (c, d) of the bundle's kind."""
+def _diffusion_coefficients(params: PhaseParams) -> tuple[complex, complex]:
+    """(c, d) of the diffusion v -> c * <s|v> * |s> + d * v."""
     if params.kind is AlgorithmKind.ORIGINAL:
-        c, d = 2.0 + 0j, -1.0 + 0j
-    elif params.kind is AlgorithmKind.LONG:
-        c, d = 1.0 - cmath.exp(1j * params.diffusion_phase), -1.0 + 0j
-    elif params.kind is AlgorithmKind.LI_DF:
-        c = 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
-        d = -1.0 + 0j
-    elif params.kind is AlgorithmKind.LI_CM:
-        c = cmath.exp(1j * params.gamma1) - cmath.exp(1j * params.gamma2)
+        return 2.0 + 0j, -1.0 + 0j
+    if params.kind is AlgorithmKind.LONG:
+        return 1.0 - cmath.exp(1j * params.diffusion_phase), -1.0 + 0j
+    if params.kind is AlgorithmKind.LI_DF:
+        return 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau), -1.0 + 0j
+    if params.kind is AlgorithmKind.LI_CM:
         d = cmath.exp(1j * params.gamma2)
-    else:
-        c = 1.0 - cmath.exp(1j * params.beta)
-        d = cmath.exp(1j * params.beta)
-    # c * <s|v> * |s> has the constant value c * sum(v) / N on every index.
-    uniform_part = c * v.amplitudes.sum() / v.space.size
-    return StateVector(d * v.amplitudes + uniform_part, v.space)
+        return cmath.exp(1j * params.gamma1) - d, d
+    return 1.0 - cmath.exp(1j * params.beta), cmath.exp(1j * params.beta)
 
 
 def run_full(space: SearchSpace, params: PhaseParams, k: int) -> StateVector:
     """k alternations of oracle then diffusion, starting from the uniform state."""
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
-    v = uniform_state(space)
+    target, rest = _oracle_eigenvalues(params)
+    c, d = _diffusion_coefficients(params)
+    diagonal = np.where(space.marked, complex(target), complex(rest))
+    amps = uniform_state(space).amplitudes
     for _ in range(k):
-        v = apply_diffusion(apply_oracle(v, params), params)
-    return v
+        amps *= diagonal
+        # c * <s|v> * |s> has the constant value c * sum(v) / N on every index.
+        uniform_part = c * amps.sum() / space.size
+        np.multiply(d, amps, out=amps)  # d first: the product's last bit depends on the order
+        amps += uniform_part
+    return StateVector(amps, space)
 
 
 def target_probability(v: StateVector) -> float:
-    """Summed |amplitude|^2 over the target indices, clamped into [0, 1]."""
+    """Summed |amplitude|^2 over the target indices, clamped into [0, 1]; nan stays nan."""
     p = float(np.sum(np.abs(v.amplitudes[v.space.marked]) ** 2))
-    return min(1.0, max(0.0, p))
+    return float(np.clip(p, 0.0, 1.0))
 
 
 def project_to_subspace(v: StateVector) -> tuple[np.ndarray, float]:
@@ -97,11 +91,12 @@ def project_to_subspace(v: StateVector) -> tuple[np.ndarray, float]:
     """
     size, num_targets, marked = v.space.size, v.space.num_targets, v.space.marked
     a = complex(v.amplitudes[marked].sum() / math.sqrt(num_targets))
-    residual_vec = v.amplitudes.copy()
-    residual_vec[marked] -= a / math.sqrt(num_targets)
     if num_targets < size:
         b = complex(v.amplitudes[~marked].sum() / math.sqrt(size - num_targets))
-        residual_vec[~marked] -= b / math.sqrt(size - num_targets)
+        b_entry = b / math.sqrt(size - num_targets)
     else:
-        b = 0j
-    return np.array([a, b]), float(np.linalg.norm(residual_vec))
+        b = b_entry = 0j
+    # The span's component of v, entry by entry; then v minus it, in place.
+    residual = np.where(marked, a / math.sqrt(num_targets), b_entry)
+    np.subtract(v.amplitudes, residual, out=residual)
+    return np.array([a, b]), float(np.linalg.norm(residual))

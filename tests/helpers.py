@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from groverlab.model import AlgorithmKind, params_from_phases
+from groverlab.statevector import StateVector
 
 KINDS = list(AlgorithmKind)
 
@@ -57,3 +58,47 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
     gram = m @ m.conj().swapaxes(-1, -2)
     np.einsum("...ii->...i", gram)[...] -= 1  # the diagonal, as a writable view
     return bool(np.max(np.abs(gram)) <= tol)
+
+
+def apply_oracle(v, params):
+    """Multiply marked amplitudes by the target eigenvalue of the bundle's kind.
+
+    Only licm also rescales the unmarked amplitudes (by -e^{i eta2}).  One
+    step at a time, by gather and scatter: the reference for run_full.
+    """
+    rest = 1.0
+    if params.kind is AlgorithmKind.ORIGINAL:
+        target = -1.0
+    elif params.kind is AlgorithmKind.LONG:
+        target = cmath.exp(1j * params.oracle_phase)
+    elif params.kind is AlgorithmKind.LI_DF:
+        target = 1.0 - 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
+    elif params.kind is AlgorithmKind.LI_CM:
+        target, rest = -cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2)
+    else:
+        target = cmath.exp(-1j * params.beta)
+    amps = v.amplitudes.copy()
+    amps[v.space.marked] *= target
+    if rest != 1:
+        amps[~v.space.marked] *= rest
+    return StateVector(amps, v.space)
+
+
+def apply_diffusion(v, params):
+    """v -> c * <s|v> * |s> + d * v with the coefficients (c, d) of the bundle's kind."""
+    if params.kind is AlgorithmKind.ORIGINAL:
+        c, d = 2.0 + 0j, -1.0 + 0j
+    elif params.kind is AlgorithmKind.LONG:
+        c, d = 1.0 - cmath.exp(1j * params.diffusion_phase), -1.0 + 0j
+    elif params.kind is AlgorithmKind.LI_DF:
+        c = 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
+        d = -1.0 + 0j
+    elif params.kind is AlgorithmKind.LI_CM:
+        c = cmath.exp(1j * params.gamma1) - cmath.exp(1j * params.gamma2)
+        d = cmath.exp(1j * params.gamma2)
+    else:
+        c = 1.0 - cmath.exp(1j * params.beta)
+        d = cmath.exp(1j * params.beta)
+    # c * <s|v> * |s> has the constant value c * sum(v) / N on every index.
+    uniform_part = c * v.amplitudes.sum() / v.space.size
+    return StateVector(d * v.amplitudes + uniform_part, v.space)

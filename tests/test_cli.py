@@ -5,12 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import groverlab
+from groverlab import cli
 from groverlab.analysis import SweepGrid, sweep
 from groverlab.cli import main
 from groverlab.model import AlgorithmKind
+from groverlab.statevector import run_full
 
 
 # The child interpreter imports the same package as this test process.
@@ -203,6 +206,40 @@ class TestCrosscheckCommand:
     def test_out_of_range_n_is_usage_error(self):
         proc = run_cli("crosscheck", "--n", "25", "--seed", "1", "--samples", "10")
         assert proc.returncode == 1
+
+    @staticmethod
+    def _poison(monkeypatch, sector, bad_calls):
+        """Make run_full put nan on the first index of ``sector`` in the chosen calls."""
+        calls = []
+
+        def run_full_with_nan(space, params, k):
+            state = run_full(space, params, k)
+            indices = np.flatnonzero(space.marked if sector == "marked" else ~space.marked)
+            if len(calls) in bad_calls and indices.size:
+                state.amplitudes[indices[0]] = np.nan
+            calls.append(k)
+            return state
+
+        monkeypatch.setattr(cli, "run_full", run_full_with_nan)
+
+    @pytest.mark.parametrize("bad_call", [0, 1, 2])
+    def test_nan_sample_is_reported_and_fails(self, monkeypatch, capsys, bad_call):
+        # A nan target amplitude makes the sample's deviation and residual
+        # nan; the maxima keep it wherever it falls among the samples.
+        self._poison(monkeypatch, "marked", {bad_call})
+        assert main(["crosscheck", "--n", "4", "--seed", "3", "--samples", "3"]) == 2
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "max probability deviation: nan",
+            "max subspace residual: nan",
+        ]
+
+    def test_nan_residual_alone_fails(self, monkeypatch, capsys):
+        # nan on a non-target index leaves the target probability finite.
+        self._poison(monkeypatch, "unmarked", {0, 1, 2})
+        assert main(["crosscheck", "--n", "4", "--seed", "3", "--samples", "3"]) == 2
+        deviation, residual = capsys.readouterr().out.splitlines()[1:]
+        assert float(deviation.rsplit(" ", 1)[1]) < 1e-10
+        assert residual == "max subspace residual: nan"
 
 
 class TestMainEntryPoint:

@@ -2,9 +2,12 @@
 import ast
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverlab.equivalence import predicted_global_phase, transform_phases
 from groverlab.model import (
@@ -15,13 +18,12 @@ from groverlab.model import (
     OriginalParams,
     geometry_of,
     make_search_space,
+    params_from_phases,
 )
 from groverlab.operators import iteration_matrix
 import groverlab.statevector
 from groverlab.statevector import (
     StateVector,
-    apply_diffusion,
-    apply_oracle,
     project_to_subspace,
     run_full,
     target_probability,
@@ -29,7 +31,7 @@ from groverlab.statevector import (
 )
 from groverlab.subspace import initial_state, run, success_probability
 
-from helpers import random_kind, random_params
+from helpers import apply_diffusion, apply_oracle, random_kind, random_params
 
 
 def random_state(rng, space):
@@ -139,6 +141,52 @@ class TestRunFull:
         with pytest.raises(ValueError):
             run_full(make_search_space(1, {0}), OriginalParams(), -2)
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_step_at_a_time_reference(self, data):
+        # The one-buffer loop against k gather/scatter steps of the helpers.
+        # Bit for bit, except where the reference scales a one-element
+        # gather: numpy's length-1 loop rounds that complex product its own
+        # way, by about two ulp per part of an amplitude of modulus <= 1.
+        # The steps are unitary, so the gap grows at most linearly in k.
+        n = data.draw(st.integers(1, 10), label="n")
+        size = 2 ** n
+        num_targets = data.draw(st.integers(1, size), label="M")
+        seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        targets = np.random.default_rng(seed).choice(size, size=num_targets, replace=False)
+        space = make_search_space(n, targets)
+        kind = data.draw(st.sampled_from(list(AlgorithmKind)), label="kind")
+        phases = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                    min_size=4, max_size=4), label="phases")
+        params = params_from_phases(kind, phases)
+        k = data.draw(st.integers(0, 25), label="k")
+        reference = uniform_state(space)
+        for _ in range(k):
+            reference = apply_diffusion(apply_oracle(reference, params), params)
+        amps = run_full(space, params, k).amplitudes
+        one_element_gather = num_targets == 1 or (
+            kind is AlgorithmKind.LI_CM and size - num_targets == 1)
+        if one_element_gather:
+            gap = np.max(np.abs(amps - reference.amplitudes))
+            assert gap <= 3 * k * np.finfo(float).eps
+        else:
+            assert np.array_equal(amps, reference.amplitudes)
+
+    @pytest.mark.parametrize("kind", [AlgorithmKind.LONG, AlgorithmKind.LI_CM])
+    @pytest.mark.parametrize("num_targets", [1, 2 ** 16 // 3, 2 ** 16 - 1])
+    def test_peak_memory_is_two_vectors(self, kind, num_targets):
+        # The amplitude buffer and the oracle diagonal; no per-step copies.
+        n, size = 16, 2 ** 16
+        space = make_search_space(n, range(num_targets))
+        params = random_params(np.random.default_rng(5), kind)
+        tracemalloc.start()
+        try:
+            run_full(space, params, 25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * 16 * size
+
     def test_norm_preserved_through_hundred_iterations(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -148,6 +196,13 @@ class TestRunFull:
 
 
 class TestTargetProbability:
+    def test_nan_amplitude_reads_nan(self):
+        # The clamp into [0, 1] must not turn nan into 0.
+        space = make_search_space(2, {1, 3})
+        amps = uniform_state(space).amplitudes
+        amps[3] = np.nan
+        assert math.isnan(target_probability(StateVector(amps, space)))
+
     def test_uniform_single_target(self):
         assert target_probability(uniform_state(make_search_space(2, {1}))) == pytest.approx(
             0.25, abs=1e-15
