@@ -37,9 +37,6 @@ from .model import (
     OriginalParams,
     PhaseParams,
     SearchSpace,
-    SubspaceGeometry,
-    geometry_from_lambda,
-    geometry_of,
     make_search_space,
     params_from_phases,
 )
@@ -70,13 +67,10 @@ __all__ = [
     "PhaseParams",
     "SearchSpace",
     "StateVector",
-    "SubspaceGeometry",
     "SweepGrid",
     "TRANSFORMABLE_KINDS",
     "angle_distance",
     "closed_form_probability",
-    "geometry_from_lambda",
-    "geometry_of",
     "global_phase_align",
     "initial_state",
     "iteration_matrices",

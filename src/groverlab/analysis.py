@@ -8,16 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import TAU
-from .model import (
-    AlgorithmKind,
-    LongParams,
-    PhaseParams,
-    geometry_from_lambda,
-    params_from_phases,
-)
+from .model import AlgorithmKind, LongParams, PhaseParams, params_from_phases
 from .operators import iteration_matrices, operator_coefficients
 from .equivalence import transform_phases
-from .subspace import MAX_ITERATIONS, run, success_probability
+from .subspace import MAX_ITERATIONS, initial_state, run, success_probability
 
 
 def _check_proportion(name: str, value: float) -> None:
@@ -28,6 +22,7 @@ def _check_proportion(name: str, value: float) -> None:
 def closed_form_probability(lambda_: float, k: int) -> float:
     """Success probability of k original iterations: sin^2((2k+1) * asin(sqrt(lambda)))."""
     _check_proportion("lambda_", lambda_)
+    k = operator.index(k)  # a float k, even 2.0, is a TypeError
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
     return math.sin((2 * k + 1) * math.asin(math.sqrt(lambda_))) ** 2
@@ -129,14 +124,11 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> np.ndarray:
     else:
         params = [phase_params_for(grid.kind, float(p)) for p in grid.phases()]
     coefficients = np.array([operator_coefficients(p) for p in params]).T
-    # |s> = (sin theta, cos theta) per lambda through math.sin/cos, so every
-    # cell equals its scalar iteration_matrix, initial_state and run bit for bit.
-    thetas = [geometry_from_lambda(float(lam)).theta for lam in grid.lambdas()]
-    start = np.array([[math.sin(t), math.cos(t)] for t in thetas])[:, None, :]
+    start = np.array([initial_state(lam) for lam in grid.lambdas().tolist()])[:, None, :]
     probabilities = np.empty((grid.lambda_steps, grid.phase_steps))
     rows = max(1, _BLOCK_CELLS // grid.phase_steps)
     for i in range(0, grid.lambda_steps, rows):
         block = start[i:i + rows]
-        mats = iteration_matrices(grid.kind, coefficients, block[..., 0], block[..., 1])
+        mats = iteration_matrices(grid.kind, coefficients, block)
         probabilities[i:i + rows] = success_probability(run(mats, grid.k, block))
     return probabilities

@@ -23,14 +23,7 @@ import numpy as np
 from .analysis import SweepGrid, closed_form_probability, optimal_iterations, sweep
 from .equivalence import TRANSFORMABLE_KINDS, verify_phase_equivalence
 from .linalg import wrap_angle
-from .model import (
-    AlgorithmKind,
-    LongParams,
-    geometry_from_lambda,
-    geometry_of,
-    make_search_space,
-    params_from_phases,
-)
+from .model import AlgorithmKind, LongParams, make_search_space, params_from_phases
 from .operators import iteration_matrix
 from .statevector import project_to_subspace, run_full, target_probability
 from .subspace import MAX_ITERATIONS, initial_state, run, success_probability
@@ -77,6 +70,8 @@ def _axis(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(str(exc)) from None
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise argparse.ArgumentTypeError(f"endpoints must be finite, got {text!r}")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"min must not exceed max, got {text!r}")
     if steps < 1:
         raise argparse.ArgumentTypeError(f"steps must be >= 1, got {text!r}")
     return lo, hi, steps
@@ -174,6 +169,8 @@ def _check_k(k: int) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     _check_k(args.k)
     lam_min, lam_max, lam_steps = args.lam
+    if not (0.0 < lam_min and lam_max <= 1.0):
+        raise ValueError(f"--lambda endpoints must lie in (0, 1], got {lam_min} and {lam_max}")
     phase_min, phase_max, phase_steps = args.phase
     grid = SweepGrid(
         kind=AlgorithmKind(args.kind),
@@ -199,12 +196,12 @@ def cmd_check_equivalence(args: argparse.Namespace) -> int:
         raise ValueError(f"--phi {args.phi} and --perturb {args.perturb} overflow when "
                          f"added; |--phi| + |--perturb| must be finite")
     phi = wrap_angle(args.phi)  # mod 2*pi keeps the phase transforms exact for large |--phi|
-    reports = verify_phase_equivalence(LongParams(phi), geometry_from_lambda(args.lam),
+    reports = verify_phase_equivalence(LongParams(phi), initial_state(args.lam),
                                        tol=args.tol, perturb=args.perturb, k=args.k)
     for rep in reports:
         measured = "none" if rep.measured_phase is None else _fmt(rep.measured_phase)
         print(
-            f"long->{rep.target_kind.value}: predicted_phase={_fmt(rep.predicted_phase)} "
+            f"long->{rep.target_params.kind.value}: predicted_phase={_fmt(rep.predicted_phase)} "
             f"measured_phase={measured} max_entry_deviation={rep.max_entry_deviation:.3e} "
             f"prob_deviation_k{args.k}={rep.prob_deviation:.3e} {'HOLD' if rep.holds else 'FAIL'}"
         )
@@ -240,8 +237,8 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     for _ in range(args.samples):
         space, params, k = _random_case(rng, args.n)
         full = run_full(space, params, k)
-        g = geometry_of(space)
-        sub = run(iteration_matrix(params, g), k, initial_state(g))
+        s = initial_state(space.num_targets / space.size)
+        sub = run(iteration_matrix(params, s), k, s)
         deviations.append(abs(target_probability(full) - success_probability(sub)))
         residuals.append(project_to_subspace(full)[1])
         del full  # else it stays live beside the next sample's run_full buffers

@@ -32,10 +32,9 @@ from .model import (
     LiPCParams,
     LongParams,
     PhaseParams,
-    SubspaceGeometry,
 )
 from .operators import iteration_matrix
-from .subspace import initial_state, run, success_probability
+from .subspace import run, success_probability
 
 _CONDITION_TOL = 1e-9
 
@@ -120,9 +119,7 @@ class EquivalenceReport:
     by at most the tolerance.
     """
 
-    source_kind: AlgorithmKind
     source_params: PhaseParams
-    target_kind: AlgorithmKind
     target_params: PhaseParams
     predicted_phase: float
     measured_phase: float | None
@@ -139,12 +136,12 @@ def _perturbed(params: PhaseParams, delta: float) -> PhaseParams:
 
 def verify_phase_equivalence(
     params_long: LongParams,
-    g: SubspaceGeometry,
+    s: np.ndarray,
     tol: float = 1e-10,
     perturb: float = 0.0,
     k: int = 0,
 ) -> list[EquivalenceReport]:
-    """Map a long iteration's phase to every other variant and test the claim.
+    """Map a long iteration's phase to every other variant and test the claim about |s> = s.
 
     Failures are recorded in the reports, never raised.  A nonzero perturb
     offsets each mapped variant's leading phase, stepping off the chain; the
@@ -157,13 +154,11 @@ def verify_phase_equivalence(
         raise ValueError(f"tolerance must be positive, got {tol}")
     mapped = [transform_phases(params_long, to_kind) for to_kind in TRANSFORMABLE_KINDS[1:]]
     realized = [_perturbed(p, perturb) if perturb else p for p in mapped]
-    mats = np.stack([iteration_matrix(p, g) for p in [params_long, *realized]])
-    probs = success_probability(run(mats, k, initial_state(g)))
+    mats = np.stack([iteration_matrix(p, s) for p in [params_long, *realized]])
+    probs = success_probability(run(mats, k, s))
     g_long = mats[0]
     reports = []
-    for to_kind, mapped_params, realized_params, g_other, p in zip(
-        TRANSFORMABLE_KINDS[1:], mapped, realized, mats[1:], probs[1:]
-    ):
+    for mapped_params, realized_params, g_other, p in zip(mapped, realized, mats[1:], probs[1:]):
         predicted = predicted_global_phase(params_long, mapped_params)
         measured = global_phase_align(g_long, g_other, tol)
         deviation = max_entry_deviation(
@@ -178,9 +173,7 @@ def verify_phase_equivalence(
         )
         reports.append(
             EquivalenceReport(
-                source_kind=AlgorithmKind.LONG,
                 source_params=params_long,
-                target_kind=to_kind,
                 target_params=realized_params,
                 predicted_phase=predicted,
                 measured_phase=measured,

@@ -1,10 +1,8 @@
-"""Fixed-shape complex linear algebra for the 2D search subspace.
+"""Angle arithmetic mod 2*pi and comparison of complex arrays up to a global phase.
 
-Conventions:
-  Matrices are 2x2 complex128 ndarrays (or (..., 2, 2) stacks of them)
-  in basis order (|alpha>, |beta>), target component first.  Angles are
-  radians; a "wrapped" angle lives in (-pi, pi].  Unit-magnitude scalars
-  are represented by their wrapped angle, never as a complex number.
+Angles are radians; a "wrapped" angle lives in (-pi, pi].  The comparisons
+take two complex arrays of one shape, such as two (2, 2) iteration matrices,
+and read a global phase e^{i chi} as its angle chi.
 """
 from __future__ import annotations
 
@@ -34,7 +32,8 @@ def global_phase_align(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> floa
 
     The candidate phase is read off the largest-magnitude entry of b, which
     keeps the division away from near-zero entries.  None means "not
-    equivalent up to a global phase at this tolerance"; it is not an error.
+    equivalent up to a global phase at this tolerance", which a NaN entry in
+    either matrix also is; it is not an error.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -44,10 +43,10 @@ def global_phase_align(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> floa
     if abs(b.flat[pivot]) == 0.0:
         raise ValueError("cannot align against the zero matrix")
     ratio = complex(a.flat[pivot]) / complex(b.flat[pivot])
-    if abs(abs(ratio) - 1.0) > tol:
+    if not abs(abs(ratio) - 1.0) <= tol:  # NaN fails too
         return None
     chi = wrap_angle(cmath.phase(ratio))
-    if np.max(np.abs(a - cmath.exp(1j * chi) * b)) > tol:
+    if not np.max(np.abs(a - cmath.exp(1j * chi) * b)) <= tol:
         return None
     return chi
 

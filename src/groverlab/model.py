@@ -1,9 +1,9 @@
-"""Search-problem data model: database, targets, subspace geometry, phase parameters.
+"""Search-problem data model: database, targets, phase parameters.
 
-A database of N = 2**n items with M marked targets determines the angle
-theta through sin(theta) = sqrt(M/N).  Each algorithm variant carries its
-own phase parameter bundle; the bundles are frozen dataclasses tagged with
-the AlgorithmKind they drive.
+A database of N = 2**n items with M marked targets has the target
+proportion M/N, from which subspace.initial_state builds the start vector.
+Each algorithm variant carries its own phase parameter bundle; the bundles
+are frozen dataclasses tagged with the AlgorithmKind they drive.
 """
 from __future__ import annotations
 
@@ -44,12 +44,19 @@ class SearchSpace:
 
 
 def make_search_space(n: int, targets: Iterable[int]) -> SearchSpace:
-    """Search space marking the given indices; rejects empty or out-of-range target sets."""
+    """Search space marking the given indices; rejects empty, non-integer or out-of-range targets."""
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     size = 2 ** n
+    if isinstance(targets, np.ndarray) and targets.dtype.kind in "iu":
+        indices = targets  # the dtype vouches for every entry
+    else:
+        items = list(targets.flat if isinstance(targets, np.ndarray) else targets)
+        for item in items:  # a float, bool or string is rejected, not truncated or misread
+            if isinstance(item, bool) or not isinstance(item, (int, np.integer)):
+                raise ValueError(f"target indices must be integers, got {item!r}")
+        indices = np.asarray(items)
     # Range-checked before the intp cast, so a Python int beyond intp is rejected too.
-    indices = np.asarray(targets if isinstance(targets, np.ndarray) else list(targets))
     if indices.size == 0:
         raise ValueError("at least one target index is required")
     lo, hi = indices.min(), indices.max()
@@ -59,26 +66,6 @@ def make_search_space(n: int, targets: Iterable[int]) -> SearchSpace:
     marked[indices.astype(np.intp, copy=False)] = True
     marked.flags.writeable = False
     return SearchSpace(n=n, marked=marked)
-
-
-@dataclass(frozen=True)
-class SubspaceGeometry:
-    """Polar form of the target/non-target split: sin(theta) = sqrt(lambda)."""
-
-    theta: float
-    lambda_: float
-
-
-def geometry_of(space: SearchSpace) -> SubspaceGeometry:
-    """Subspace geometry of a concrete search space."""
-    return geometry_from_lambda(space.num_targets / space.size)
-
-
-def geometry_from_lambda(lambda_: float) -> SubspaceGeometry:
-    """Subspace geometry from a target proportion in (0, 1] directly."""
-    if not 0.0 < lambda_ <= 1.0:
-        raise ValueError(f"target proportion must lie in (0, 1], got {lambda_}")
-    return SubspaceGeometry(theta=math.asin(math.sqrt(lambda_)), lambda_=float(lambda_))
 
 
 def _require_finite(**angles: float) -> None:

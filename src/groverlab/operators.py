@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .model import AlgorithmKind, PhaseParams, SubspaceGeometry
+from .model import AlgorithmKind, PhaseParams
 
 UNITARITY_TOL = 1e-10
 
@@ -44,17 +44,18 @@ def operator_coefficients(params: PhaseParams) -> tuple[complex, complex, comple
     return cmath.exp(-1j * params.beta), 1.0 + 0j, 1.0 - e, e
 
 
-def iteration_matrices(kind: AlgorithmKind, coefficients, sin_theta, cos_theta) -> np.ndarray:
-    """(c * |s><s| + d * I) @ diag(target, rest) with |s> = (sin_theta, cos_theta).
+def iteration_matrices(kind: AlgorithmKind, coefficients, s: np.ndarray) -> np.ndarray:
+    """(c * |s><s| + d * I) @ diag(target, rest) with |s> = s, an initial_state.
 
     coefficients is (target, rest, c, d): four scalars or a (4, ...) array.
-    sin_theta and cos_theta share one shape; the two shapes broadcast to one
-    (..., 2, 2) stack.  Unitarity is checked on the coefficients, not on the
-    stack: |s> is a real unit vector, so the diffusion is normal with
-    eigenvalues d and c + d, and the oracle is diagonal.  With e_o and e_d the
-    worst ||x|^2 - 1| over (target, rest) and over (d, c + d), every matrix's
-    m @ m^dagger lies within (1 + e_o) * (1 + e_d) - 1 of the identity in
-    spectral norm, which bounds every entry.
+    s is one (2,) vector or a (..., 2) stack; the coefficients' shape and
+    s.shape[:-1] broadcast to one (..., 2, 2) stack.  Unitarity is checked on
+    the coefficients, not on the stack: |s> is a real unit vector, so the
+    diffusion is normal with eigenvalues d and c + d, and the oracle is
+    diagonal.  With e_o and e_d the worst ||x|^2 - 1| over (target, rest) and
+    over (d, c + d), every matrix's m @ m^dagger lies within
+    (1 + e_o) * (1 + e_d) - 1 of the identity in spectral norm, which bounds
+    every entry.
     """
     coefficients = np.asarray(coefficients, dtype=complex)
     target, rest, c, d = coefficients
@@ -65,7 +66,6 @@ def iteration_matrices(kind: AlgorithmKind, coefficients, sin_theta, cos_theta) 
             f"{kind.value} iteration matrix failed the unitarity check at {UNITARITY_TOL}"
         )
     target, rest, c, d = coefficients[..., None, None]
-    s = np.stack([sin_theta, cos_theta], axis=-1)
     m = c * (s[..., :, None] * s[..., None, :]) + d * np.eye(2)
     # The diagonal oracle scales the columns; numpy's complex products keep
     # every entry equal to the full 2x2 matmul to the last bit.
@@ -73,8 +73,6 @@ def iteration_matrices(kind: AlgorithmKind, coefficients, sin_theta, cos_theta) 
     return m
 
 
-def iteration_matrix(params: PhaseParams, g: SubspaceGeometry) -> np.ndarray:
-    """Composed (2, 2) iteration for one parameter bundle: diffusion @ oracle, checked unitary."""
-    return iteration_matrices(
-        params.kind, operator_coefficients(params), math.sin(g.theta), math.cos(g.theta)
-    )
+def iteration_matrix(params: PhaseParams, s: np.ndarray) -> np.ndarray:
+    """Composed (2, 2) iteration for one bundle about |s> = s: diffusion @ oracle, checked unitary."""
+    return iteration_matrices(params.kind, operator_coefficients(params), s)

@@ -1,7 +1,7 @@
-"""Propagate Grover-type iterations from the subspace initial state.
+"""The subspace start state |s> and the propagation of Grover-type iterations from it.
 
-States are complex arrays of shape (..., 2): the amplitudes on |alpha> and
-|beta>, target component first.
+States are arrays of shape (..., 2): the amplitudes on |alpha> and |beta>,
+target component first.  initial_state is the one place where theta is computed.
 """
 from __future__ import annotations
 
@@ -10,12 +10,18 @@ import operator
 
 import numpy as np
 
-from .model import SubspaceGeometry
 
+def initial_state(lambda_: float) -> np.ndarray:
+    """|s> = (sin(theta), cos(theta)) with sin(theta) = sqrt(lambda), lambda in (0, 1].
 
-def initial_state(g: SubspaceGeometry) -> np.ndarray:
-    """The uniform superposition (sin(theta), cos(theta))."""
-    return np.array([math.sin(g.theta), math.cos(g.theta)], dtype=complex)
+    The uniform superposition over a database whose proportion lambda = M/N
+    of items are targets.  It is the start state of every iteration and the
+    axis of every diffusion c * |s><s| + d * I; a real float64 vector.
+    """
+    if not 0.0 < lambda_ <= 1.0:
+        raise ValueError(f"target proportion must lie in (0, 1], got {lambda_}")
+    theta = math.asin(math.sqrt(lambda_))
+    return np.array([math.sin(theta), math.cos(theta)])
 
 
 # Above 2**53 a float64 no longer holds every integer, so k * w means nothing.

@@ -19,14 +19,14 @@ def random_kind(rng):
     return KINDS[int(rng.integers(0, len(KINDS)))]
 
 
-def long_iteration_closed_form(g, phi, diffusion_phi=None):
-    """Entrywise closed form of the two-phase long iteration.
+def long_iteration_closed_form(start, phi, diffusion_phi=None):
+    """Entrywise closed form of the two-phase long iteration about |s> = start.
 
     phi drives the oracle, diffusion_phi the diffusion (defaulting to phi,
     the phase-matched case).
     """
     vphi = phi if diffusion_phi is None else diffusion_phi
-    s, c = math.sin(g.theta), math.cos(g.theta)
+    s, c = start
     eo = cmath.exp(1j * phi)
     ed = cmath.exp(1j * vphi)
     return np.array(

@@ -23,8 +23,6 @@ from groverlab.model import (
     LiPCParams,
     LongParams,
     OriginalParams,
-    geometry_from_lambda,
-    geometry_of,
     make_search_space,
 )
 from groverlab.operators import iteration_matrix
@@ -55,7 +53,7 @@ def test_criterion_2_randomized_global_phase_equivalence():
     for _ in range(1000):
         phi = float(rng.uniform(-2 * math.pi, 2 * math.pi))
         lam = float(rng.uniform(1e-3, 1.0))
-        reports = verify_phase_equivalence(LongParams(phi), geometry_from_lambda(lam), tol=1e-10)
+        reports = verify_phase_equivalence(LongParams(phi), initial_state(lam), tol=1e-10)
         failures += sum(not r.holds for r in reports)
     report(2, "randomized phase-transform equivalence", failures == 0,
            f"failures={failures}/3000 alignments")
@@ -86,10 +84,10 @@ def test_criterion_4_single_iteration_equivalence_across_variants():
     }
     worst = 0.0
     for m in np.linspace(0.001, 1.0, 1000):
-        g = geometry_from_lambda(float(m))
+        s = initial_state(float(m))
         expected = single_iteration_probability(float(m))
         for kind, params in matched.items():
-            p = success_probability(run(iteration_matrix(params, g), 1, initial_state(g)))
+            p = success_probability(run(iteration_matrix(params, s), 1, s))
             worst = max(worst, abs(p - expected))
     report(4, "single-iteration cubic across variants", worst < 1e-10,
            f"max |P - cubic| = {worst:.3e}")
@@ -118,8 +116,8 @@ def test_criterion_6_engine_cross_validation():
             params = random_params(rng, kind)
             k = int(rng.integers(0, 26))
             full = run_full(space, params, k)
-            g = geometry_of(space)
-            sub = run(iteration_matrix(params, g), k, initial_state(g))
+            s = initial_state(space.num_targets / space.size)
+            sub = run(iteration_matrix(params, s), k, s)
             worst_prob = max(
                 worst_prob, abs(target_probability(full) - success_probability(sub))
             )
@@ -135,10 +133,10 @@ def test_criterion_7_reduction_to_the_original_iteration():
     worst_entrywise = 0.0
     worst_aligned = 0.0
     for lam in np.linspace(0.01, 1.0, 50):
-        g = geometry_from_lambda(float(lam))
-        original = iteration_matrix(OriginalParams(), g)
-        long_slice = iteration_matrix(LongParams(math.pi), g)
-        lidf_slice = iteration_matrix(LiDFParams(0.0), g)
+        s = initial_state(float(lam))
+        original = iteration_matrix(OriginalParams(), s)
+        long_slice = iteration_matrix(LongParams(math.pi), s)
+        lidf_slice = iteration_matrix(LiDFParams(0.0), s)
         worst_entrywise = max(
             worst_entrywise,
             float(np.max(np.abs(long_slice - original))),
@@ -146,7 +144,7 @@ def test_criterion_7_reduction_to_the_original_iteration():
         )
         for kind in (AlgorithmKind.LI_CM, AlgorithmKind.LI_PC):
             mapped = transform_phases(LongParams(math.pi), kind)
-            variant = iteration_matrix(mapped, g)
+            variant = iteration_matrix(mapped, s)
             chi = global_phase_align(original, variant, 1e-10)
             if chi is None:
                 worst_aligned = math.inf
@@ -165,15 +163,15 @@ def test_criterion_8_unitarity_and_norm_stability():
     unitary_ok = True
     for _ in range(1000):
         kind = random_kind(rng)
-        g = geometry_from_lambda(float(rng.uniform(1e-4, 1.0)))
-        m = iteration_matrix(random_params(rng, kind), g)
+        s = initial_state(float(rng.uniform(1e-4, 1.0)))
+        m = iteration_matrix(random_params(rng, kind), s)
         unitary_ok = unitary_ok and is_unitary(m, 1e-10)
     worst_norm = 0.0
     for _ in range(20):
         kind = random_kind(rng)
-        g = geometry_from_lambda(float(rng.uniform(1e-4, 1.0)))
-        m = iteration_matrix(random_params(rng, kind), g)
-        v = np.array([math.sin(g.theta), math.cos(g.theta)], dtype=complex)
+        s = initial_state(float(rng.uniform(1e-4, 1.0)))
+        m = iteration_matrix(random_params(rng, kind), s)
+        v = s
         for _ in range(1000):
             v = m @ v
             worst_norm = max(worst_norm, abs(float(np.linalg.norm(v)) - 1.0))

@@ -16,7 +16,7 @@ from groverlab.analysis import (
     sweep,
 )
 from groverlab.equivalence import transform_phases
-from groverlab.model import AlgorithmKind, LongParams, geometry_from_lambda
+from groverlab.model import AlgorithmKind, LongParams
 from groverlab.operators import iteration_matrix
 from groverlab.subspace import initial_state, run, success_probability
 
@@ -46,12 +46,20 @@ class TestClosedFormProbability:
         with pytest.raises(ValueError):
             closed_form_probability(0.5, -1)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, np.float64(1.0)])
+    def test_non_integer_iterations_are_rejected(self, k):
+        with pytest.raises(TypeError):
+            closed_form_probability(0.5, k)
+
+    def test_numpy_integer_iterations_equal_a_python_int(self):
+        assert closed_form_probability(0.3, np.int64(4)) == closed_form_probability(0.3, 4)
+
     def test_matches_engine_on_a_grid(self):
         for lam in np.linspace(0.01, 1.0, 60):
-            g = geometry_from_lambda(float(lam))
-            it = iteration_matrix(phase_params_for(AlgorithmKind.ORIGINAL, 0.0), g)
+            s = initial_state(float(lam))
+            it = iteration_matrix(phase_params_for(AlgorithmKind.ORIGINAL, 0.0), s)
             for k in (0, 1, 2, 5, 9):
-                engine = success_probability(run(it, k, initial_state(g)))
+                engine = success_probability(run(it, k, s))
                 assert abs(engine - closed_form_probability(float(lam), k)) < 1e-10
 
 
@@ -203,9 +211,9 @@ class TestSweep:
         grid = SweepGrid(kind=AlgorithmKind.LI_PC, k=4, lambda_steps=5, phase_steps=6)
         for lam, row in zip(grid.lambdas().tolist(), sweep(grid).tolist()):
             for phase, prob in zip(grid.phases().tolist(), row):
-                g = geometry_from_lambda(lam)
-                it = iteration_matrix(phase_params_for(grid.kind, phase), g)
-                assert abs(prob - success_probability(run(it, grid.k, initial_state(g)))) < 1e-14
+                s = initial_state(lam)
+                it = iteration_matrix(phase_params_for(grid.kind, phase), s)
+                assert abs(prob - success_probability(run(it, grid.k, s))) < 1e-14
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     @pytest.mark.parametrize("matched", [False, True])
@@ -221,9 +229,9 @@ class TestSweep:
                 for phase, prob in zip(grid.phases().tolist(), row):
                     params = (transform_phases(LongParams(phase), kind) if matched
                               else phase_params_for(kind, phase))
-                    g = geometry_from_lambda(lam)
-                    m = iteration_matrix(params, g)
-                    assert prob == success_probability(run(m, k, initial_state(g)))
+                    s = initial_state(lam)
+                    m = iteration_matrix(params, s)
+                    assert prob == success_probability(run(m, k, s))
 
     def test_original_kind_ignores_phase_axis(self):
         grid = SweepGrid(

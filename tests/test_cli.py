@@ -120,7 +120,7 @@ class TestSweepCommand:
                        "--lambda", "0:1:5", "--phase", "0:1:2",
                        "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 1
-        assert proc.stderr == "groverlab: error: lambda_min must lie in (0, 1], got 0.0\n"
+        assert proc.stderr == "groverlab: error: --lambda endpoints must lie in (0, 1], got 0.0 and 1.0\n"
 
     @pytest.mark.parametrize("flag", ["--lambda", "--phase"])
     @pytest.mark.parametrize("steps", ["0", "-3"])
@@ -286,7 +286,7 @@ class TestNegativeValues:
         (["check-equivalence", "--phi", "1", "--lambda", "-5e-1", "--k", "1"],
          "--lambda must lie in (0, 1]"),
         (["sweep", "--kind", "long", "--k", "1", "--lambda", "-0.1:1:3", "--phase", "0:1:2"],
-         "lambda_min must lie in (0, 1]"),
+         "--lambda endpoints must lie in (0, 1]"),
     ])
     def test_negative_value_reaches_the_domain_check(self, argv, message, tmp_path, capsys):
         if argv[0] == "sweep":
@@ -365,6 +365,20 @@ class TestFlagNamedDomainErrors:
         captured = capsys.readouterr()
         assert captured.err == f"groverlab: error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("flag,axis", [("--lambda", "0:1:5"), ("--lambda", "0.5:0.1:5"),
+                                           ("--phase", "3:1:3")])
+    def test_bad_sweep_axis_names_the_flag(self, flag, axis, tmp_path, capsys):
+        axes = {"--lambda": "0.1:1:3", "--phase": "0:1:3", flag: axis}
+        out = tmp_path / "x.csv"
+        try:
+            code = main(["sweep", "--kind", "long", "--k", "1", f"--lambda={axes['--lambda']}",
+                         f"--phase={axes['--phase']}", "--out", str(out)])
+        except SystemExit as exc:  # argparse rejects an axis with min > max
+            code = exc.code
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_names_the_flag(self, capsys):
         assert main(["crosscheck", "--n", "4", "--seed", "-1", "--samples", "2"]) == 1

@@ -21,7 +21,6 @@ from groverlab.model import (
     LiPCParams,
     LongParams,
     OriginalParams,
-    geometry_from_lambda,
 )
 from groverlab.operators import iteration_matrix
 from groverlab.subspace import initial_state, run, success_probability
@@ -51,21 +50,22 @@ class TestChainTable:
     @given(chain_kinds, chain_kinds, chain_values, offsets, offsets, lambdas)
     @settings(max_examples=300)
     def test_aligned_phase_equals_the_prediction(self, a, b, phi, gamma2, eta2, lam):
-        g = geometry_from_lambda(lam)
+        s = initial_state(lam)
         params_a, params_b = on_chain(a, phi, gamma2, eta2), on_chain(b, phi, eta2, gamma2)
-        measured = global_phase_align(iteration_matrix(params_a, g),
-                                      iteration_matrix(params_b, g), 1e-10)
+        measured = global_phase_align(iteration_matrix(params_a, s),
+                                      iteration_matrix(params_b, s), 1e-10)
         assert measured is not None
         assert angle_distance(measured, predicted_global_phase(params_a, params_b)) <= 1e-10
 
     @given(chain_values, st.floats(min_value=-10.0, max_value=10.0), lambdas)
     @settings(max_examples=100)
     def test_perturb_shifts_only_the_leading_field(self, phi, delta, lam):
-        reports = verify_phase_equivalence(LongParams(phi), geometry_from_lambda(lam),
+        reports = verify_phase_equivalence(LongParams(phi), initial_state(lam),
                                            perturb=delta)
-        for rep in reports:
-            mapped = astuple(transform_phases(LongParams(phi), rep.target_kind))
-            assert rep.target_params.kind is rep.target_kind
+        assert len(reports) == len(TRANSFORMABLE_KINDS[1:])
+        for rep, to_kind in zip(reports, TRANSFORMABLE_KINDS[1:]):
+            mapped = astuple(transform_phases(LongParams(phi), to_kind))
+            assert rep.target_params.kind is to_kind
             assert astuple(rep.target_params) == (mapped[0] + delta, *mapped[1:])
 
 
@@ -143,13 +143,13 @@ class TestPredictedGlobalPhase:
 
 class TestVerifyPhaseEquivalence:
     def test_reference_point_holds(self):
-        reports = verify_phase_equivalence(LongParams(math.pi / 2), geometry_from_lambda(1 / 3))
+        reports = verify_phase_equivalence(LongParams(math.pi / 2), initial_state(1 / 3))
         assert len(reports) == 3
         assert all(r.holds for r in reports)
-        assert {r.target_kind for r in reports} == set(TRANSFORMABLE_KINDS[1:])
+        assert {r.target_params.kind for r in reports} == set(TRANSFORMABLE_KINDS[1:])
 
     def test_original_limit_holds_with_zero_phases(self):
-        reports = verify_phase_equivalence(LongParams(math.pi), geometry_from_lambda(0.42))
+        reports = verify_phase_equivalence(LongParams(math.pi), initial_state(0.42))
         for rep in reports:
             assert rep.holds
             assert angle_distance(rep.measured_phase, 0.0) < 1e-10
@@ -159,12 +159,12 @@ class TestVerifyPhaseEquivalence:
         for _ in range(300):
             phi = float(rng.uniform(-2 * math.pi, 2 * math.pi))
             lam = float(rng.uniform(1e-3, 1.0))
-            reports = verify_phase_equivalence(LongParams(phi), geometry_from_lambda(lam))
+            reports = verify_phase_equivalence(LongParams(phi), initial_state(lam))
             assert all(r.holds for r in reports)
 
     def test_perturbed_mapping_fails_generically(self):
         reports = verify_phase_equivalence(
-            LongParams(1.3), geometry_from_lambda(0.37), tol=1e-6, perturb=0.1
+            LongParams(1.3), initial_state(0.37), tol=1e-6, perturb=0.1
         )
         for rep in reports:
             assert not rep.holds
@@ -172,17 +172,17 @@ class TestVerifyPhaseEquivalence:
             assert rep.max_entry_deviation > 1e-6
 
     def test_k_steps_fill_in_prob_deviation(self):
-        g = geometry_from_lambda(0.37)
+        s = initial_state(0.37)
         params_long = LongParams(1.3)
-        for rep in verify_phase_equivalence(params_long, g):
+        for rep in verify_phase_equivalence(params_long, s):
             assert rep.prob_deviation == 0.0
         p_long = success_probability(
-            run(iteration_matrix(params_long, g), 25, initial_state(g))
+            run(iteration_matrix(params_long, s), 25, s)
         )
-        for rep in verify_phase_equivalence(params_long, g, k=25):
+        for rep in verify_phase_equivalence(params_long, s, k=25):
             assert rep.holds
             p_other = success_probability(
-                run(iteration_matrix(rep.target_params, g), 25, initial_state(g))
+                run(iteration_matrix(rep.target_params, s), 25, s)
             )
             assert abs(rep.prob_deviation - abs(p_other - p_long)) < 1e-15
             assert rep.prob_deviation < 1e-10
@@ -190,10 +190,10 @@ class TestVerifyPhaseEquivalence:
     def test_probability_drift_fails_where_one_step_aligns(self):
         # A 1e-12 offset keeps each matrix aligned within tol, but over
         # 10000 steps the success probabilities drift apart by > 1e-9.
-        g = geometry_from_lambda(0.37)
-        one_step = verify_phase_equivalence(LongParams(1.3), g, perturb=1e-12)
+        s = initial_state(0.37)
+        one_step = verify_phase_equivalence(LongParams(1.3), s, perturb=1e-12)
         assert all(rep.holds for rep in one_step)
-        for rep in verify_phase_equivalence(LongParams(1.3), g, perturb=1e-12, k=10000):
+        for rep in verify_phase_equivalence(LongParams(1.3), s, perturb=1e-12, k=10000):
             assert rep.measured_phase is not None
             assert rep.max_entry_deviation <= 1e-10
             assert rep.prob_deviation > 1e-10
@@ -201,11 +201,11 @@ class TestVerifyPhaseEquivalence:
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
-            verify_phase_equivalence(LongParams(1.0), geometry_from_lambda(0.5), tol=0.0)
+            verify_phase_equivalence(LongParams(1.0), initial_state(0.5), tol=0.0)
 
     def test_rejects_a_non_integer_k(self):
         with pytest.raises(TypeError):
-            verify_phase_equivalence(LongParams(1.0), geometry_from_lambda(0.5), k=2.5)
+            verify_phase_equivalence(LongParams(1.0), initial_state(0.5), k=2.5)
 
 
 class TestProbabilityEqualityAcrossVariants:
@@ -214,17 +214,17 @@ class TestProbabilityEqualityAcrossVariants:
         for _ in range(25):
             phi = float(rng.uniform(-2 * math.pi, 2 * math.pi))
             lam = float(rng.uniform(1e-3, 1.0))
-            g = geometry_from_lambda(lam)
+            s = initial_state(lam)
             params_long = LongParams(phi)
             reference = [
                 success_probability(
-                    run(iteration_matrix(params_long, g), k, initial_state(g))
+                    run(iteration_matrix(params_long, s), k, s)
                 )
                 for k in range(26)
             ]
             for to_kind in TRANSFORMABLE_KINDS[1:]:
                 mapped = transform_phases(params_long, to_kind)
-                it = iteration_matrix(mapped, g)
+                it = iteration_matrix(mapped, s)
                 for k in range(26):
-                    p = success_probability(run(it, k, initial_state(g)))
+                    p = success_probability(run(it, k, s))
                     assert abs(p - reference[k]) < 1e-10

@@ -119,6 +119,13 @@ class TestGlobalPhaseAlign:
     def test_magnitude_mismatch_returns_none(self):
         assert global_phase_align(2.0 * IDENTITY2, IDENTITY2, 1e-10) is None
 
+    @pytest.mark.parametrize("side,entry", [("a", (0, 0)), ("a", (1, 1)), ("b", (1, 1))])
+    def test_nan_entry_returns_none(self, side, entry):
+        # (0, 0) is the pivot against b = I; a nan elsewhere must fail the residual test.
+        a, b = IDENTITY2.copy(), IDENTITY2.copy()
+        (a if side == "a" else b)[entry] = np.nan
+        assert global_phase_align(a, b, 1e-10) is None
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
             global_phase_align(IDENTITY2, np.zeros((2, 2), dtype=complex), 1e-10)

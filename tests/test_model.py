@@ -1,6 +1,4 @@
 """Tests for the search-space model and phase parameter bundles."""
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,8 +11,6 @@ from groverlab.model import (
     LiPCParams,
     LongParams,
     OriginalParams,
-    geometry_from_lambda,
-    geometry_of,
     make_search_space,
     params_from_phases,
 )
@@ -36,7 +32,6 @@ class TestMakeSearchSpace:
         space = make_search_space(1, {0, 1})
         assert space.size == 2
         assert space.num_targets == 2
-        assert geometry_of(space).lambda_ == 1.0
 
     def test_rejects_empty_targets(self):
         with pytest.raises(ValueError):
@@ -73,52 +68,23 @@ class TestMakeSearchSpace:
         with pytest.raises(ValueError):
             make_search_space(0, [0])
 
+    @pytest.mark.parametrize("bad,named", [
+        ([1.5], "1.5"), ([0.2, 0.7], "0.2"), ([1, 2.0], "2.0"), (np.array([1.0, 5.0]), "1.0"),
+        ([True], "True"), ([1, False], "False"), (np.array([True, False]), "True"),
+        (["1"], "'1'"), ("15", "'1'"),
+    ])
+    def test_rejects_non_integer_targets_naming_the_value(self, bad, named):
+        with pytest.raises(ValueError, match="target indices must be integers") as excinfo:
+            make_search_space(3, bad)
+        assert named in str(excinfo.value)
 
-class TestGeometry:
-    def test_quarter_proportion(self):
-        g = geometry_of(make_search_space(2, {0}))
-        assert g.lambda_ == 0.25
-        assert g.theta == pytest.approx(math.pi / 6, abs=1e-15)
-
-    def test_full_proportion(self):
-        g = geometry_of(make_search_space(3, range(8)))
-        assert g.lambda_ == 1.0
-        assert g.theta == pytest.approx(math.pi / 2, abs=1e-15)
-
-    def test_half_proportion(self):
-        g = geometry_of(make_search_space(1, {0}))
-        assert g.lambda_ == 0.5
-        assert g.theta == pytest.approx(math.pi / 4, abs=1e-15)
-
-    def test_from_lambda_full(self):
-        assert geometry_from_lambda(1.0).theta == pytest.approx(math.pi / 2, abs=1e-15)
-
-    def test_from_lambda_reference_point(self):
-        # asin(sqrt(0.147)), frozen
-        assert geometry_from_lambda(0.147).theta == pytest.approx(
-            0.3934810829739611, abs=1e-14
-        )
-
-    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0000001, float("nan"), float("inf")])
-    def test_from_lambda_rejects_out_of_domain(self, bad):
-        with pytest.raises(ValueError):
-            geometry_from_lambda(bad)
-
-    def test_space_and_proportion_routes_agree(self):
-        for n in range(1, 13):
-            size = 2 ** n
-            for num_targets in range(1, size + 1):
-                via_space = geometry_of(make_search_space(n, range(num_targets)))
-                via_lambda = geometry_from_lambda(num_targets / size)
-                assert abs(via_space.theta - via_lambda.theta) <= 1e-15
-                assert abs(via_space.lambda_ - via_lambda.lambda_) <= 1e-15
-
-    def test_sin_squared_theta_equals_lambda(self):
-        for n in range(1, 13):
-            size = 2 ** n
-            for num_targets in range(1, size + 1):
-                g = geometry_of(make_search_space(n, range(num_targets)))
-                assert abs(math.sin(g.theta) ** 2 - g.lambda_) <= 1e-15
+    @pytest.mark.parametrize("targets", [
+        [5, 1], (np.int32(5), 1), [np.uint64(5), np.int8(1)],
+        np.array([5, 1], dtype=np.int8), np.array([5, 1], dtype=np.uint16),
+        np.array([5, 1], dtype=np.int64), np.array([[5], [1]]),
+    ])
+    def test_accepts_python_and_numpy_integers(self, targets):
+        assert np.flatnonzero(make_search_space(3, targets).marked).tolist() == [1, 5]
 
 
 def five_way_ladder(kind, a):

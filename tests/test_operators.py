@@ -15,7 +15,6 @@ from groverlab.model import (
     LiPCParams,
     LongParams,
     OriginalParams,
-    geometry_from_lambda,
     params_from_phases,
 )
 from groverlab.operators import (
@@ -25,6 +24,8 @@ from groverlab.operators import (
     operator_coefficients,
 )
 
+from groverlab.subspace import initial_state
+
 from helpers import KINDS, is_unitary, long_iteration_closed_form, random_kind, random_params
 
 
@@ -33,10 +34,10 @@ def oracle(params):
     return np.diag([target, rest])
 
 
-def diffusion(params, g):
+def diffusion(params, s):
     """c * |s><s| + d * I: the composer with the oracle set to the identity."""
     _, _, c, d = operator_coefficients(params)
-    return iteration_matrices(params.kind, (1.0, 1.0, c, d), math.sin(g.theta), math.cos(g.theta))
+    return iteration_matrices(params.kind, (1.0, 1.0, c, d), s)
 
 
 class TestOracleCoefficients:
@@ -64,19 +65,19 @@ class TestOracleCoefficients:
 
 class TestDiffusionCoefficients:
     def test_original_at_quarter_pi_is_swap(self):
-        g = geometry_from_lambda(0.5)
-        assert np.allclose(diffusion(OriginalParams(), g),
+        s = initial_state(0.5)
+        assert np.allclose(diffusion(OriginalParams(), s),
                            np.array([[0, 1], [1, 0]]), atol=1e-12)
 
     def test_long_at_pi_reduces_to_original(self):
-        g = geometry_from_lambda(0.3)
-        long_diff = diffusion(LongParams(math.pi), g)
-        orig_diff = diffusion(OriginalParams(), g)
+        s = initial_state(0.3)
+        long_diff = diffusion(LongParams(math.pi), s)
+        orig_diff = diffusion(OriginalParams(), s)
         assert np.allclose(long_diff, orig_diff, atol=1e-12)
 
     def test_licm_with_equal_phases_at_zero_is_identity(self):
-        g = geometry_from_lambda(0.3)
-        assert np.allclose(diffusion(LiCMParams(0, 0, 0, 0), g),
+        s = initial_state(0.3)
+        assert np.allclose(diffusion(LiCMParams(0, 0, 0, 0), s),
                            np.eye(2), atol=1e-15)
 
 
@@ -92,10 +93,9 @@ def off_modulus(kind, phases, errors):
     return target * (1.0 + e_target), rest * (1.0 + e_rest), (c + d) * (1.0 + e_sum) - d_off, d_off
 
 
-def reference_stack(coefficients, sin_theta, cos_theta):
+def reference_stack(coefficients, s):
     """diffusion @ oracle by explicit 2x2 matmuls, for the Gram check."""
     target, rest, c, d = coefficients
-    s = np.stack(np.broadcast_arrays(sin_theta, cos_theta), axis=-1)
     diffusion = c[..., None, None] * (s[..., :, None] * s[..., None, :])
     diffusion += d[..., None, None] * np.eye(2)
     oracle = np.zeros(target.shape + (2, 2), dtype=complex)
@@ -108,26 +108,24 @@ class TestIterationMatrices:
         rng = np.random.default_rng(11)
         for kind in AlgorithmKind:
             params = [random_params(rng, kind) for _ in range(4)]
-            gs = [geometry_from_lambda(float(lam)) for lam in rng.uniform(1e-4, 1.0, size=3)]
+            vectors = [initial_state(float(lam)) for lam in rng.uniform(1e-4, 1.0, size=3)]
             rows = np.array([operator_coefficients(p) for p in params]).T
-            s = np.array([[math.sin(g.theta)] for g in gs])
-            c = np.array([[math.cos(g.theta)] for g in gs])
-            stack = iteration_matrices(kind, rows, s, c)
+            stack = iteration_matrices(kind, rows, np.array(vectors)[:, None, :])
             assert stack.shape == (3, 4, 2, 2)
-            for i, g in enumerate(gs):
+            for i, s in enumerate(vectors):
                 for j, p in enumerate(params):
-                    assert np.array_equal(stack[i, j], iteration_matrix(p, g))
+                    assert np.array_equal(stack[i, j], iteration_matrix(p, s))
 
     def test_one_non_unitary_cell_fails_the_stack(self):
         rows = np.array([operator_coefficients(LiPCParams(b))
                          for b in (0.1, 0.2, 0.3)]).T
         rows[3, 1] = 0.0  # d = 0 leaves the middle diffusion rank one
         with pytest.raises(ValueError, match="lipc iteration matrix failed the unitarity"):
-            iteration_matrices(AlgorithmKind.LI_PC, rows, np.full((2, 1), 0.6), np.full((2, 1), 0.8))
+            iteration_matrices(AlgorithmKind.LI_PC, rows, np.tile([0.6, 0.8], (2, 1, 1)))
 
     def test_non_unitary_coefficients_name_the_kind(self):
         with pytest.raises(ValueError, match="lidf iteration matrix failed the unitarity"):
-            iteration_matrices(AlgorithmKind.LI_DF, (1.0, 1.0, 1.0, 0.0), 0.6, 0.8)
+            iteration_matrices(AlgorithmKind.LI_DF, (1.0, 1.0, 1.0, 0.0), np.array([0.6, 0.8]))
 
     @given(
         kind=st.sampled_from(KINDS),
@@ -141,64 +139,63 @@ class TestIterationMatrices:
         coefficients = np.array([off_modulus(kind, phases, errors)
                                  for phases, errors in rows]).T
         sin_theta = np.array(sines)[:, None]
-        cos_theta = np.sqrt(1.0 - sin_theta ** 2)
-        stack = reference_stack(coefficients, sin_theta, cos_theta)
+        s = np.stack([sin_theta, np.sqrt(1.0 - sin_theta ** 2)], axis=-1)
+        stack = reference_stack(coefficients, s)
         if not is_unitary(stack, UNITARITY_TOL):
             with pytest.raises(ValueError, match=f"{kind.value} iteration matrix failed the "
                                                  f"unitarity check at {UNITARITY_TOL}"):
-                iteration_matrices(kind, coefficients, sin_theta, cos_theta)
+                iteration_matrices(kind, coefficients, s)
         if all(errors == (0.0,) * 4 for _, errors in rows):  # the table itself passes
-            built = iteration_matrices(kind, coefficients, sin_theta, cos_theta)
+            built = iteration_matrices(kind, coefficients, s)
             assert np.max(np.abs(built - stack)) < 1e-14
 
 
 class TestIterationMatrix:
     def test_original_is_rotation_by_two_theta(self):
-        g = geometry_from_lambda(0.25)  # theta = pi/6
-        m = iteration_matrix(OriginalParams(), g)
+        m = iteration_matrix(OriginalParams(), initial_state(0.25))  # theta = pi/6
         c, s = math.cos(math.pi / 3), math.sin(math.pi / 3)
         assert np.allclose(m, np.array([[c, s], [-s, c]]), atol=1e-12)
 
     def test_long_at_pi_equals_original(self):
-        g = geometry_from_lambda(0.37)
-        matched = iteration_matrix(LongParams(math.pi), g)
-        original = iteration_matrix(OriginalParams(), g)
+        s = initial_state(0.37)
+        matched = iteration_matrix(LongParams(math.pi), s)
+        original = iteration_matrix(OriginalParams(), s)
         assert np.max(np.abs(matched - original)) < 1e-12
 
     @pytest.mark.parametrize("offset", [0.37, -1.2, 2.0])
     def test_licm_is_scaled_copy_of_long(self, offset):
-        g = geometry_from_lambda(0.3)
+        s = initial_state(0.3)
         licm = iteration_matrix(
-            LiCMParams(math.pi / 2 + offset, offset, math.pi / 2 + offset, offset), g
+            LiCMParams(math.pi / 2 + offset, offset, math.pi / 2 + offset, offset), s
         )
-        long_mat = iteration_matrix(LongParams(math.pi / 2), g)
+        long_mat = iteration_matrix(LongParams(math.pi / 2), s)
         assert np.max(np.abs(licm - cmath.exp(2j * offset) * long_mat)) < 1e-12
 
     def test_closed_form_matches_product_at_matched_phases(self):
         for phi in np.linspace(0.0, 2 * math.pi, 50):
             for theta_frac in np.linspace(0.02, 1.0, 50):
-                g = geometry_from_lambda(theta_frac)
-                built = iteration_matrix(LongParams(float(phi)), g)
-                closed = long_iteration_closed_form(g, float(phi))
+                s = initial_state(theta_frac)
+                built = iteration_matrix(LongParams(float(phi)), s)
+                closed = long_iteration_closed_form(s, float(phi))
                 assert np.max(np.abs(built - closed)) < 1e-12
 
     def test_closed_form_matches_product_with_two_phases(self):
-        g = geometry_from_lambda(0.09)  # theta = 0.3 to ~1e-3
+        s = initial_state(0.09)  # theta = 0.3 to ~1e-3
         rng = np.random.default_rng(7)
         for phi, vphi in rng.uniform(-6, 6, size=(50, 2)):
-            built = iteration_matrix(LongParams(phi, vphi), g)
-            assert np.max(np.abs(built - long_iteration_closed_form(g, phi, vphi))) < 1e-12
+            built = iteration_matrix(LongParams(phi, vphi), s)
+            assert np.max(np.abs(built - long_iteration_closed_form(s, phi, vphi))) < 1e-12
 
     def test_closed_form_matrix_is_unitary(self):
-        g = geometry_from_lambda(math.sin(0.3) ** 2)  # theta = 0.3
-        assert is_unitary(long_iteration_closed_form(g, 1.0, 1.0), 1e-12)
+        s = initial_state(math.sin(0.3) ** 2)  # theta = 0.3
+        assert is_unitary(long_iteration_closed_form(s, 1.0, 1.0), 1e-12)
 
     def test_random_iterations_are_unitary_with_unit_determinant(self):
         rng = np.random.default_rng(2024)
         for _ in range(1000):
             kind = random_kind(rng)
-            g = geometry_from_lambda(float(rng.uniform(1e-4, 1.0)))
-            m = iteration_matrix(random_params(rng, kind), g)
+            s = initial_state(float(rng.uniform(1e-4, 1.0)))
+            m = iteration_matrix(random_params(rng, kind), s)
             assert is_unitary(m, 1e-10)
             det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
             assert abs(abs(det) - 1.0) < 1e-10
@@ -207,20 +204,20 @@ class TestIterationMatrix:
 class TestOriginalIsASliceOfEveryVariant:
     @pytest.mark.parametrize("lam", [0.08, 0.25, 0.5, 0.9])
     def test_long_and_lidf_slices_match_entrywise(self, lam):
-        g = geometry_from_lambda(lam)
-        original = iteration_matrix(OriginalParams(), g)
-        long_slice = iteration_matrix(LongParams(math.pi), g)
-        lidf_slice = iteration_matrix(LiDFParams(0.0), g)
+        s = initial_state(lam)
+        original = iteration_matrix(OriginalParams(), s)
+        long_slice = iteration_matrix(LongParams(math.pi), s)
+        lidf_slice = iteration_matrix(LiDFParams(0.0), s)
         assert np.max(np.abs(long_slice - original)) < 1e-12
         assert np.max(np.abs(lidf_slice - original)) < 1e-12
 
     @pytest.mark.parametrize("lam", [0.08, 0.25, 0.5, 0.9])
     def test_licm_slice_matches_up_to_global_phase(self, lam):
-        g = geometry_from_lambda(lam)
-        original = iteration_matrix(OriginalParams(), g)
+        s = initial_state(lam)
+        original = iteration_matrix(OriginalParams(), s)
         for gamma2, eta2 in [(0.0, 0.0), (0.8, -0.3)]:
             licm = iteration_matrix(
-                LiCMParams(math.pi + gamma2, gamma2, math.pi + eta2, eta2), g
+                LiCMParams(math.pi + gamma2, gamma2, math.pi + eta2, eta2), s
             )
             measured = global_phase_align(original, licm, 1e-10)
             assert measured is not None
@@ -229,9 +226,9 @@ class TestOriginalIsASliceOfEveryVariant:
 
     @pytest.mark.parametrize("lam", [0.08, 0.25, 0.5, 0.9])
     def test_lipc_slice_matches_up_to_global_phase(self, lam):
-        g = geometry_from_lambda(lam)
-        original = iteration_matrix(OriginalParams(), g)
-        lipc = iteration_matrix(LiPCParams(-math.pi), g)
+        s = initial_state(lam)
+        original = iteration_matrix(OriginalParams(), s)
+        lipc = iteration_matrix(LiPCParams(-math.pi), s)
         measured = global_phase_align(original, lipc, 1e-10)
         assert measured is not None
         assert abs(measured) < 1e-10  # -e^{-i beta} = 1 at beta = -pi

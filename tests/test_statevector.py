@@ -16,7 +16,6 @@ from groverlab.model import (
     LiPCParams,
     LongParams,
     OriginalParams,
-    geometry_of,
     make_search_space,
     params_from_phases,
 )
@@ -217,10 +216,10 @@ class TestTargetProbability:
 class TestProjectToSubspace:
     def test_uniform_state_projects_to_initial_pair(self):
         space = make_search_space(4, {3, 9, 10})
-        g = geometry_of(space)
+        s = initial_state(space.num_targets / space.size)
         state, residual = project_to_subspace(uniform_state(space))
-        assert state[0] == pytest.approx(math.sin(g.theta), abs=1e-12)
-        assert state[1] == pytest.approx(math.cos(g.theta), abs=1e-12)
+        assert state[0] == pytest.approx(s[0], abs=1e-12)
+        assert state[1] == pytest.approx(s[1], abs=1e-12)
         assert residual < 1e-12
 
     def test_pure_target_superposition(self):
@@ -265,8 +264,8 @@ class TestCrossEngineAgreement:
             n = int(rng.integers(1, 11))
             space, params, k = random_case(rng, n)
             full = run_full(space, params, k)
-            g = geometry_of(space)
-            sub = run(iteration_matrix(params, g), k, initial_state(g))
+            s = initial_state(space.num_targets / space.size)
+            sub = run(iteration_matrix(params, s), k, s)
             assert abs(target_probability(full) - success_probability(sub)) < 1e-10
             assert project_to_subspace(full)[1] < 1e-10
 
@@ -275,8 +274,8 @@ class TestCrossEngineAgreement:
         for _ in range(20):
             space, params, k = random_case(rng, 6)
             projected, _ = project_to_subspace(run_full(space, params, k))
-            g = geometry_of(space)
-            direct = run(iteration_matrix(params, g), k, initial_state(g))
+            s = initial_state(space.num_targets / space.size)
+            direct = run(iteration_matrix(params, s), k, s)
             assert abs(projected[0] - direct[0]) < 1e-10
             assert abs(projected[1] - direct[1]) < 1e-10
 
@@ -285,17 +284,17 @@ class TestCrossEngineAgreement:
         # statevector run of a matched variant vs subspace run of long:
         # after k steps the states differ by e^{-i k chi}.
         space = make_search_space(5, {4, 17, 23})
-        g = geometry_of(space)
+        s = initial_state(space.num_targets / space.size)
         params_long = LongParams(1.3)
         mapped = transform_phases(params_long, to_kind)
         if to_kind is AlgorithmKind.LI_CM:
             mapped = LiCMParams(mapped.gamma1 + 0.6, 0.6, mapped.eta1 - 0.2, -0.2)
         chi = predicted_global_phase(params_long, mapped)
-        it_long = iteration_matrix(params_long, g)
+        it_long = iteration_matrix(params_long, s)
         for k in range(0, 11):
             projected, residual = project_to_subspace(run_full(space, mapped, k))
             assert residual < 1e-10
-            reference = run(it_long, k, initial_state(g))
+            reference = run(it_long, k, s)
             factor = cmath.exp(-1j * k * chi)
             assert abs(projected[0] - factor * reference[0]) < 1e-10
             assert abs(projected[1] - factor * reference[1]) < 1e-10

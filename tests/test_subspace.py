@@ -15,7 +15,7 @@ from groverlab.model import (
     LiPCParams,
     LongParams,
     OriginalParams,
-    geometry_from_lambda,
+    make_search_space,
     params_from_phases,
 )
 from groverlab.operators import iteration_matrix
@@ -52,97 +52,124 @@ CORNERS = [
 
 class TestInitialState:
     def test_all_targets(self):
-        state = initial_state(geometry_from_lambda(1.0))
+        state = initial_state(1.0)
         assert state[0] == pytest.approx(1.0, abs=1e-15)
         assert state[1] == pytest.approx(0.0, abs=1e-15)
 
     def test_half_proportion_is_symmetric(self):
-        state = initial_state(geometry_from_lambda(0.5))
+        state = initial_state(0.5)
         assert state[0] == pytest.approx(math.sqrt(0.5), abs=1e-15)
         assert state[1] == pytest.approx(math.sqrt(0.5), abs=1e-15)
 
     def test_quarter_proportion(self):
-        state = initial_state(geometry_from_lambda(0.25))
+        state = initial_state(0.25)
         assert state[0] == pytest.approx(0.5, abs=1e-15)
         assert state[1] == pytest.approx(math.sqrt(3) / 2, abs=1e-15)
+
+    def test_is_a_real_float64_pair(self):
+        state = initial_state(0.3)
+        assert state.dtype == np.float64 and state.shape == (2,)
+
+    @pytest.mark.parametrize("lam,theta", [(0.25, math.pi / 6), (0.5, math.pi / 4),
+                                           (1.0, math.pi / 2)])
+    def test_theta_at_reference_proportions(self, lam, theta):
+        state = initial_state(lam)
+        assert math.atan2(state[0], state[1]) == pytest.approx(theta, abs=1e-15)
+
+    def test_theta_reference_point(self):
+        # asin(sqrt(0.147)), frozen
+        assert math.asin(initial_state(0.147)[0]) == pytest.approx(0.3934810829739611, abs=1e-14)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, 1.0000001, float("nan"), float("inf")])
+    def test_rejects_out_of_domain(self, bad):
+        with pytest.raises(ValueError, match=r"target proportion must lie in \(0, 1\]"):
+            initial_state(bad)
+
+    def test_sin_squared_theta_equals_the_target_proportion(self):
+        for n in range(1, 13):
+            size = 2 ** n
+            for num_targets in range(1, size + 1):
+                space = make_search_space(n, range(num_targets))
+                lam = space.num_targets / space.size
+                assert abs(initial_state(lam)[0] ** 2 - lam) <= 1e-15
 
 
 class TestRun:
     def test_zero_iterations_returns_initial_state(self):
-        g = geometry_from_lambda(0.33)
-        m = iteration_matrix(OriginalParams(), g)
-        state = run(m, 0, initial_state(g))
-        assert np.array_equal(state, initial_state(g))
+        s = initial_state(0.33)
+        m = iteration_matrix(OriginalParams(), s)
+        state = run(m, 0, s)
+        assert np.array_equal(state, s)
 
     def test_negative_iterations_rejected(self):
-        g = geometry_from_lambda(0.33)
-        m = iteration_matrix(OriginalParams(), g)
+        s = initial_state(0.33)
+        m = iteration_matrix(OriginalParams(), s)
         for matrices in (m, np.stack([m, m])):
             with pytest.raises(ValueError, match="iteration count must be >= 0"):
-                run(matrices, -1, initial_state(g))
+                run(matrices, -1, s)
 
     def test_stack_matches_slice_by_slice_runs(self):
         rng = np.random.default_rng(19)
-        gs = [geometry_from_lambda(float(lam)) for lam in rng.uniform(1e-3, 1.0, size=3)]
+        vectors = [initial_state(float(lam)) for lam in rng.uniform(1e-3, 1.0, size=3)]
         kinds = [random_kind(rng) for _ in range(4)]
         params = [random_params(rng, kind) for kind in kinds]
-        stack = np.array([[iteration_matrix(p, g) for p in params] for g in gs])
-        starts = np.array([initial_state(g) for g in gs])[:, None, :]
+        stack = np.array([[iteration_matrix(p, s) for p in params] for s in vectors])
+        starts = np.array(vectors)[:, None, :]
         for k in (0, 1, 7, 250):
             states = run(stack, k, starts)
             assert states.shape == (3, 4, 2)
-            for i, g in enumerate(gs):
+            for i, s in enumerate(vectors):
                 for j in range(len(kinds)):
-                    single = run(stack[i, j], k, initial_state(g))
+                    single = run(stack[i, j], k, s)
                     assert np.max(np.abs(states[i, j] - single)) < 1e-15
 
     def test_original_closed_form(self):
         # (sin((2k+1) theta), cos((2k+1) theta)) for k up to 100
         for lam in np.linspace(0.01, 1.0, 100):
-            g = geometry_from_lambda(float(lam))
-            m = iteration_matrix(OriginalParams(), g)
-            v = np.array([math.sin(g.theta), math.cos(g.theta)], dtype=complex)
+            theta = math.asin(math.sqrt(lam))
+            v = initial_state(float(lam))
+            m = iteration_matrix(OriginalParams(), v)
             for k in range(1, 101):
                 v = m @ v
-                angle = (2 * k + 1) * g.theta
+                angle = (2 * k + 1) * theta
                 assert abs(v[0] - math.sin(angle)) < 1e-9
                 assert abs(v[1] - math.cos(angle)) < 1e-9
 
     def test_long_one_iteration_at_half_proportion_is_certain(self):
-        g = geometry_from_lambda(0.5)
-        m = iteration_matrix(LongParams(math.pi / 2), g)
-        assert success_probability(run(m, 1, initial_state(g))) == pytest.approx(1.0, abs=1e-12)
+        s = initial_state(0.5)
+        m = iteration_matrix(LongParams(math.pi / 2), s)
+        assert success_probability(run(m, 1, s)) == pytest.approx(1.0, abs=1e-12)
 
     def test_long_single_iteration_amplitude(self):
         # engine amplitude vs the closed-form target amplitude
         for phi in np.linspace(0.0, 2 * math.pi, 25):
             for m in np.linspace(0.02, 1.0, 25):
-                g = geometry_from_lambda(float(m))
-                it = iteration_matrix(LongParams(float(phi)), g)
+                s = initial_state(float(m))
+                it = iteration_matrix(LongParams(float(phi)), s)
                 expected = single_iteration_amplitude_long(float(m), float(phi))
-                assert abs(run(it, 1, initial_state(g))[0] - expected) < 1e-12
+                assert abs(run(it, 1, s)[0] - expected) < 1e-12
 
     def test_norm_preserved_through_thousand_iterations(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             kind = random_kind(rng)
-            g = geometry_from_lambda(float(rng.uniform(1e-3, 1.0)))
-            m = iteration_matrix(random_params(rng, kind), g)
-            state = run(m, 1000, initial_state(g))
+            s = initial_state(float(rng.uniform(1e-3, 1.0)))
+            m = iteration_matrix(random_params(rng, kind), s)
+            state = run(m, 1000, s)
             norm_sq = abs(state[0]) ** 2 + abs(state[1]) ** 2
             assert abs(norm_sq - 1.0) < 1e-9
 
     def test_global_phase_does_not_change_probabilities(self):
         rng = np.random.default_rng(5)
-        g = geometry_from_lambda(0.21)
+        s = initial_state(0.21)
         for _ in range(20):
             kind = random_kind(rng)
-            m = iteration_matrix(random_params(rng, kind), g)
+            m = iteration_matrix(random_params(rng, kind), s)
             chi = float(rng.uniform(-math.pi, math.pi))
             shifted = cmath.exp(1j * chi) * m
             for k in (1, 5, 13):
-                p = success_probability(run(m, k, initial_state(g)))
-                p_shifted = success_probability(run(shifted, k, initial_state(g)))
+                p = success_probability(run(m, k, s))
+                p_shifted = success_probability(run(shifted, k, s))
                 assert abs(p - p_shifted) < 1e-12
 
 
@@ -150,29 +177,27 @@ class TestClosedFormPower:
     @given(st.sampled_from(KINDS), real_phases, lambdas, steps)
     @settings(max_examples=300)
     def test_equals_the_k_fold_multiply(self, kind, phases, lam, k):
-        g = geometry_from_lambda(lam)
-        m = iteration_matrix(params_from_phases(kind, phases), g)
-        start = initial_state(g)
-        assert np.max(np.abs(run(m, k, start) - k_fold(m, k, start))) < 1e-12
+        s = initial_state(lam)
+        m = iteration_matrix(params_from_phases(kind, phases), s)
+        assert np.max(np.abs(run(m, k, s) - k_fold(m, k, s))) < 1e-12
 
     @pytest.mark.parametrize("kind,params", CORNERS)
     @given(lam=lambdas, k=steps)
     @settings(max_examples=50)
     def test_corners_equal_the_k_fold_multiply(self, kind, params, lam, k):
-        g = geometry_from_lambda(lam)
-        m = iteration_matrix(params, g)
-        start = initial_state(g)
-        assert np.max(np.abs(run(m, k, start) - k_fold(m, k, start))) < 1e-12
+        s = initial_state(lam)
+        m = iteration_matrix(params, s)
+        assert np.max(np.abs(run(m, k, s) - k_fold(m, k, s))) < 1e-12
 
     @given(st.lists(st.tuples(st.sampled_from(KINDS), real_phases, lambdas),
                     min_size=1, max_size=6), steps)
     @settings(max_examples=100)
     def test_mixed_stack_equals_its_slice_by_slice_runs(self, cells, k):
-        cases = [(iteration_matrix(params_from_phases(kind, a), g), initial_state(g))
-                 for kind, a, g in ((kind, a, geometry_from_lambda(lam))
+        cases = [(iteration_matrix(params_from_phases(kind, a), s), s)
+                 for kind, a, s in ((kind, a, initial_state(lam))
                                     for kind, a, lam in cells)]
-        cases += [(iteration_matrix(params, geometry_from_lambda(0.3)),
-                   initial_state(geometry_from_lambda(0.3))) for kind, params in CORNERS]
+        cases += [(iteration_matrix(params, initial_state(0.3)),
+                   initial_state(0.3)) for kind, params in CORNERS]
         stack = np.stack([m for m, _ in cases])
         states = run(stack, k, np.stack([s for _, s in cases]))
         for state, (m, start) in zip(states, cases):
@@ -180,68 +205,67 @@ class TestClosedFormPower:
 
     @pytest.mark.parametrize("k", [0, 1, 9])
     def test_neither_mutates_nor_aliases_start(self, k):
-        g = geometry_from_lambda(0.3)
-        m = iteration_matrix(LongParams(1.1), g)
+        m = iteration_matrix(LongParams(1.1), initial_state(0.3))
         for matrices in (m, np.stack([m, m.T])):
-            start = initial_state(g)
+            start = initial_state(0.3)
             start.flags.writeable = False
             state = run(matrices, k, start)
-            assert np.array_equal(start, initial_state(g))
+            assert np.array_equal(start, initial_state(0.3))
             assert not np.shares_memory(state, start)
             assert state.flags.c_contiguous and state.flags.writeable
 
     def test_no_drift_at_a_million_steps(self):
         # The k-fold multiply drifted 1.9e-10 from the closed form here.
-        g = geometry_from_lambda(1e-6)
-        m = iteration_matrix(OriginalParams(), g)
-        p = success_probability(run(m, 10 ** 6, initial_state(g)))
+        s = initial_state(1e-6)
+        m = iteration_matrix(OriginalParams(), s)
+        p = success_probability(run(m, 10 ** 6, s))
         assert abs(p - closed_form_probability(1e-6, 10 ** 6)) < 1e-12
 
     @pytest.mark.parametrize("chi", [math.pi, -math.pi / 2, 2.0, 3.0])
     def test_a_global_phase_costs_no_accuracy(self, chi):
         # With the other square root of det m, w would sit near pi and the
         # rounding of k w (about k * pi * 2**-53) would reach the probability.
-        g = geometry_from_lambda(1e-6)
-        m = cmath.exp(1j * chi) * iteration_matrix(OriginalParams(), g)
-        p = success_probability(run(m, 10 ** 6, initial_state(g)))
+        s = initial_state(1e-6)
+        m = cmath.exp(1j * chi) * iteration_matrix(OriginalParams(), s)
+        p = success_probability(run(m, 10 ** 6, s))
         assert abs(p - closed_form_probability(1e-6, 10 ** 6)) < 1e-12
 
     def test_norm_holds_at_any_k(self):
         # Only k w is rounded, so no error accumulates in the norm.
         rng = np.random.default_rng(29)
         for lam in (1e-6, 0.3, 1.0):
-            g = geometry_from_lambda(lam)
+            s = initial_state(lam)
             for kind in KINDS:
-                m = iteration_matrix(random_params(rng, kind), g)
+                m = iteration_matrix(random_params(rng, kind), s)
                 for k in (10 ** 9, 10 ** 12, MAX_ITERATIONS):
-                    state = run(m, k, initial_state(g))
+                    state = run(m, k, s)
                     assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("k", [2.5, 3.0, np.float64(3.0)])
     def test_non_integer_k_is_rejected(self, k):
-        g = geometry_from_lambda(0.3)
-        m = iteration_matrix(LongParams(1.1), g)
+        s = initial_state(0.3)
+        m = iteration_matrix(LongParams(1.1), s)
         for matrices in (m, np.stack([m, m])):
             with pytest.raises(TypeError):
-                run(matrices, k, initial_state(g))
+                run(matrices, k, s)
 
     def test_numpy_integer_k_gives_the_same_bits(self):
-        g = geometry_from_lambda(0.3)
-        m = iteration_matrix(LiPCParams(0.7), g)
+        s = initial_state(0.3)
+        m = iteration_matrix(LiPCParams(0.7), s)
         for matrices in (m, np.stack([m, m.T])):
             for k in (0, 3, 10 ** 6):
-                assert np.array_equal(run(matrices, np.int64(k), initial_state(g)),
-                                      run(matrices, k, initial_state(g)))
+                assert np.array_equal(run(matrices, np.int64(k), s),
+                                      run(matrices, k, s))
 
     def test_iteration_count_is_bounded_by_float64_integers(self):
-        g = geometry_from_lambda(0.25)
-        m = iteration_matrix(OriginalParams(), g)
+        s = initial_state(0.25)
+        m = iteration_matrix(OriginalParams(), s)
         assert MAX_ITERATIONS == 2 ** 53
-        state = run(m, MAX_ITERATIONS, initial_state(g))
+        state = run(m, MAX_ITERATIONS, s)
         assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
         for matrices in (m, np.stack([m, m])):
             with pytest.raises(ValueError, match=r"must be <= 2\*\*53"):
-                run(matrices, MAX_ITERATIONS + 1, initial_state(g))
+                run(matrices, MAX_ITERATIONS + 1, s)
 
 
 class TestSuccessProbability:
@@ -249,14 +273,14 @@ class TestSuccessProbability:
         assert success_probability(np.array([1.0 + 0j, 0j])) == 1.0
 
     def test_rotation_reaches_certainty_at_quarter_proportion(self):
-        g = geometry_from_lambda(0.25)
-        m = iteration_matrix(OriginalParams(), g)
-        assert success_probability(run(m, 1, initial_state(g))) == pytest.approx(1.0, abs=1e-12)
+        s = initial_state(0.25)
+        m = iteration_matrix(OriginalParams(), s)
+        assert success_probability(run(m, 1, s)) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_proportion_single_iteration(self):
-        g = geometry_from_lambda(0.5)
-        m = iteration_matrix(OriginalParams(), g)
-        assert success_probability(run(m, 1, initial_state(g))) == pytest.approx(0.5, abs=1e-12)
+        s = initial_state(0.5)
+        m = iteration_matrix(OriginalParams(), s)
+        assert success_probability(run(m, 1, s)) == pytest.approx(0.5, abs=1e-12)
 
     def test_clamps_roundoff_overshoot(self):
         assert success_probability(np.array([1.0 + 1e-12 + 0j, 0j])) == 1.0
