@@ -11,17 +11,12 @@ from .linalg import TAU
 from .model import AlgorithmKind, LongParams, PhaseParams, params_from_phases
 from .operators import iteration_matrices, operator_coefficients
 from .equivalence import transform_phases
-from .subspace import MAX_ITERATIONS, initial_state, run, success_probability
-
-
-def _check_proportion(name: str, value: float) -> None:
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+from .subspace import MAX_ITERATIONS, check_proportion, initial_state, run, success_probability
 
 
 def closed_form_probability(lambda_: float, k: int) -> float:
     """Success probability of k original iterations: sin^2((2k+1) * asin(sqrt(lambda)))."""
-    _check_proportion("lambda_", lambda_)
+    check_proportion("lambda_", lambda_)
     k = operator.index(k)  # a float k, even 2.0, is a TypeError
     if k < 0:
         raise ValueError(f"iteration count must be >= 0, got {k}")
@@ -30,13 +25,13 @@ def closed_form_probability(lambda_: float, k: int) -> float:
 
 def optimal_iterations(lambda_: float) -> int:
     """Iteration count floor(pi / (4 * sqrt(lambda))) for the original algorithm."""
-    _check_proportion("lambda_", lambda_)
+    check_proportion("lambda_", lambda_)
     return int(math.floor(math.pi / (4.0 * math.sqrt(lambda_))))
 
 
 def single_iteration_probability(m: float) -> float:
     """One-iteration success probability at oracle phase pi/2: 4m^3 - 8m^2 + 5m."""
-    _check_proportion("m", m)
+    check_proportion("m", m)
     return 4.0 * m ** 3 - 8.0 * m ** 2 + 5.0 * m
 
 
@@ -46,7 +41,7 @@ _CUBIC_CRITICAL_POINTS = (0.5, 5.0 / 6.0)
 
 def probability_floor(m_min: float) -> float:
     """Minimum of the one-iteration cubic over [m_min, 1], via its critical points."""
-    _check_proportion("m_min", m_min)
+    check_proportion("m_min", m_min)
     candidates = [m_min, 1.0]
     candidates.extend(c for c in _CUBIC_CRITICAL_POINTS if m_min <= c <= 1.0)
     return min(single_iteration_probability(c) for c in candidates)
@@ -66,8 +61,8 @@ class SweepGrid:
     phase_steps: int = 101
 
     def __post_init__(self) -> None:
-        _check_proportion("lambda_min", self.lambda_min)
-        _check_proportion("lambda_max", self.lambda_max)
+        check_proportion("lambda_min", self.lambda_min)
+        check_proportion("lambda_max", self.lambda_max)
         if self.lambda_min > self.lambda_max:
             raise ValueError("lambda_min must not exceed lambda_max")
         if not (math.isfinite(self.phase_min) and math.isfinite(self.phase_max)):

@@ -26,7 +26,7 @@ from .linalg import wrap_angle
 from .model import AlgorithmKind, LongParams, make_search_space, params_from_phases
 from .operators import iteration_matrix
 from .statevector import project_to_subspace, run_full, target_probability
-from .subspace import MAX_ITERATIONS, initial_state, run, success_probability
+from .subspace import MAX_ITERATIONS, check_proportion, initial_state, run, success_probability
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -169,8 +169,8 @@ def _check_k(k: int) -> None:
 def cmd_sweep(args: argparse.Namespace) -> int:
     _check_k(args.k)
     lam_min, lam_max, lam_steps = args.lam
-    if not (0.0 < lam_min and lam_max <= 1.0):
-        raise ValueError(f"--lambda endpoints must lie in (0, 1], got {lam_min} and {lam_max}")
+    for endpoint in (lam_min, lam_max):
+        check_proportion("--lambda", endpoint)
     phase_min, phase_max, phase_steps = args.phase
     grid = SweepGrid(
         kind=AlgorithmKind(args.kind),
@@ -186,8 +186,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_check_equivalence(args: argparse.Namespace) -> int:
-    if not 0.0 < args.lam <= 1.0:
-        raise ValueError(f"--lambda must lie in (0, 1], got {args.lam}")
+    check_proportion("--lambda", args.lam)
     if args.tol <= 0:
         raise ValueError(f"--tol must be positive, got {args.tol}")
     _check_k(args.k)

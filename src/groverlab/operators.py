@@ -50,9 +50,9 @@ def iteration_matrices(kind: AlgorithmKind, coefficients, s: np.ndarray) -> np.n
     coefficients is (target, rest, c, d): four scalars or a (4, ...) array.
     s is one (2,) vector or a (..., 2) stack; the coefficients' shape and
     s.shape[:-1] broadcast to one (..., 2, 2) stack.  Unitarity is checked on
-    the coefficients, not on the stack: |s> is a real unit vector, so the
-    diffusion is normal with eigenvalues d and c + d, and the oracle is
-    diagonal.  With e_o and e_d the worst ||x|^2 - 1| over (target, rest) and
+    the coefficients and on s, not on the stack: s must be real with |s|^2
+    within UNITARITY_TOL of 1, so the diffusion is normal with eigenvalues d
+    and c + d (to |c| * UNITARITY_TOL), and the oracle is diagonal.  With e_o and e_d the worst ||x|^2 - 1| over (target, rest) and
     over (d, c + d), every matrix's m @ m^dagger lies within
     (1 + e_o) * (1 + e_d) - 1 of the identity in spectral norm, which bounds
     every entry.
@@ -65,6 +65,8 @@ def iteration_matrices(kind: AlgorithmKind, coefficients, s: np.ndarray) -> np.n
         raise ValueError(
             f"{kind.value} iteration matrix failed the unitarity check at {UNITARITY_TOL}"
         )
+    if np.iscomplexobj(s) or not np.abs(np.square(s).sum(axis=-1) - 1.0).max() <= UNITARITY_TOL:
+        raise ValueError(f"s must be a real unit vector, |s|^2 within {UNITARITY_TOL} of 1")
     target, rest, c, d = coefficients[..., None, None]
     m = c * (s[..., :, None] * s[..., None, :]) + d * np.eye(2)
     # The diagonal oracle scales the columns; numpy's complex products keep

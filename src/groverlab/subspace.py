@@ -11,6 +11,12 @@ import operator
 import numpy as np
 
 
+def check_proportion(name: str, value: float) -> None:
+    """Reject a target proportion outside (0, 1], NaN included, naming it by name."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+
+
 def initial_state(lambda_: float) -> np.ndarray:
     """|s> = (sin(theta), cos(theta)) with sin(theta) = sqrt(lambda), lambda in (0, 1].
 
@@ -18,8 +24,7 @@ def initial_state(lambda_: float) -> np.ndarray:
     of items are targets.  It is the start state of every iteration and the
     axis of every diffusion c * |s><s| + d * I; a real float64 vector.
     """
-    if not 0.0 < lambda_ <= 1.0:
-        raise ValueError(f"target proportion must lie in (0, 1], got {lambda_}")
+    check_proportion("target proportion", lambda_)
     theta = math.asin(math.sqrt(lambda_))
     return np.array([math.sin(theta), math.cos(theta)])
 

@@ -120,7 +120,7 @@ class TestSweepCommand:
                        "--lambda", "0:1:5", "--phase", "0:1:2",
                        "--out", str(tmp_path / "x.csv"))
         assert proc.returncode == 1
-        assert proc.stderr == "groverlab: error: --lambda endpoints must lie in (0, 1], got 0.0 and 1.0\n"
+        assert proc.stderr == "groverlab: error: --lambda must lie in (0, 1], got 0.0\n"
 
     @pytest.mark.parametrize("flag", ["--lambda", "--phase"])
     @pytest.mark.parametrize("steps", ["0", "-3"])
@@ -286,7 +286,7 @@ class TestNegativeValues:
         (["check-equivalence", "--phi", "1", "--lambda", "-5e-1", "--k", "1"],
          "--lambda must lie in (0, 1]"),
         (["sweep", "--kind", "long", "--k", "1", "--lambda", "-0.1:1:3", "--phase", "0:1:2"],
-         "--lambda endpoints must lie in (0, 1]"),
+         "--lambda must lie in (0, 1], got -0.1"),
     ])
     def test_negative_value_reaches_the_domain_check(self, argv, message, tmp_path, capsys):
         if argv[0] == "sweep":

@@ -127,6 +127,19 @@ class TestIterationMatrices:
         with pytest.raises(ValueError, match="lidf iteration matrix failed the unitarity"):
             iteration_matrices(AlgorithmKind.LI_DF, (1.0, 1.0, 1.0, 0.0), np.array([0.6, 0.8]))
 
+    @pytest.mark.parametrize("s", [np.array([0.5, 0.5]), np.array([0.6, 0.8j]),
+                                   np.array([0.6, 0.8 + 2e-10]), np.array([math.nan, 1.0]),
+                                   np.array([[0.6, 0.8], [0.8, 0.5]])])
+    def test_rejects_an_s_that_is_not_a_real_unit_vector(self, s):
+        with pytest.raises(ValueError, match=r"s must be a real unit vector"):
+            iteration_matrices(AlgorithmKind.LONG, operator_coefficients(LongParams(1.0)), s)
+        with pytest.raises(ValueError, match=r"s must be a real unit vector"):
+            iteration_matrix(LongParams(1.0), s)
+
+    def test_accepts_a_real_unit_vector_not_from_initial_state(self):
+        m = iteration_matrix(LongParams(1.0), np.array([0.6, 0.8]))
+        assert is_unitary(m, UNITARITY_TOL)
+
     @given(
         kind=st.sampled_from(KINDS),
         rows=st.lists(st.tuples(st.tuples(*[st.floats(-1e3, 1e3)] * 4),
