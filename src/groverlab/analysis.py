@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -65,10 +66,9 @@ class SweepGrid:
         check_proportion("lambda_max", self.lambda_max)
         if self.lambda_min > self.lambda_max:
             raise ValueError("lambda_min must not exceed lambda_max")
-        if not (math.isfinite(self.phase_min) and math.isfinite(self.phase_max)):
-            raise ValueError(
-                f"phase endpoints must be finite, got {self.phase_min} and {self.phase_max}"
-            )
+        if not math.isfinite(float(self.phase_max) - float(self.phase_min)):
+            raise ValueError(f"phase endpoints must be finite, and so must phase_max - "
+                             f"phase_min; got {self.phase_min} and {self.phase_max}")
         if self.phase_min > self.phase_max:
             raise ValueError("phase_min must not exceed phase_max")
         for count in (self.lambda_steps, self.phase_steps, self.k):
@@ -106,24 +106,23 @@ def phase_params_for(kind: AlgorithmKind, phase: float) -> PhaseParams:
 _BLOCK_CELLS = 2048
 
 
-def sweep(grid: SweepGrid, matched_from_long: bool = False) -> np.ndarray:
-    """Success probabilities over the grid, shape (lambda_steps, phase_steps).
+def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarray]:
+    """Success probabilities over the grid: one (phase_steps,) row per lambda, in order.
 
     With matched_from_long the scalar phase axis is read as the long oracle
     phase and mapped to the grid's kind through the transform condition, so
     matched sweeps of different kinds tabulate the same field.  The original
-    kind ignores the phase axis entirely.
+    kind ignores the phase axis entirely.  Every check runs on the first block:
+    all blocks share one coefficient table, and SweepGrid bounds the lambdas.
     """
     if matched_from_long and grid.kind is not AlgorithmKind.ORIGINAL:
         params = [transform_phases(LongParams(float(p)), grid.kind) for p in grid.phases()]
     else:
         params = [phase_params_for(grid.kind, float(p)) for p in grid.phases()]
     coefficients = np.array([operator_coefficients(p) for p in params]).T
-    start = np.array([initial_state(lam) for lam in grid.lambdas().tolist()])[:, None, :]
-    probabilities = np.empty((grid.lambda_steps, grid.phase_steps))
+    lambdas = grid.lambdas()
     rows = max(1, _BLOCK_CELLS // grid.phase_steps)
     for i in range(0, grid.lambda_steps, rows):
-        block = start[i:i + rows]
+        block = np.array([initial_state(lam) for lam in lambdas[i:i + rows].tolist()])[:, None, :]
         mats = iteration_matrices(grid.kind, coefficients, block)
-        probabilities[i:i + rows] = success_probability(run(mats, grid.k, block))
-    return probabilities
+        yield from success_probability(run(mats, grid.k, block))

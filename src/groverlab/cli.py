@@ -16,6 +16,7 @@ import argparse
 import math
 import re
 import sys
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -68,8 +69,8 @@ def _axis(text: str) -> tuple[float, float, int]:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise argparse.ArgumentTypeError(f"endpoints must be finite, got {text!r}")
+    if not math.isfinite(hi - lo):  # also nan or inf at an endpoint
+        raise argparse.ArgumentTypeError(f"endpoints and max - min must be finite, got {text!r}")
     if lo > hi:
         raise argparse.ArgumentTypeError(f"min must not exceed max, got {text!r}")
     if steps < 1:
@@ -124,11 +125,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write_csv(path: str, header: Sequence[str], lines: Iterable[str]) -> int:
+    """Write the header and then each text of lines, which ends in its own newline."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(header) + "\n")
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(lines)
     except OSError as exc:
         print(f"groverlab: error: cannot write {path}: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -136,13 +137,12 @@ def _write_csv(path: str, header: Sequence[str], lines: Iterable[str]) -> int:
 
 
 def _write_sweep(path: str, phase_column: str, grid: SweepGrid, matched: bool) -> int:
-    probabilities = sweep(grid, matched_from_long=matched)
-    # Each axis value is formatted once; only the probability is per cell.
-    # Rows become floats one at a time, so few float objects are live at once.
-    lambdas = map(_fmt, grid.lambdas().tolist())
-    columns = [f",{_fmt(phase)},{grid.k}," for phase in grid.phases().tolist()]
-    lines = (lam + column + _fmt(p) for lam, row in zip(lambdas, probabilities)
-             for column, p in zip(columns, row.tolist()))
+    rows = sweep(grid, matched_from_long=matched)
+    first = next(rows)  # a rejected sweep raises here, before --out is opened
+    # One % per lambda row on the formatted columns; "%.12g" % p is _fmt(p).
+    columns = [f",{_fmt(phase)},{grid.k},%.12g\n" for phase in grid.phases().tolist()]
+    lines = ((lam + lam.join(columns)) % tuple(row.tolist())
+             for lam, row in zip(map(_fmt, grid.lambdas().tolist()), chain([first], rows)))
     return _write_csv(path, ("lambda", phase_column, "k", "probability"), lines)
 
 
@@ -154,7 +154,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
         for j in range(1, 201):
             lam = j / 200.0
             k = optimal_iterations(lam)
-            lines.append(f"{_fmt(lam)},{k},{_fmt(closed_form_probability(lam, k))}")
+            lines.append(f"{_fmt(lam)},{k},{_fmt(closed_form_probability(lam, k))}\n")
         return _write_csv(args.out, ("lambda", "k", "probability"), lines)
     # Figures 2-5 are long, lidf, licm and lipc: the chain order.
     kind = TRANSFORMABLE_KINDS[args.index - 2]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from groverlab.analysis import sweep
 from groverlab.model import AlgorithmKind, params_from_phases
 from groverlab.statevector import StateVector
 
@@ -17,6 +18,11 @@ def random_params(rng, kind):
 
 def random_kind(rng):
     return KINDS[int(rng.integers(0, len(KINDS)))]
+
+
+def sweep_array(grid, matched_from_long=False):
+    """The rows that sweep yields, as one (lambda_steps, phase_steps) array."""
+    return np.array(list(sweep(grid, matched_from_long=matched_from_long)))
 
 
 def long_iteration_closed_form(start, phi, diffusion_phi=None):

@@ -13,7 +13,6 @@ from groverlab.analysis import (
     optimal_iterations,
     probability_floor,
     single_iteration_probability,
-    sweep,
 )
 from groverlab.equivalence import transform_phases, verify_phase_equivalence
 from groverlab.model import (
@@ -29,7 +28,7 @@ from groverlab.operators import iteration_matrix
 from groverlab.statevector import project_to_subspace, run_full, target_probability
 from groverlab.subspace import initial_state, run, success_probability
 
-from helpers import is_unitary, random_kind, random_params
+from helpers import is_unitary, random_kind, random_params, sweep_array
 
 VARIANTS = (AlgorithmKind.LONG, AlgorithmKind.LI_DF, AlgorithmKind.LI_CM, AlgorithmKind.LI_PC)
 
@@ -95,7 +94,7 @@ def test_criterion_4_single_iteration_equivalence_across_variants():
 
 def test_criterion_5_matched_sweep_identity():
     fields = [
-        sweep(SweepGrid(kind=kind, k=5), matched_from_long=True)
+        sweep_array(SweepGrid(kind=kind, k=5), matched_from_long=True)
         for kind in VARIANTS
     ]
     worst = max(float(np.max(np.abs(fields[0] - f))) for f in fields[1:])

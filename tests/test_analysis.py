@@ -20,7 +20,7 @@ from groverlab.model import AlgorithmKind, LongParams
 from groverlab.operators import iteration_matrix
 from groverlab.subspace import initial_state, run, success_probability
 
-from helpers import single_iteration_amplitude_long
+from helpers import single_iteration_amplitude_long, sweep_array
 
 
 def cubic_exact(m: Fraction) -> Fraction:
@@ -169,6 +169,8 @@ class TestSweep:
             SweepGrid(kind=AlgorithmKind.LONG, k=1, phase_max=float("inf"))
         with pytest.raises(ValueError, match="phase endpoints must be finite"):
             SweepGrid(kind=AlgorithmKind.LONG, k=1, phase_min=float("nan"))
+        with pytest.raises(ValueError, match="so must phase_max - phase_min"):
+            SweepGrid(kind=AlgorithmKind.LONG, k=1, phase_min=-1.7e308, phase_max=1.7e308)
 
     def test_iteration_count_is_bounded_by_float64_integers(self):
         SweepGrid(kind=AlgorithmKind.LONG, k=2 ** 53)
@@ -189,27 +191,35 @@ class TestSweep:
     @pytest.mark.parametrize("field", ["lambda_steps", "phase_steps"])
     def test_numpy_integer_step_count_is_accepted(self, field):
         grid = SweepGrid(kind=AlgorithmKind.LONG, k=1, **{field: np.int64(3)})
-        assert sweep(grid).shape == (grid.lambda_steps, grid.phase_steps)
+        assert sweep_array(grid).shape == (grid.lambda_steps, grid.phase_steps)
 
     def test_numpy_integer_k_sweeps_like_a_python_int(self):
         grid = dict(kind=AlgorithmKind.LI_CM, lambda_steps=5, phase_steps=4)
-        assert np.array_equal(sweep(SweepGrid(k=np.int64(7), **grid)),
-                              sweep(SweepGrid(k=7, **grid)))
+        assert np.array_equal(sweep_array(SweepGrid(k=np.int64(7), **grid)),
+                              sweep_array(SweepGrid(k=7, **grid)))
 
     def test_shape_is_lambda_by_phase(self):
         grid = SweepGrid(kind=AlgorithmKind.LONG, k=2, lambda_steps=4, phase_steps=3)
-        probabilities = sweep(grid)
+        probabilities = sweep_array(grid)
         assert probabilities.shape == (4, 3)  # lambda-major: one row per lambda
         assert np.all(np.diff(grid.lambdas()) > 0) and np.all(np.diff(grid.phases()) > 0)
         assert np.all((0.0 <= probabilities) & (probabilities <= 1.0))
 
+    def test_yields_one_float64_row_per_lambda(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 6)  # blocks of two rows of three
+        rows = sweep(SweepGrid(kind=AlgorithmKind.LONG, k=2, lambda_steps=5, phase_steps=3))
+        assert not isinstance(rows, np.ndarray)
+        rows = list(rows)
+        assert len(rows) == 5
+        assert all(row.shape == (3,) and row.dtype == np.float64 for row in rows)
+
     def test_deterministic_across_calls(self):
         grid = SweepGrid(kind=AlgorithmKind.LI_CM, k=5, lambda_steps=7, phase_steps=9)
-        assert np.array_equal(sweep(grid), sweep(grid))
+        assert np.array_equal(sweep_array(grid), sweep_array(grid))
 
     def test_matches_per_cell_engine_runs(self):
         grid = SweepGrid(kind=AlgorithmKind.LI_PC, k=4, lambda_steps=5, phase_steps=6)
-        for lam, row in zip(grid.lambdas().tolist(), sweep(grid).tolist()):
+        for lam, row in zip(grid.lambdas().tolist(), sweep_array(grid).tolist()):
             for phase, prob in zip(grid.phases().tolist(), row):
                 s = initial_state(lam)
                 it = iteration_matrix(phase_params_for(grid.kind, phase), s)
@@ -224,7 +234,7 @@ class TestSweep:
         for k in (0, 1, 5, 17):
             grid = SweepGrid(kind=kind, k=k, lambda_min=0.003, lambda_steps=11,
                              phase_min=-0.05, phase_max=6.3, phase_steps=11)
-            probabilities = sweep(grid, matched_from_long=matched).tolist()
+            probabilities = sweep_array(grid, matched_from_long=matched).tolist()
             for lam, row in zip(grid.lambdas().tolist(), probabilities):
                 for phase, prob in zip(grid.phases().tolist(), row):
                     params = (transform_phases(LongParams(phase), kind) if matched
@@ -238,7 +248,7 @@ class TestSweep:
             kind=AlgorithmKind.ORIGINAL, k=1,
             lambda_min=0.5, lambda_max=0.5, lambda_steps=1, phase_steps=5,
         )
-        probabilities = sweep(grid)
+        probabilities = sweep_array(grid)
         assert probabilities.shape == (1, 5)
         assert all(p == pytest.approx(0.5, abs=1e-12) for p in probabilities.flat)
 
@@ -246,7 +256,7 @@ class TestSweep:
         fields = []
         for kind in (AlgorithmKind.LONG, AlgorithmKind.LI_DF, AlgorithmKind.LI_CM, AlgorithmKind.LI_PC):
             grid = SweepGrid(kind=kind, k=5, lambda_steps=11, phase_steps=13)
-            fields.append(sweep(grid, matched_from_long=True))
+            fields.append(sweep_array(grid, matched_from_long=True))
         for other in fields[1:]:
             assert np.max(np.abs(fields[0] - other)) < 1e-10
 
@@ -256,4 +266,4 @@ class TestSweep:
             lambda_min=0.25, lambda_max=0.25, lambda_steps=1,
             phase_min=math.pi, phase_max=math.pi, phase_steps=1,
         )
-        assert sweep(grid)[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert sweep_array(grid)[0, 0] == pytest.approx(1.0, abs=1e-12)

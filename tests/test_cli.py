@@ -3,17 +3,22 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import groverlab
-from groverlab import cli
-from groverlab.analysis import SweepGrid, sweep
+from groverlab import analysis, cli
+from groverlab.analysis import SweepGrid
 from groverlab.cli import main
 from groverlab.model import AlgorithmKind
 from groverlab.statevector import run_full
+
+from helpers import sweep_array
 
 
 # The child interpreter imports the same package as this test process.
@@ -137,7 +142,11 @@ class TestSweepCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("k,lam,phase", [(3, (0.3, 0.3, 1), (-0.05, -0.05, 1)),
-                                             (0, (0.003, 1.0, 4), (-0.05, 6.3, 5))])
+                                             (0, (0.003, 1.0, 4), (-0.05, 6.3, 5)),
+                                             # two blocks of 20 rows and 10 rows
+                                             (5, (0.003, 1.0, 30), (-0.05, 6.3, 100)),
+                                             # one row per block, wider than a block
+                                             (17, (1e-14, 1.0, 2), (-1e9, 1e9, 2100))])
     @pytest.mark.parametrize("matched", [False, True])
     def test_csv_text_is_the_formatted_array(self, k, lam, phase, matched, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -147,12 +156,42 @@ class TestSweepCommand:
         grid = SweepGrid(kind=AlgorithmKind.LI_CM, k=k, lambda_min=lam[0], lambda_max=lam[1],
                          lambda_steps=lam[2], phase_min=phase[0], phase_max=phase[1],
                          phase_steps=phase[2])
-        probabilities = sweep(grid, matched_from_long=matched)
+        probabilities = sweep_array(grid, matched_from_long=matched)
         expected = ["lambda,phase,k,probability"] + [
             f"{format(x, '.12g')},{format(p, '.12g')},{k},{format(probabilities[i, j], '.12g')}"
             for i, x in enumerate(grid.lambdas()) for j, p in enumerate(grid.phases())
         ]
         assert out.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_percent_template_formats_like_format(self, x):
+        assert "%.12g" % x == format(x, ".12g")
+
+    def test_rejected_sweep_leaves_out_untouched(self, monkeypatch, tmp_path, capsys):
+        def reject(*args, **kwargs):
+            raise ValueError("rejected")
+
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"known bytes\n")
+        monkeypatch.setattr(analysis, "iteration_matrices", reject)
+        assert main(["sweep", "--kind", "lipc", "--k", "5", "--lambda=0.1:1:30",
+                     "--phase=0:1:100", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "groverlab: error: rejected\n"
+        assert out.read_bytes() == b"known bytes\n"
+
+    def test_memory_does_not_grow_with_the_grid(self, tmp_path):
+        def peak(lambda_steps):
+            tracemalloc.start()
+            try:
+                assert main(["sweep", "--kind", "lipc", "--k", "5",
+                             f"--lambda=0.001:1:{lambda_steps}", "--phase=0:6.3:201",
+                             "--out", str(tmp_path / "x.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # 2001x201 probabilities alone would take 3.2 MB.
+        assert peak(2001) - peak(51) < 0.5e6
 
 
 class TestCheckEquivalenceCommand:
@@ -313,6 +352,9 @@ class TestNonFiniteInput:
         ("--perturb", ["check-equivalence", "--phi", "1", "--lambda", "0.5", "--k", "1",
                        "--perturb", "inf"]),
         ("--tol", ["crosscheck", "--n", "3", "--seed", "1", "--samples", "2", "--tol", "nan"]),
+        # finite endpoints whose span overflows; np.linspace would warn and fill nan
+        ("--phase", ["sweep", "--kind", "long", "--k", "1", "--lambda=0.5:1:2",
+                     "--phase=-1.7e308:1.7e308:3"]),
     ])
     def test_rejected_at_the_boundary_naming_the_flag(self, flag, argv, tmp_path, capsys,
                                                       recwarn):
