@@ -10,9 +10,6 @@ from .analysis import (
     SweepGrid,
     closed_form_probability,
     optimal_iterations,
-    phase_params_for,
-    probability_floor,
-    single_iteration_probability,
     sweep,
 )
 from .equivalence import (
@@ -50,7 +47,6 @@ from .statevector import (
     project_to_subspace,
     run_full,
     target_probability,
-    uniform_state,
 )
 from .subspace import initial_state, run, success_probability
 
@@ -80,18 +76,14 @@ __all__ = [
     "operator_coefficients",
     "optimal_iterations",
     "params_from_phases",
-    "phase_params_for",
     "predicted_global_phase",
-    "probability_floor",
     "project_to_subspace",
     "run",
     "run_full",
-    "single_iteration_probability",
     "success_probability",
     "sweep",
     "target_probability",
     "transform_phases",
-    "uniform_state",
     "verify_phase_equivalence",
     "wrap_angle",
 ]

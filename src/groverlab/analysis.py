@@ -9,18 +9,16 @@ from typing import Iterator
 import numpy as np
 
 from .linalg import TAU
-from .model import AlgorithmKind, LongParams, PhaseParams, params_from_phases
+from .model import AlgorithmKind, LongParams, check_iterations, params_from_phases
 from .operators import iteration_matrices, operator_coefficients
 from .equivalence import transform_phases
-from .subspace import MAX_ITERATIONS, check_proportion, initial_state, run, success_probability
+from .subspace import check_proportion, initial_state, run, success_probability
 
 
 def closed_form_probability(lambda_: float, k: int) -> float:
     """Success probability of k original iterations: sin^2((2k+1) * asin(sqrt(lambda)))."""
     check_proportion("lambda_", lambda_)
-    k = operator.index(k)  # a float k, even 2.0, is a TypeError
-    if k < 0:
-        raise ValueError(f"iteration count must be >= 0, got {k}")
+    k = check_iterations("k", k)
     return math.sin((2 * k + 1) * math.asin(math.sqrt(lambda_))) ** 2
 
 
@@ -30,22 +28,20 @@ def optimal_iterations(lambda_: float) -> int:
     return int(math.floor(math.pi / (4.0 * math.sqrt(lambda_))))
 
 
-def single_iteration_probability(m: float) -> float:
-    """One-iteration success probability at oracle phase pi/2: 4m^3 - 8m^2 + 5m."""
-    check_proportion("m", m)
-    return 4.0 * m ** 3 - 8.0 * m ** 2 + 5.0 * m
+def check_axis(lo: float, hi: float, steps: int, shown: str) -> None:
+    """Reject a sweep axis of steps points from lo to hi unless it is well formed.
 
-
-# Roots of the cubic's derivative 12m^2 - 16m + 5.
-_CUBIC_CRITICAL_POINTS = (0.5, 5.0 / 6.0)
-
-
-def probability_floor(m_min: float) -> float:
-    """Minimum of the one-iteration cubic over [m_min, 1], via its critical points."""
-    check_proportion("m_min", m_min)
-    candidates = [m_min, 1.0]
-    candidates.extend(c for c in _CUBIC_CRITICAL_POINTS if m_min <= c <= 1.0)
-    return min(single_iteration_probability(c) for c in candidates)
+    The endpoints and the span hi - lo must be finite, lo <= hi, and steps
+    an int >= 1 (a float, even 3.0, is a TypeError).  shown is the axis as
+    its caller names it, quoted after "got" in the message.
+    """
+    operator.index(steps)
+    if not math.isfinite(float(hi) - float(lo)):  # also nan or inf at an endpoint
+        raise ValueError(f"endpoints and max - min must be finite, got {shown}")
+    if lo > hi:
+        raise ValueError(f"min must not exceed max, got {shown}")
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -64,37 +60,16 @@ class SweepGrid:
     def __post_init__(self) -> None:
         check_proportion("lambda_min", self.lambda_min)
         check_proportion("lambda_max", self.lambda_max)
-        if self.lambda_min > self.lambda_max:
-            raise ValueError("lambda_min must not exceed lambda_max")
-        if not math.isfinite(float(self.phase_max) - float(self.phase_min)):
-            raise ValueError(f"phase endpoints must be finite, and so must phase_max - "
-                             f"phase_min; got {self.phase_min} and {self.phase_max}")
-        if self.phase_min > self.phase_max:
-            raise ValueError("phase_min must not exceed phase_max")
-        for count in (self.lambda_steps, self.phase_steps, self.k):
-            operator.index(count)  # a float count, even 3.0, is a TypeError
-        if self.lambda_steps < 1 or self.phase_steps < 1:
-            raise ValueError("step counts must be >= 1")
-        if self.k < 0:
-            raise ValueError(f"iteration count must be >= 0, got {self.k}")
-        if self.k > MAX_ITERATIONS:
-            raise ValueError(f"iteration count must be <= 2**53 = {MAX_ITERATIONS}, got {self.k}")
+        for axis in ("lambda", "phase"):
+            lo, hi, steps = (getattr(self, f"{axis}_{end}") for end in ("min", "max", "steps"))
+            check_axis(lo, hi, steps, f"{axis}_min={lo}, {axis}_max={hi}, {axis}_steps={steps}")
+        check_iterations("k", self.k)
 
     def lambdas(self) -> np.ndarray:
         return np.linspace(self.lambda_min, self.lambda_max, self.lambda_steps)
 
     def phases(self) -> np.ndarray:
         return np.linspace(self.phase_min, self.phase_max, self.phase_steps)
-
-
-def phase_params_for(kind: AlgorithmKind, phase: float) -> PhaseParams:
-    """Single-scalar-phase bundle used by sweeps: phase in every field of the kind.
-
-    licm alone pins gamma2 = eta2 = 0.  LongParams(phase, phase) has the
-    coefficients of LongParams(phase).
-    """
-    pin = 0.0 if kind is AlgorithmKind.LI_CM else phase
-    return params_from_phases(kind, (phase, pin, phase, pin))
 
 
 # A sweep runs in blocks of whole lambda rows of at most this many cells (one
@@ -118,7 +93,11 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarr
     if matched_from_long and grid.kind is not AlgorithmKind.ORIGINAL:
         params = [transform_phases(LongParams(float(p)), grid.kind) for p in grid.phases()]
     else:
-        params = [phase_params_for(grid.kind, float(p)) for p in grid.phases()]
+        # The phase in every field of the kind, but licm pins gamma2 = eta2 = 0.
+        # LongParams(phase, phase) has the coefficients of LongParams(phase).
+        licm = grid.kind is AlgorithmKind.LI_CM
+        params = [params_from_phases(grid.kind, (p, 0.0 if licm else p, p, 0.0 if licm else p))
+                  for p in grid.phases().tolist()]
     coefficients = np.array([operator_coefficients(p) for p in params]).T
     lambdas = grid.lambdas()
     rows = max(1, _BLOCK_CELLS // grid.phase_steps)

@@ -21,13 +21,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import SweepGrid, closed_form_probability, optimal_iterations, sweep
+from .analysis import SweepGrid, check_axis, closed_form_probability, optimal_iterations, sweep
 from .equivalence import TRANSFORMABLE_KINDS, verify_phase_equivalence
-from .linalg import wrap_angle
-from .model import AlgorithmKind, LongParams, make_search_space, params_from_phases
+from .linalg import check_tolerance, wrap_angle
+from .model import (AlgorithmKind, LongParams, check_iterations, make_search_space,
+                    params_from_phases)
 from .operators import iteration_matrix
 from .statevector import project_to_subspace, run_full, target_probability
-from .subspace import MAX_ITERATIONS, check_proportion, initial_state, run, success_probability
+from .subspace import check_proportion, initial_state, run, success_probability
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,14 +68,9 @@ def _axis(text: str) -> tuple[float, float, int]:
         raise argparse.ArgumentTypeError(f"expected min:max:steps, got {text!r}")
     try:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        check_axis(lo, hi, steps, repr(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    if not math.isfinite(hi - lo):  # also nan or inf at an endpoint
-        raise argparse.ArgumentTypeError(f"endpoints and max - min must be finite, got {text!r}")
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"min must not exceed max, got {text!r}")
-    if steps < 1:
-        raise argparse.ArgumentTypeError(f"steps must be >= 1, got {text!r}")
     return lo, hi, steps
 
 
@@ -161,13 +157,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return _write_sweep(args.out, "phi", SweepGrid(kind=kind, k=5), True)
 
 
-def _check_k(k: int) -> None:
-    if not 0 <= k <= MAX_ITERATIONS:
-        raise ValueError(f"--k must lie in [0, 2**53 = {MAX_ITERATIONS}], got {k}")
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _check_k(args.k)
+    check_iterations("--k", args.k)
     lam_min, lam_max, lam_steps = args.lam
     for endpoint in (lam_min, lam_max):
         check_proportion("--lambda", endpoint)
@@ -187,9 +178,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_check_equivalence(args: argparse.Namespace) -> int:
     check_proportion("--lambda", args.lam)
-    if args.tol <= 0:
-        raise ValueError(f"--tol must be positive, got {args.tol}")
-    _check_k(args.k)
+    check_tolerance("--tol", args.tol)
+    check_iterations("--k", args.k)
     if not math.isfinite(abs(args.phi) + abs(args.perturb)):
         # beta = -phi, so one perturbed phase has magnitude |phi| + |perturb|.
         raise ValueError(f"--phi {args.phi} and --perturb {args.perturb} overflow when "
@@ -222,8 +212,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         raise ValueError(f"--n must lie in [1, 20], got {args.n}")
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
-    if args.tol <= 0:
-        raise ValueError(f"--tol must be positive, got {args.tol}")
+    check_tolerance("--tol", args.tol)
     if args.seed < 0:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)

@@ -24,7 +24,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import angle_distance, global_phase_align, max_entry_deviation, wrap_angle
+from .linalg import (angle_distance, check_tolerance, global_phase_align, max_entry_deviation,
+                     wrap_angle)
 from .model import (
     AlgorithmKind,
     LiCMParams,
@@ -150,8 +151,7 @@ def verify_phase_equivalence(
     one (4, 2, 2) stack; prob_deviation compares their success
     probabilities (at k = 0 it is 0).
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_tolerance("tol", tol)
     mapped = [transform_phases(params_long, to_kind) for to_kind in TRANSFORMABLE_KINDS[1:]]
     realized = [_perturbed(p, perturb) if perturb else p for p in mapped]
     mats = np.stack([iteration_matrix(p, s) for p in [params_long, *realized]])

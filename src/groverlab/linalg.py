@@ -14,6 +14,12 @@ import numpy as np
 TAU = 2.0 * math.pi
 
 
+def check_tolerance(name: str, tol: float) -> None:
+    """Reject a tolerance that is not positive, NaN included, naming it by name."""
+    if not tol > 0:
+        raise ValueError(f"{name} must be positive, got {tol}")
+
+
 def wrap_angle(angle: float) -> float:
     """Reduce an angle mod 2*pi into (-pi, pi]."""
     a = math.remainder(angle, TAU)
@@ -35,8 +41,7 @@ def global_phase_align(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> floa
     equivalent up to a global phase at this tolerance", which a NaN entry in
     either matrix also is; it is not an error.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_tolerance("tol", tol)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     pivot = int(np.argmax(np.abs(b)))

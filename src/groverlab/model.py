@@ -3,11 +3,13 @@
 A database of N = 2**n items with M marked targets has the target
 proportion M/N, from which subspace.initial_state builds the start vector.
 Each algorithm variant carries its own phase parameter bundle; the bundles
-are frozen dataclasses tagged with the AlgorithmKind they drive.
+are frozen dataclasses tagged with the AlgorithmKind they drive.  Both
+engines take their iteration count through check_iterations.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum, unique
 from typing import ClassVar, Iterable, Sequence, Union, get_args
@@ -66,6 +68,19 @@ def make_search_space(n: int, targets: Iterable[int]) -> SearchSpace:
     marked[indices.astype(np.intp, copy=False)] = True
     marked.flags.writeable = False
     return SearchSpace(n=n, marked=marked)
+
+
+# Above 2**53 a float64 no longer holds every integer, so an angle k * w
+# computed for k iterations means nothing.
+MAX_ITERATIONS = 2 ** 53
+
+
+def check_iterations(name: str, k: int) -> int:
+    """k as an int in [0, MAX_ITERATIONS], or an error naming it; a float k is a TypeError."""
+    k = operator.index(k)
+    if not 0 <= k <= MAX_ITERATIONS:
+        raise ValueError(f"{name} must lie in [0, 2**53 = {MAX_ITERATIONS}], got {k}")
+    return k
 
 
 def _require_finite(**angles: float) -> None:

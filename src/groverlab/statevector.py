@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import AlgorithmKind, PhaseParams, SearchSpace
+from .model import AlgorithmKind, PhaseParams, SearchSpace, check_iterations
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,12 +26,6 @@ class StateVector:
 
     amplitudes: np.ndarray
     space: SearchSpace
-
-
-def uniform_state(space: SearchSpace) -> StateVector:
-    """Equal superposition: every amplitude 1/sqrt(N)."""
-    size = space.size
-    return StateVector(np.full(size, 1.0 / math.sqrt(size), dtype=complex), space)
 
 
 def _oracle_eigenvalues(params: PhaseParams) -> tuple[complex, complex]:
@@ -62,13 +56,12 @@ def _diffusion_coefficients(params: PhaseParams) -> tuple[complex, complex]:
 
 
 def run_full(space: SearchSpace, params: PhaseParams, k: int) -> StateVector:
-    """k alternations of oracle then diffusion, starting from the uniform state."""
-    if k < 0:
-        raise ValueError(f"iteration count must be >= 0, got {k}")
+    """k alternations of oracle then diffusion from the uniform state, every amplitude 1/sqrt(N)."""
+    check_iterations("k", k)
     target, rest = _oracle_eigenvalues(params)
     c, d = _diffusion_coefficients(params)
     diagonal = np.where(space.marked, complex(target), complex(rest))
-    amps = uniform_state(space).amplitudes
+    amps = np.full(space.size, 1.0 / math.sqrt(space.size), dtype=complex)
     for _ in range(k):
         amps *= diagonal
         # c * <s|v> * |s> has the constant value c * sum(v) / N on every index.

@@ -6,9 +6,10 @@ target component first.  initial_state is the one place where theta is computed.
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
+
+from .model import check_iterations
 
 
 def check_proportion(name: str, value: float) -> None:
@@ -29,16 +30,12 @@ def initial_state(lambda_: float) -> np.ndarray:
     return np.array([math.sin(theta), math.cos(theta)])
 
 
-# Above 2**53 a float64 no longer holds every integer, so k * w means nothing.
-MAX_ITERATIONS = 2 ** 53
-
-
 def run(m: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
     """State after k applications of m to start; k = 0 returns a copy of start.
 
     m is one unitary (2, 2) matrix or a (..., 2, 2) stack of them (callers
     pass matrices that iteration_matrices has checked); start broadcasts to
-    m.shape[:-1], the shape of the result.  k is an int, 0 <= k <= MAX_ITERATIONS.
+    m.shape[:-1], the shape of the result.  k is an int in [0, 2**53].
 
     The cost does not depend on k.  With m = e^{i delta} V, det V = 1,
     tr V = 2 cos w and G = (m - (tr m / 2) I) / e^{i delta}, the Chebyshev
@@ -48,11 +45,7 @@ def run(m: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
     k w and k delta grows with k: the state keeps unit norm, and those
     angles are off by about |k w| * 2**-53 and |k delta| * 2**-53.
     """
-    k = operator.index(k)
-    if k < 0:
-        raise ValueError(f"iteration count must be >= 0, got {k}")
-    if k > MAX_ITERATIONS:
-        raise ValueError(f"iteration count must be <= 2**53 = {MAX_ITERATIONS}, got {k}")
+    k = check_iterations("k", k)
     # astype copies, so the in-place update below never writes into start.
     v = np.broadcast_to(start, m.shape[:-1]).astype(complex, order="C")
     # (..., 1) slices keep one matrix and a stack on the same array loops, so

@@ -5,8 +5,10 @@ import math
 import numpy as np
 
 from groverlab.analysis import sweep
-from groverlab.model import AlgorithmKind, params_from_phases
+from groverlab.model import AlgorithmKind, LongParams, params_from_phases
+from groverlab.operators import iteration_matrices, operator_coefficients
 from groverlab.statevector import StateVector
+from groverlab.subspace import initial_state, run, success_probability
 
 KINDS = list(AlgorithmKind)
 
@@ -20,9 +22,28 @@ def random_kind(rng):
     return KINDS[int(rng.integers(0, len(KINDS)))]
 
 
+def unmatched_params(kind, phase):
+    """Bundle of an unmatched sweep cell: the phase in every field; licm pins gamma2 = eta2 = 0."""
+    pin = 0.0 if kind is AlgorithmKind.LI_CM else phase
+    return params_from_phases(kind, (phase, pin, phase, pin))
+
+
 def sweep_array(grid, matched_from_long=False):
     """The rows that sweep yields, as one (lambda_steps, phase_steps) array."""
     return np.array(list(sweep(grid, matched_from_long=matched_from_long)))
+
+
+def cubic(m):
+    """The paper's one-iteration probability at oracle phase pi/2, m = lambda."""
+    return 4 * m ** 3 - 8 * m ** 2 + 5 * m
+
+
+def one_step_at_half_pi(ms):
+    """The subspace engine's probability after one LongParams(pi/2) step, one per m in ms."""
+    starts = np.array([initial_state(m) for m in np.atleast_1d(ms).tolist()])
+    coefficients = operator_coefficients(LongParams(math.pi / 2))
+    mats = iteration_matrices(AlgorithmKind.LONG, coefficients, starts)
+    return success_probability(run(mats, 1, starts))
 
 
 def long_iteration_closed_form(start, phi, diffusion_phi=None):

@@ -7,13 +7,7 @@ import math
 
 import numpy as np
 
-from groverlab.analysis import (
-    SweepGrid,
-    closed_form_probability,
-    optimal_iterations,
-    probability_floor,
-    single_iteration_probability,
-)
+from groverlab.analysis import SweepGrid, closed_form_probability, optimal_iterations
 from groverlab.equivalence import transform_phases, verify_phase_equivalence
 from groverlab.model import (
     AlgorithmKind,
@@ -28,7 +22,7 @@ from groverlab.operators import iteration_matrix
 from groverlab.statevector import project_to_subspace, run_full, target_probability
 from groverlab.subspace import initial_state, run, success_probability
 
-from helpers import is_unitary, random_kind, random_params, sweep_array
+from helpers import cubic, is_unitary, one_step_at_half_pi, random_kind, random_params, sweep_array
 
 VARIANTS = (AlgorithmKind.LONG, AlgorithmKind.LI_DF, AlgorithmKind.LI_CM, AlgorithmKind.LI_PC)
 
@@ -59,19 +53,21 @@ def test_criterion_2_randomized_global_phase_equivalence():
 
 
 def test_criterion_3_one_iteration_probability_floor():
-    floor = probability_floor(1 / 3)
-    at_boundary = single_iteration_probability(1 / 3)
-    at_interior = single_iteration_probability(5 / 6)
-    grid = np.linspace(1 / 3, 1.0, 100000)
-    scan_min = float(np.min(4 * grid ** 3 - 8 * grid ** 2 + 5 * grid))
+    # The engine's one step at LongParams(pi/2) against the paper's cubic,
+    # whose minimum over [1/3, 1] is 25/27, taken at m = 1/3 and m = 5/6.
+    grid = np.linspace(1 / 3, 1.0, 100001)
+    engine = one_step_at_half_pi(grid)
+    worst = float(np.max(np.abs(engine - cubic(grid))))
+    floor = float(np.min(engine))
+    at_boundary, at_interior = one_step_at_half_pi([1 / 3, 5 / 6]).tolist()
     ok = (
-        abs(floor - 25 / 27) < 1e-12
+        worst < 1e-12
+        and abs(floor - 25 / 27) < 1e-12
         and abs(at_boundary - 25 / 27) < 1e-12
         and abs(at_interior - 25 / 27) < 1e-12
-        and scan_min >= 25 / 27 - 1e-9
     )
     report(3, "25/27 single-iteration floor", ok,
-           f"floor={floor!r} scan_min={scan_min!r}")
+           f"floor={floor!r} max |P - cubic| = {worst:.3e}")
 
 
 def test_criterion_4_single_iteration_equivalence_across_variants():
@@ -84,7 +80,7 @@ def test_criterion_4_single_iteration_equivalence_across_variants():
     worst = 0.0
     for m in np.linspace(0.001, 1.0, 1000):
         s = initial_state(float(m))
-        expected = single_iteration_probability(float(m))
+        expected = cubic(float(m))
         for kind, params in matched.items():
             p = success_probability(run(iteration_matrix(params, s), 1, s))
             worst = max(worst, abs(p - expected))

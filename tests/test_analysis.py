@@ -1,26 +1,20 @@
 """Tests for closed-form probabilities and sweep tables."""
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from groverlab import analysis
-from groverlab.analysis import (
-    SweepGrid,
-    closed_form_probability,
-    optimal_iterations,
-    phase_params_for,
-    probability_floor,
-    single_iteration_probability,
-    sweep,
-)
+from groverlab.analysis import SweepGrid, closed_form_probability, optimal_iterations, sweep
 from groverlab.equivalence import transform_phases
-from groverlab.model import AlgorithmKind, LongParams
+from groverlab.model import AlgorithmKind, LongParams, OriginalParams
 from groverlab.operators import iteration_matrix
 from groverlab.subspace import initial_state, run, success_probability
 
-from helpers import single_iteration_amplitude_long, sweep_array
+from helpers import (cubic, one_step_at_half_pi, single_iteration_amplitude_long, sweep_array,
+                     unmatched_params)
 
 
 def cubic_exact(m: Fraction) -> Fraction:
@@ -57,7 +51,7 @@ class TestClosedFormProbability:
     def test_matches_engine_on_a_grid(self):
         for lam in np.linspace(0.01, 1.0, 60):
             s = initial_state(float(lam))
-            it = iteration_matrix(phase_params_for(AlgorithmKind.ORIGINAL, 0.0), s)
+            it = iteration_matrix(OriginalParams(), s)
             for k in (0, 1, 2, 5, 9):
                 engine = success_probability(run(it, k, s))
                 assert abs(engine - closed_form_probability(float(lam), k)) < 1e-10
@@ -93,24 +87,26 @@ class TestSingleIterationAmplitude:
 
 
 class TestSingleIterationProbability:
+    """The paper's cubic 4m^3 - 8m^2 + 5m, checked on the engines."""
+
     def test_agrees_with_exact_rational_cubic(self):
         for j in range(1, 25):
             m = Fraction(j, 24)
-            assert single_iteration_probability(float(m)) == pytest.approx(
+            assert one_step_at_half_pi(float(m))[0] == pytest.approx(
                 float(cubic_exact(m)), abs=1e-13
             )
 
     @pytest.mark.parametrize("m", [5 / 6, 1 / 3])
     def test_floor_value_at_known_points(self, m):
-        assert single_iteration_probability(m) == pytest.approx(25 / 27, abs=1e-12)
+        assert one_step_at_half_pi(m)[0] == pytest.approx(25 / 27, abs=1e-12)
 
     def test_full_proportion(self):
-        assert single_iteration_probability(1.0) == 1.0
+        assert one_step_at_half_pi(1.0)[0] == 1.0
 
     def test_matches_squared_amplitude_at_half_pi(self):
         for m in np.linspace(0.001, 1.0, 1000):
             amp = single_iteration_amplitude_long(float(m), math.pi / 2)
-            assert abs(abs(amp) ** 2 - single_iteration_probability(float(m))) < 1e-12
+            assert abs(abs(amp) ** 2 - cubic(float(m))) < 1e-12
 
     def test_matches_statevector_engine_at_realizable_proportions(self):
         from groverlab.model import LongParams, make_search_space
@@ -121,38 +117,30 @@ class TestSingleIterationProbability:
             for num_targets in {1, max(1, size // 3), size // 2 or 1, size}:
                 space = make_search_space(n, range(num_targets))
                 out = run_full(space, LongParams(math.pi / 2), 1)
-                expected = single_iteration_probability(num_targets / size)
+                expected = cubic(num_targets / size)
                 assert abs(target_probability(out) - expected) < 1e-10
-
-    def test_rejects_out_of_domain(self):
-        with pytest.raises(ValueError):
-            single_iteration_probability(1.2)
 
 
 class TestProbabilityFloor:
+    """The minimum of the one-step probability over [m_min, 1], scanned on the engine."""
+
     def test_third_proportion(self):
-        assert probability_floor(1 / 3) == pytest.approx(25 / 27, abs=1e-12)
+        floor = float(np.min(one_step_at_half_pi(np.linspace(1 / 3, 1.0, 100001))))
+        assert floor == pytest.approx(25 / 27, abs=1e-12)
 
     def test_critical_point_endpoint(self):
-        assert probability_floor(5 / 6) == pytest.approx(25 / 27, abs=1e-12)
-
-    def test_single_point_interval(self):
-        assert probability_floor(1.0) == 1.0
+        floor = float(np.min(one_step_at_half_pi(np.linspace(5 / 6, 1.0, 100001))))
+        assert floor == pytest.approx(25 / 27, abs=1e-12)
 
     @pytest.mark.parametrize("m_min", [0.05, 1 / 3, 0.4, 0.6, 5 / 6, 0.95])
     def test_agrees_with_grid_scan(self, m_min):
         grid = np.linspace(m_min, 1.0, 100001)
-        scan = np.min(4 * grid ** 3 - 8 * grid ** 2 + 5 * grid)
-        assert probability_floor(m_min) == pytest.approx(float(scan), abs=1e-8)
+        scan = float(np.min(cubic(grid)))
+        assert float(np.min(one_step_at_half_pi(grid))) == pytest.approx(scan, abs=1e-8)
 
-    def test_cubic_never_dips_below_floor_on_third_interval(self):
+    def test_engine_never_dips_below_floor_on_third_interval(self):
         grid = np.linspace(1 / 3, 1.0, 100000)
-        values = 4 * grid ** 3 - 8 * grid ** 2 + 5 * grid
-        assert float(np.min(values)) >= 25 / 27 - 1e-9
-
-    def test_rejects_out_of_domain(self):
-        with pytest.raises(ValueError):
-            probability_floor(0.0)
+        assert float(np.min(one_step_at_half_pi(grid))) >= 25 / 27 - 1e-9
 
 
 class TestSweep:
@@ -165,16 +153,21 @@ class TestSweep:
             SweepGrid(kind=AlgorithmKind.LONG, k=1, phase_steps=0)
         with pytest.raises(ValueError):
             SweepGrid(kind=AlgorithmKind.LONG, k=-1)
-        with pytest.raises(ValueError, match="phase endpoints must be finite"):
+        finite = "endpoints and max - min must be finite, got "
+        with pytest.raises(ValueError, match=re.escape(
+                finite + "phase_min=0.0, phase_max=inf, phase_steps=101")):
             SweepGrid(kind=AlgorithmKind.LONG, k=1, phase_max=float("inf"))
-        with pytest.raises(ValueError, match="phase endpoints must be finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                finite + "phase_min=nan, phase_max=6.283185307179586, phase_steps=101")):
             SweepGrid(kind=AlgorithmKind.LONG, k=1, phase_min=float("nan"))
-        with pytest.raises(ValueError, match="so must phase_max - phase_min"):
+        with pytest.raises(ValueError, match=re.escape(
+                finite + "phase_min=-1.7e+308, phase_max=1.7e+308, phase_steps=101")):
             SweepGrid(kind=AlgorithmKind.LONG, k=1, phase_min=-1.7e308, phase_max=1.7e308)
 
     def test_iteration_count_is_bounded_by_float64_integers(self):
         SweepGrid(kind=AlgorithmKind.LONG, k=2 ** 53)
-        with pytest.raises(ValueError, match=r"must be <= 2\*\*53 = 9007199254740992, got"):
+        with pytest.raises(ValueError, match=re.escape(
+                "k must lie in [0, 2**53 = 9007199254740992], got 9007199254740993")):
             SweepGrid(kind=AlgorithmKind.LONG, k=2 ** 53 + 1)
 
     @pytest.mark.parametrize("k", [2.5, np.float64(3.0)])
@@ -222,7 +215,7 @@ class TestSweep:
         for lam, row in zip(grid.lambdas().tolist(), sweep_array(grid).tolist()):
             for phase, prob in zip(grid.phases().tolist(), row):
                 s = initial_state(lam)
-                it = iteration_matrix(phase_params_for(grid.kind, phase), s)
+                it = iteration_matrix(unmatched_params(grid.kind, phase), s)
                 assert abs(prob - success_probability(run(it, grid.k, s))) < 1e-14
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
@@ -238,7 +231,7 @@ class TestSweep:
             for lam, row in zip(grid.lambdas().tolist(), probabilities):
                 for phase, prob in zip(grid.phases().tolist(), row):
                     params = (transform_phases(LongParams(phase), kind) if matched
-                              else phase_params_for(kind, phase))
+                              else unmatched_params(kind, phase))
                     s = initial_state(lam)
                     m = iteration_matrix(params, s)
                     assert prob == success_probability(run(m, k, s))

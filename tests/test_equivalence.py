@@ -1,5 +1,6 @@
 """Tests for the phase-transform condition, its predictions, and verification."""
 import math
+import re
 from dataclasses import astuple
 
 import numpy as np
@@ -199,9 +200,11 @@ class TestVerifyPhaseEquivalence:
             assert rep.prob_deviation > 1e-10
             assert not rep.holds
 
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            verify_phase_equivalence(LongParams(1.0), initial_state(0.5), tol=0.0)
+    @pytest.mark.parametrize("tol", [0.0, float("nan")])
+    def test_rejects_nonpositive_tolerance(self, tol):
+        # Every comparison with a nan tol fails, so the reports would all read FAIL.
+        with pytest.raises(ValueError, match=re.escape(f"tol must be positive, got {tol}")):
+            verify_phase_equivalence(LongParams(1.0), initial_state(0.5), tol=tol)
 
     def test_rejects_a_non_integer_k(self):
         with pytest.raises(TypeError):

@@ -1,0 +1,71 @@
+"""Each input rule has one home in the package, and every entry point applies it."""
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import groverlab
+from groverlab.analysis import SweepGrid, closed_form_probability
+from groverlab.cli import main
+from groverlab.model import AlgorithmKind, OriginalParams, make_search_space
+from groverlab.operators import iteration_matrix
+from groverlab.statevector import run_full
+from groverlab.subspace import initial_state, run
+
+S = initial_state(0.25)
+
+LIBRARY = {
+    "run": lambda k: run(iteration_matrix(OriginalParams(), S), k, S),
+    "run_full": lambda k: run_full(make_search_space(2, {0}), OriginalParams(), k),
+    "closed_form_probability": lambda k: closed_form_probability(0.5, k),
+    "SweepGrid": lambda k: SweepGrid(kind=AlgorithmKind.LONG, k=k),
+}
+CLI = {
+    "sweep --k": ["sweep", "--kind", "long", "--lambda=0.1:1:3", "--phase=0:1:3"],
+    "check-equivalence --k": ["check-equivalence", "--phi", "1", "--lambda", "0.25"],
+}
+
+
+@pytest.mark.parametrize("k", [-1, 2.5, 2 ** 53 + 1])
+@pytest.mark.parametrize("entry", [*LIBRARY, *CLI])
+def test_every_entry_point_rejects_a_bad_iteration_count(entry, k, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    if entry in CLI:
+        argv = [*CLI[entry], "--k", str(k)] + ["--out", str(out)] * entry.startswith("sweep")
+        if isinstance(k, float):  # argparse's int() rejects it while parsing
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 1
+            assert "argument --k: invalid int value: '2.5'" in capsys.readouterr().err
+        else:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"groverlab: error: --k must lie in [0, 2**53 = 9007199254740992], got {k}\n")
+        assert not out.exists()
+    elif isinstance(k, float):
+        with pytest.raises(TypeError):
+            LIBRARY[entry](k)
+    else:
+        with pytest.raises(ValueError, match=re.escape(
+                f"k must lie in [0, 2**53 = 9007199254740992], got {k}")):
+            LIBRARY[entry](k)
+
+
+def test_each_input_rule_has_one_home():
+    # The iteration-count bound is read only by check_iterations, next to
+    # which it is defined, and the CLI grows no rule of its own: it names
+    # its flag and calls the package's check.
+    readers = set()
+    for path in sorted(Path(groverlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names.update(alias.asname or alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) for alias in node.names)
+        if "MAX_ITERATIONS" in names:
+            readers.add(path.name)
+        if path.name == "cli.py":
+            helpers = [node.name for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef) and node.name.startswith("_check")]
+            assert helpers == []
+    assert readers == {"model.py"}

@@ -1,6 +1,7 @@
 """Tests for angle wrapping, global-phase alignment and the tests' unitarity reference."""
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -130,9 +131,10 @@ class TestGlobalPhaseAlign:
         with pytest.raises(ValueError):
             global_phase_align(IDENTITY2, np.zeros((2, 2), dtype=complex), 1e-10)
 
-    def test_rejects_nonpositive_tol(self):
-        with pytest.raises(ValueError):
-            global_phase_align(IDENTITY2, IDENTITY2, -1.0)
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_rejects_nonpositive_tol(self, tol):
+        with pytest.raises(ValueError, match=re.escape(f"tol must be positive, got {tol}")):
+            global_phase_align(IDENTITY2, IDENTITY2, tol)
 
 
 def test_max_entry_deviation_accounts_for_phase():

@@ -26,7 +26,6 @@ from groverlab.statevector import (
     project_to_subspace,
     run_full,
     target_probability,
-    uniform_state,
 )
 from groverlab.subspace import initial_state, run, success_probability
 
@@ -36,6 +35,11 @@ from helpers import apply_diffusion, apply_oracle, random_kind, random_params
 def random_state(rng, space):
     raw = rng.normal(size=space.size) + 1j * rng.normal(size=space.size)
     return StateVector(raw / np.linalg.norm(raw), space)
+
+
+def uniform(space):
+    """The uniform state that run_full starts from."""
+    return run_full(space, OriginalParams(), 0)
 
 
 def random_case(rng, n):
@@ -63,7 +67,7 @@ def test_engine_imports_nothing_of_the_package_but_the_model():
 class TestUniformState:
     @pytest.mark.parametrize("n,expected", [(1, math.sqrt(0.5)), (2, 0.5), (3, 0.5 / math.sqrt(2))])
     def test_amplitudes(self, n, expected):
-        state = uniform_state(make_search_space(n, {0}))
+        state = uniform(make_search_space(n, {0}))
         assert state.amplitudes.shape == (2 ** n,)
         assert np.allclose(state.amplitudes, expected, atol=1e-15)
 
@@ -71,7 +75,7 @@ class TestUniformState:
 class TestApplyOracle:
     def test_original_negates_target(self):
         space = make_search_space(2, {3})
-        out = apply_oracle(uniform_state(space), OriginalParams())
+        out = apply_oracle(uniform(space), OriginalParams())
         assert np.allclose(out.amplitudes, [0.5, 0.5, 0.5, -0.5], atol=1e-15)
 
     def test_long_at_pi_matches_original(self):
@@ -92,7 +96,7 @@ class TestApplyOracle:
     @pytest.mark.parametrize("targets", [{1}, [3, 0, 3], range(4)])
     def test_licm_scales_both_sectors(self, targets):
         space = make_search_space(2, targets)
-        out = apply_oracle(uniform_state(space), LiCMParams(0, 0, 0.9, -0.4))
+        out = apply_oracle(uniform(space), LiCMParams(0, 0, 0.9, -0.4))
         for idx in range(4):
             eta = 0.9 if space.marked[idx] else -0.4
             assert out.amplitudes[idx] == pytest.approx(0.5 * -cmath.exp(1j * eta), abs=1e-15)
@@ -101,7 +105,7 @@ class TestApplyOracle:
 class TestApplyDiffusion:
     def test_uniform_state_is_fixed_point_of_original(self):
         space = make_search_space(3, {1})
-        state = uniform_state(space)
+        state = uniform(space)
         out = apply_diffusion(state, OriginalParams())
         assert np.max(np.abs(out.amplitudes - state.amplitudes)) < 1e-15
 
@@ -128,7 +132,7 @@ class TestRunFull:
     def test_zero_iterations_is_uniform(self):
         space = make_search_space(3, {4})
         out = run_full(space, LongParams(1.1), 0)
-        assert np.array_equal(out.amplitudes, uniform_state(space).amplitudes)
+        assert np.array_equal(out.amplitudes, np.full(8, 1 / math.sqrt(8), dtype=complex))
 
     @pytest.mark.parametrize("k", [0, 1, 3, 10])
     def test_full_target_space_always_succeeds(self, k):
@@ -159,7 +163,7 @@ class TestRunFull:
                                     min_size=4, max_size=4), label="phases")
         params = params_from_phases(kind, phases)
         k = data.draw(st.integers(0, 25), label="k")
-        reference = uniform_state(space)
+        reference = uniform(space)
         for _ in range(k):
             reference = apply_diffusion(apply_oracle(reference, params), params)
         amps = run_full(space, params, k).amplitudes
@@ -198,17 +202,17 @@ class TestTargetProbability:
     def test_nan_amplitude_reads_nan(self):
         # The clamp into [0, 1] must not turn nan into 0.
         space = make_search_space(2, {1, 3})
-        amps = uniform_state(space).amplitudes
+        amps = uniform(space).amplitudes
         amps[3] = np.nan
         assert math.isnan(target_probability(StateVector(amps, space)))
 
     def test_uniform_single_target(self):
-        assert target_probability(uniform_state(make_search_space(2, {1}))) == pytest.approx(
+        assert target_probability(uniform(make_search_space(2, {1}))) == pytest.approx(
             0.25, abs=1e-15
         )
 
     def test_uniform_two_of_eight(self):
-        assert target_probability(uniform_state(make_search_space(3, {1, 2}))) == pytest.approx(
+        assert target_probability(uniform(make_search_space(3, {1, 2}))) == pytest.approx(
             0.25, abs=1e-15
         )
 
@@ -217,7 +221,7 @@ class TestProjectToSubspace:
     def test_uniform_state_projects_to_initial_pair(self):
         space = make_search_space(4, {3, 9, 10})
         s = initial_state(space.num_targets / space.size)
-        state, residual = project_to_subspace(uniform_state(space))
+        state, residual = project_to_subspace(uniform(space))
         assert state[0] == pytest.approx(s[0], abs=1e-12)
         assert state[1] == pytest.approx(s[1], abs=1e-12)
         assert residual < 1e-12
