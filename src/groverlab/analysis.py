@@ -10,9 +10,9 @@ import numpy as np
 
 from .linalg import TAU
 from .model import AlgorithmKind, LongParams, check_iterations, params_from_phases
-from .operators import iteration_matrices, operator_coefficients
+from .operators import check_unitary, iteration_planes, operator_coefficients
 from .equivalence import transform_phases
-from .subspace import check_proportion, initial_state, run, success_probability
+from .subspace import _power, check_proportion, initial_state, success_probability
 
 
 def closed_form_probability(lambda_: float, k: int) -> float:
@@ -73,11 +73,11 @@ class SweepGrid:
 
 
 # A sweep runs in blocks of whole lambda rows of at most this many cells (one
-# row if a row is longer).  A block's matrix stack takes at most 128 KiB and
-# each per-cell temporary 32 KiB, reused from the allocator's heap; one
-# 201x201 stack (2.6 MB) and its temporaries would be mapped and unmapped
-# again, page fault by page fault, on every sweep.  Cells do not depend on
-# the block they are in.
+# row if a row is longer).  A block's four entry planes take at most 128 KiB
+# and each per-cell temporary 32 KiB, reused from the allocator's heap; planes
+# for a whole 201x201 sweep (2.6 MB) and their temporaries would be mapped and
+# unmapped again, page fault by page fault, on every sweep.  Cells do not
+# depend on the block they are in.
 _BLOCK_CELLS = 2048
 
 
@@ -87,21 +87,25 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarr
     With matched_from_long the scalar phase axis is read as the long oracle
     phase and mapped to the grid's kind through the transform condition, so
     matched sweeps of different kinds tabulate the same field.  The original
-    kind ignores the phase axis entirely.  Every check runs on the first block:
-    all blocks share one coefficient table, and SweepGrid bounds the lambdas.
+    kind ignores the phase axis entirely.  One bundle holds the whole phase
+    axis; its table and every start vector are checked before the first row.
     """
+    phases = grid.phases()
     if matched_from_long and grid.kind is not AlgorithmKind.ORIGINAL:
-        params = [transform_phases(LongParams(float(p)), grid.kind) for p in grid.phases()]
+        params = transform_phases(LongParams(phases), grid.kind)
     else:
         # The phase in every field of the kind, but licm pins gamma2 = eta2 = 0.
         # LongParams(phase, phase) has the coefficients of LongParams(phase).
-        licm = grid.kind is AlgorithmKind.LI_CM
-        params = [params_from_phases(grid.kind, (p, 0.0 if licm else p, p, 0.0 if licm else p))
-                  for p in grid.phases().tolist()]
-    coefficients = np.array([operator_coefficients(p) for p in params]).T
-    lambdas = grid.lambdas()
+        pin = 0.0 if grid.kind is AlgorithmKind.LI_CM else phases
+        params = params_from_phases(grid.kind, (phases, pin, phases, pin))
+    coefficients = np.broadcast_arrays(*operator_coefficients(params))  # one shape for all four
+    starts = np.fromiter(map(initial_state, grid.lambdas().tolist()), np.dtype((float, 2)),
+                         grid.lambda_steps)
+    check_unitary(grid.kind, coefficients, starts)
     rows = max(1, _BLOCK_CELLS // grid.phase_steps)
     for i in range(0, grid.lambda_steps, rows):
-        block = np.array([initial_state(lam) for lam in lambdas[i:i + rows].tolist()])[:, None, :]
-        mats = iteration_matrices(grid.kind, coefficients, block)
-        yield from success_probability(run(mats, grid.k, block))
+        s = starts[i:i + rows]
+        # Contiguous (rows, phase_steps) planes; the original kind's entries stay (rows, 1).
+        v0, v1 = np.broadcast_to(s.T[..., None], (2, len(s), grid.phase_steps)).astype(complex)
+        _power(*iteration_planes(coefficients, s[:, None]), grid.k, v0, v1)
+        yield from success_probability(v0[..., None])

@@ -159,20 +159,10 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     check_iterations("--k", args.k)
-    lam_min, lam_max, lam_steps = args.lam
-    for endpoint in (lam_min, lam_max):
+    for endpoint in args.lam[:2]:
         check_proportion("--lambda", endpoint)
-    phase_min, phase_max, phase_steps = args.phase
-    grid = SweepGrid(
-        kind=AlgorithmKind(args.kind),
-        k=args.k,
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        lambda_steps=lam_steps,
-        phase_min=phase_min,
-        phase_max=phase_max,
-        phase_steps=phase_steps,
-    )
+    # Each axis is (min, max, steps), the order of SweepGrid's fields.
+    grid = SweepGrid(AlgorithmKind(args.kind), args.k, *args.lam, *args.phase)
     return _write_sweep(args.out, "phase", grid, args.matched)
 
 

@@ -41,7 +41,7 @@ _CONDITION_TOL = 1e-9
 
 
 def _long_phi(params: LongParams) -> float:
-    if params.diffusion_phase != params.phi:
+    if params.diffusion_phi is not None and np.any(params.diffusion_phi != params.phi):
         raise ValueError(
             "the transform condition covers only the single-phase long "
             "iteration (diffusion phase equal to phi)"
@@ -87,21 +87,15 @@ def _chain_entry(kind: AlgorithmKind) -> _ChainEntry:
     return _CHAIN[kind]
 
 
-def _common_phase(params: PhaseParams) -> float:
-    """The chain value phi carried by a variant's parameter bundle."""
-    return _chain_entry(params.kind).phi(params)
-
-
 def transform_phases(params: PhaseParams, to_kind: AlgorithmKind) -> PhaseParams:
     """Map a variant's parameters to another variant along the condition chain."""
-    phi = _common_phase(params)
-    return _chain_entry(to_kind).at(phi)
+    return _chain_entry(to_kind).at(_chain_entry(params.kind).phi(params))
 
 
 def predicted_global_phase(params_a: PhaseParams, params_b: PhaseParams) -> float:
     """Angle chi with G_a = e^{i chi} * G_b, given parameters on the chain."""
-    phi_a = _common_phase(params_a)
-    phi_b = _common_phase(params_b)
+    phi_a = _chain_entry(params_a.kind).phi(params_a)
+    phi_b = _chain_entry(params_b.kind).phi(params_b)
     if angle_distance(phi_a, phi_b) > _CONDITION_TOL:
         raise ValueError(
             f"parameters do not satisfy the phase-transform condition: "

@@ -3,12 +3,13 @@
 A database of N = 2**n items with M marked targets has the target
 proportion M/N, from which subspace.initial_state builds the start vector.
 Each algorithm variant carries its own phase parameter bundle; the bundles
-are frozen dataclasses tagged with the AlgorithmKind they drive.  Both
-engines take their iteration count through check_iterations.
+are frozen dataclasses tagged with the AlgorithmKind they drive.  Their
+phases may also be float arrays that broadcast together, one bundle for a
+whole phase axis.  Both engines take their iteration count through
+check_iterations.
 """
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass, fields
 from enum import Enum, unique
@@ -85,7 +86,7 @@ def check_iterations(name: str, k: int) -> int:
 
 def _require_finite(**angles: float) -> None:
     for name, value in angles.items():
-        if not math.isfinite(value):
+        if np.iscomplexobj(value) or not np.isfinite(value).all():  # a float or a float array
             raise ValueError(f"{name} must be a finite angle, got {value}")
 
 

@@ -17,9 +17,6 @@ Phases are accepted on all of R; nothing is normalized mod 2*pi here.
 """
 from __future__ import annotations
 
-import cmath
-import math
-
 import numpy as np
 
 from .model import AlgorithmKind, PhaseParams
@@ -27,37 +24,35 @@ from .model import AlgorithmKind, PhaseParams
 UNITARITY_TOL = 1e-10
 
 
-def operator_coefficients(params: PhaseParams) -> tuple[complex, complex, complex, complex]:
-    """One row of the table above, for the bundle's own kind: (target, rest, c, d)."""
+def operator_coefficients(params: PhaseParams) -> tuple:
+    """The bundle's row (target, rest, c, d) of the table above; phase arrays give array entries."""
     if params.kind is AlgorithmKind.ORIGINAL:
         return -1.0 + 0j, 1.0 + 0j, 2.0 + 0j, -1.0 + 0j
     if params.kind is AlgorithmKind.LONG:
-        ed = cmath.exp(1j * params.diffusion_phase)
-        return cmath.exp(1j * params.oracle_phase), 1.0 + 0j, 1.0 - ed, -1.0 + 0j
+        ed = np.exp(1j * params.diffusion_phase)
+        return np.exp(1j * params.oracle_phase), 1.0 + 0j, 1.0 - ed, -1.0 + 0j
     if params.kind is AlgorithmKind.LI_DF:
-        w = 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
+        w = 2.0 * np.cos(params.tau) * np.exp(1j * params.tau)
         return 1.0 - w, 1.0 + 0j, w, -1.0 + 0j
     if params.kind is AlgorithmKind.LI_CM:
-        eg1, eg2 = cmath.exp(1j * params.gamma1), cmath.exp(1j * params.gamma2)
-        return -cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2), eg1 - eg2, eg2
-    e = cmath.exp(1j * params.beta)
-    return cmath.exp(-1j * params.beta), 1.0 + 0j, 1.0 - e, e
+        eg1, eg2 = np.exp(1j * params.gamma1), np.exp(1j * params.gamma2)
+        return -np.exp(1j * params.eta1), -np.exp(1j * params.eta2), eg1 - eg2, eg2
+    e = np.exp(1j * params.beta)
+    return np.exp(-1j * params.beta), 1.0 + 0j, 1.0 - e, e
 
 
-def iteration_matrices(kind: AlgorithmKind, coefficients, s: np.ndarray) -> np.ndarray:
-    """(c * |s><s| + d * I) @ diag(target, rest) with |s> = s, an initial_state.
+def check_unitary(kind: AlgorithmKind, coefficients, s: np.ndarray) -> None:
+    """Reject table rows or start vectors whose iterations would not be unitary.
 
-    coefficients is (target, rest, c, d): four scalars or a (4, ...) array.
-    s is one (2,) vector or a (..., 2) stack; the coefficients' shape and
-    s.shape[:-1] broadcast to one (..., 2, 2) stack.  Unitarity is checked on
-    the coefficients and on s, not on the stack: s must be real with |s|^2
-    within UNITARITY_TOL of 1, so the diffusion is normal with eigenvalues d
-    and c + d (to |c| * UNITARITY_TOL), and the oracle is diagonal.  With e_o and e_d the worst ||x|^2 - 1| over (target, rest) and
-    over (d, c + d), every matrix's m @ m^dagger lies within
-    (1 + e_o) * (1 + e_d) - 1 of the identity in spectral norm, which bounds
-    every entry.
+    coefficients is (target, rest, c, d), four entries of one shape.
+    Unitarity is checked on the coefficients and on s, never on a matrix.  s
+    must be real with |s|^2 within UNITARITY_TOL of 1, so the diffusion is
+    normal with eigenvalues d and c + d (to |c| * UNITARITY_TOL), and the
+    oracle is diagonal.  With e_o and e_d the worst ||x|^2 - 1| over
+    (target, rest) and over (d, c + d), every iteration's m @ m^dagger lies
+    within (1 + e_o) * (1 + e_d) - 1 of the identity in spectral norm, which
+    bounds every entry.
     """
-    coefficients = np.asarray(coefficients, dtype=complex)
     target, rest, c, d = coefficients
     moduli = np.abs(np.stack([target, rest, d, c + d])) ** 2 - 1.0
     e_o, e_d = np.abs(moduli[:2]).max(), np.abs(moduli[2:]).max()
@@ -67,12 +62,29 @@ def iteration_matrices(kind: AlgorithmKind, coefficients, s: np.ndarray) -> np.n
         )
     if np.iscomplexobj(s) or not np.abs(np.square(s).sum(axis=-1) - 1.0).max() <= UNITARITY_TOL:
         raise ValueError(f"s must be a real unit vector, |s|^2 within {UNITARITY_TOL} of 1")
-    target, rest, c, d = coefficients[..., None, None]
-    m = c * (s[..., :, None] * s[..., None, :]) + d * np.eye(2)
-    # The diagonal oracle scales the columns; numpy's complex products keep
-    # every entry equal to the full 2x2 matmul to the last bit.
-    m *= np.concatenate([target, rest], axis=-1)
-    return m
+
+
+def iteration_planes(coefficients, s: np.ndarray) -> tuple:
+    """Entries (m00, m01, m10, m11) of (c |s><s| + d I) diag(target, rest), broadcast together."""
+    target, rest, c, d = coefficients
+    s0, s1 = s[..., 0], s[..., 1]
+    off = c * (s0 * s1)  # the shared off-diagonal of the diffusion
+    return (c * (s0 * s0) + d) * target, off * rest, off * target, (c * (s1 * s1) + d) * rest
+
+
+def iteration_matrices(kind: AlgorithmKind, coefficients, s: np.ndarray) -> np.ndarray:
+    """The iteration_planes, checked by check_unitary, as one (..., 2, 2) stack.
+
+    coefficients is (target, rest, c, d): four scalars or a (4, ...) array.  s
+    is one (2,) vector or a (..., 2) stack of them; the coefficients' shape
+    and s.shape[:-1] broadcast to the stack's leading axes.
+    """
+    # Arrays, even 0-d: numpy rounds a product of complex scalars differently
+    # from its array loops, which a sweep's planes go through.
+    coefficients = [np.asarray(x, dtype=complex) for x in coefficients]
+    check_unitary(kind, coefficients, s)
+    m = np.stack(iteration_planes(coefficients, s), axis=-1)
+    return m.reshape(m.shape[:-1] + (2, 2))
 
 
 def iteration_matrix(params: PhaseParams, s: np.ndarray) -> np.ndarray:

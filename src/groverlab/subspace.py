@@ -50,9 +50,15 @@ def run(m: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
     v = np.broadcast_to(start, m.shape[:-1]).astype(complex, order="C")
     # (..., 1) slices keep one matrix and a stack on the same array loops, so
     # every matrix of a stack gets the bits of its own single run.
-    m00, m01 = m[..., 0, :1], m[..., 0, 1:]
-    m10, m11 = m[..., 1, :1], m[..., 1, 1:]
-    v0, v1 = v[..., :1], v[..., 1:]
+    _power(m[..., 0, :1], m[..., 0, 1:], m[..., 1, :1], m[..., 1, 1:], k, v[..., :1], v[..., 1:])
+    return v
+
+
+def _power(m00, m01, m10, m11, k: int, v0: np.ndarray, v1: np.ndarray) -> None:
+    """Overwrite (v0, v1) with m^k (v0, v1), m = [[m00, m01], [m10, m11]], by run's closed form.
+
+    Each element is one cell; the entries broadcast to v0's shape.  The caller has checked k.
+    """
     phase = m00 * m11
     phase -= m01 * m10
     np.sqrt(phase, out=phase)
@@ -78,20 +84,13 @@ def run(m: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
     t_coef /= phase
     i_coef *= cos_kw
     del kw, cos_kw, phase
-    # T v, built in place so that few (..., 1) temporaries are live at once.
-    out = np.empty_like(v)
-    out0, out1 = out[..., :1], out[..., 1:]
-    np.multiply(m01, v1, out=out1)
-    np.multiply(half_gap, v0, out=out0)
-    out0 += out1
-    half_gap *= v1
-    np.multiply(m10, v0, out=out1)
-    out1 -= half_gap
-    del half_gap
-    out *= t_coef
-    v *= i_coef
-    out += v
-    return out
+    # m^k v = i_coef * v + t_coef * T v.  No product of two complex arrays is
+    # taken in place: numpy rounds that product differently on one-element
+    # arrays, so a single run would differ from the same cell in a stack.
+    tv0 = half_gap * v0 + m01 * v1
+    tv1 = m10 * v0 - half_gap * v1
+    np.add(v0 * i_coef, tv0 * t_coef, out=v0)
+    np.add(v1 * i_coef, tv1 * t_coef, out=v1)
 
 
 def success_probability(v: np.ndarray):

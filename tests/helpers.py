@@ -87,23 +87,35 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(np.max(np.abs(gram)) <= tol)
 
 
+def cmath_row(params):
+    """The operator table row (target, rest, c, d), written out with cmath for one scalar bundle.
+
+    The reference for operators.operator_coefficients and for run_full's
+    oracle and diffusion.
+    """
+    if params.kind is AlgorithmKind.ORIGINAL:
+        return -1.0 + 0j, 1.0 + 0j, 2.0 + 0j, -1.0 + 0j
+    if params.kind is AlgorithmKind.LONG:
+        return (cmath.exp(1j * params.oracle_phase), 1.0 + 0j,
+                1.0 - cmath.exp(1j * params.diffusion_phase), -1.0 + 0j)
+    if params.kind is AlgorithmKind.LI_DF:
+        w = 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
+        return 1.0 - w, 1.0 + 0j, w, -1.0 + 0j
+    if params.kind is AlgorithmKind.LI_CM:
+        eg2 = cmath.exp(1j * params.gamma2)
+        return (-cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2),
+                cmath.exp(1j * params.gamma1) - eg2, eg2)
+    e = cmath.exp(1j * params.beta)
+    return cmath.exp(-1j * params.beta), 1.0 + 0j, 1.0 - e, e
+
+
 def apply_oracle(v, params):
     """Multiply marked amplitudes by the target eigenvalue of the bundle's kind.
 
     Only licm also rescales the unmarked amplitudes (by -e^{i eta2}).  One
     step at a time, by gather and scatter: the reference for run_full.
     """
-    rest = 1.0
-    if params.kind is AlgorithmKind.ORIGINAL:
-        target = -1.0
-    elif params.kind is AlgorithmKind.LONG:
-        target = cmath.exp(1j * params.oracle_phase)
-    elif params.kind is AlgorithmKind.LI_DF:
-        target = 1.0 - 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
-    elif params.kind is AlgorithmKind.LI_CM:
-        target, rest = -cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2)
-    else:
-        target = cmath.exp(-1j * params.beta)
+    target, rest, _, _ = cmath_row(params)
     amps = v.amplitudes.copy()
     amps[v.space.marked] *= target
     if rest != 1:
@@ -113,19 +125,7 @@ def apply_oracle(v, params):
 
 def apply_diffusion(v, params):
     """v -> c * <s|v> * |s> + d * v with the coefficients (c, d) of the bundle's kind."""
-    if params.kind is AlgorithmKind.ORIGINAL:
-        c, d = 2.0 + 0j, -1.0 + 0j
-    elif params.kind is AlgorithmKind.LONG:
-        c, d = 1.0 - cmath.exp(1j * params.diffusion_phase), -1.0 + 0j
-    elif params.kind is AlgorithmKind.LI_DF:
-        c = 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
-        d = -1.0 + 0j
-    elif params.kind is AlgorithmKind.LI_CM:
-        c = cmath.exp(1j * params.gamma1) - cmath.exp(1j * params.gamma2)
-        d = cmath.exp(1j * params.gamma2)
-    else:
-        c = 1.0 - cmath.exp(1j * params.beta)
-        d = cmath.exp(1j * params.beta)
+    _, _, c, d = cmath_row(params)
     # c * <s|v> * |s> has the constant value c * sum(v) / N on every index.
     uniform_part = c * v.amplitudes.sum() / v.space.size
     return StateVector(d * v.amplitudes + uniform_part, v.space)

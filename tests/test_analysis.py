@@ -236,6 +236,26 @@ class TestSweep:
                     m = iteration_matrix(params, s)
                     assert prob == success_probability(run(m, k, s))
 
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    @pytest.mark.parametrize("matched", [False, True])
+    @pytest.mark.parametrize("lam", [1e-14, 0.25, 1.0])
+    def test_corner_cells_equal_their_scalar_runs_exactly(self, kind, matched, lam):
+        # The phase axis lands on 0, pi/2, pi, 3pi/2 and 2pi: lidf tau = pi/2,
+        # lipc beta = +-pi, long at 0 and pi (m = +-I up to a phase), and licm
+        # at all-zero phases.
+        matched = matched and kind is not AlgorithmKind.ORIGINAL
+        for k in (0, 1, 3, 17, 2 ** 53):
+            grid = SweepGrid(kind=kind, k=k, lambda_min=lam, lambda_max=lam, lambda_steps=1,
+                             phase_min=0.0, phase_max=2 * math.pi, phase_steps=5)
+            phases = grid.phases().tolist()
+            assert phases == [0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi]
+            (row,) = sweep_array(grid, matched_from_long=matched).tolist()
+            for phase, prob in zip(phases, row):
+                params = (transform_phases(LongParams(phase), kind) if matched
+                          else unmatched_params(kind, phase))
+                s = initial_state(lam)
+                assert prob == success_probability(run(iteration_matrix(params, s), k, s))
+
     def test_original_kind_ignores_phase_axis(self):
         grid = SweepGrid(
             kind=AlgorithmKind.ORIGINAL, k=1,

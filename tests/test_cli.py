@@ -173,7 +173,7 @@ class TestSweepCommand:
 
         out = tmp_path / "x.csv"
         out.write_bytes(b"known bytes\n")
-        monkeypatch.setattr(analysis, "iteration_matrices", reject)
+        monkeypatch.setattr(analysis, "check_unitary", reject)
         assert main(["sweep", "--kind", "lipc", "--k", "5", "--lambda=0.1:1:30",
                      "--phase=0:1:100", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "groverlab: error: rejected\n"

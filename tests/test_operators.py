@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groverlab.equivalence import transform_phases
 from groverlab.linalg import global_phase_align
 from groverlab.model import (
     AlgorithmKind,
@@ -26,7 +27,8 @@ from groverlab.operators import (
 
 from groverlab.subspace import initial_state
 
-from helpers import KINDS, is_unitary, long_iteration_closed_form, random_kind, random_params
+from helpers import (KINDS, cmath_row, is_unitary, long_iteration_closed_form, random_kind,
+                     random_params, unmatched_params)
 
 
 def oracle(params):
@@ -61,6 +63,53 @@ class TestOracleCoefficients:
         target, rest, _, _ = operator_coefficients(LiCMParams(0, 0, 0.9, -0.4))
         assert target == pytest.approx(-cmath.exp(0.9j), abs=1e-15)
         assert rest == pytest.approx(-cmath.exp(-0.4j), abs=1e-15)
+
+
+def bits(entries):
+    """The table entries as bytes, so that a comparison also sees the sign of a zero."""
+    return [np.asarray(x, dtype=complex).tobytes() for x in entries]
+
+
+# The quarter turns, and phases up to +-1e9 whose reduction mod 2*pi is inexact.
+TABLE_PHASES = np.concatenate([
+    [0.0, -0.0, math.pi / 2, math.pi, 3 * math.pi / 2, 2 * math.pi, -math.pi / 2, -math.pi],
+    np.random.default_rng(12).uniform(-7.0, 7.0, 200),
+    np.random.default_rng(13).uniform(-1e9, 1e9, 200), [1e9, -1e9, 5e-324],
+])
+
+
+class TestArrayTable:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("matched", [False, True])
+    def test_one_array_call_equals_the_per_phase_calls_bit_for_bit(self, kind, matched):
+        matched = matched and kind is not AlgorithmKind.ORIGINAL
+        if matched:
+            array_params = transform_phases(LongParams(TABLE_PHASES), kind)
+            scalar_params = [transform_phases(LongParams(p), kind) for p in TABLE_PHASES.tolist()]
+        else:
+            pin = 0.0 if kind is AlgorithmKind.LI_CM else TABLE_PHASES
+            array_params = params_from_phases(kind, (TABLE_PHASES, pin, TABLE_PHASES, pin))
+            scalar_params = [unmatched_params(kind, p) for p in TABLE_PHASES.tolist()]
+        table = operator_coefficients(array_params)
+        rows = [operator_coefficients(p) for p in scalar_params]
+        for entry, column in zip(table, zip(*rows)):
+            assert np.ndim(entry) == 0 or entry.shape == TABLE_PHASES.shape
+            assert bits(np.broadcast_to(entry, TABLE_PHASES.shape)) == bits(column)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scalar_rows_equal_the_cmath_expressions(self, kind):
+        for phases in zip(*[np.roll(TABLE_PHASES, shift).tolist() for shift in range(4)]):
+            params = params_from_phases(kind, phases)
+            assert bits(operator_coefficients(params)) == bits(cmath_row(params))
+
+    def test_a_non_finite_or_complex_phase_is_rejected(self):
+        with pytest.raises(ValueError, match="beta must be a finite angle"):
+            LiPCParams(np.array([0.0, math.nan]))
+        for phi in (1j, np.array([0.5, 1j])):
+            with pytest.raises(ValueError, match="phi must be a finite angle"):
+                LongParams(phi)
+        with pytest.raises(ValueError, match="single-phase long"):
+            transform_phases(LongParams(np.zeros(3), np.array([0.0, 1.0, 0.0])), AlgorithmKind.LI_PC)
 
 
 class TestDiffusionCoefficients:

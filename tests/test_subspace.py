@@ -204,6 +204,16 @@ class TestClosedFormPower:
         for state, (m, start) in zip(states, cases):
             assert np.array_equal(state, run(m, k, start))
 
+    def test_complex_starts_give_a_stack_the_bits_of_single_runs(self):
+        rng = np.random.default_rng(21)
+        mats = np.stack([iteration_matrix(random_params(rng, random_kind(rng)),
+                                          initial_state(float(lam)))
+                         for lam in rng.uniform(1e-6, 1.0, 200)])
+        starts = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
+        for k in (1, 7, 2 ** 40):
+            for state, m, start in zip(run(mats, k, starts), mats, starts):
+                assert np.array_equal(state, run(m, k, start))
+
     @pytest.mark.parametrize("dtype", [float, complex])  # a complex start needs no cast
     @pytest.mark.parametrize("k", [0, 1, 9])
     def test_neither_mutates_nor_aliases_start(self, k, dtype):
