@@ -26,7 +26,7 @@ from .equivalence import TRANSFORMABLE_KINDS, verify_phase_equivalence
 from .linalg import check_tolerance, wrap_angle
 from .model import (AlgorithmKind, LongParams, check_iterations, make_search_space,
                     params_from_phases)
-from .operators import iteration_matrix
+from .operators import iteration_matrices, operator_coefficients
 from .statevector import project_to_subspace, run_full, target_probability
 from .subspace import check_proportion, initial_state, run, success_probability
 
@@ -188,13 +188,43 @@ def cmd_check_equivalence(args: argparse.Namespace) -> int:
 
 
 def _random_case(rng: np.random.Generator, n: int):
+    """A crosscheck sample: space, kind, four phases (the bundle takes the leading ones), k."""
     size = 2 ** n
     num_targets = int(rng.integers(1, size + 1))
     targets = rng.choice(size, size=num_targets, replace=False)
     kind = list(AlgorithmKind)[int(rng.integers(0, len(AlgorithmKind)))]
-    params = params_from_phases(kind, rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=4))
+    phases = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=4)
     k = int(rng.integers(0, 26))
-    return make_search_space(n, targets), params, k
+    return make_search_space(n, targets), kind, phases, k
+
+
+# crosscheck runs its 2x2 side on stacks over blocks of at most this many
+# samples.  A block's records take 72 bytes a sample, so memory does not grow
+# with --samples.
+_BLOCK_SAMPLES = 2048
+
+
+def _subspace_probabilities(kinds, phases, lambdas, ks) -> np.ndarray:
+    """Each sample's success probability on the 2x2 engine, from stacked passes.
+
+    kinds, lambdas and ks hold one entry per sample and phases one column of
+    four.  The matrices are built once per kind and run once per k; every
+    cell of a stack gets the bits of its own single run.
+    """
+    starts = np.array([initial_state(lam) for lam in lambdas.tolist()])
+    mats = np.empty((len(kinds), 2, 2), complex)
+    for kind in AlgorithmKind:
+        rows = kinds == kind
+        if rows.any():
+            coefficients = operator_coefficients(params_from_phases(kind, phases[:, rows]))
+            mats[rows] = iteration_matrices(kind, np.broadcast_arrays(*coefficients), starts[rows])
+    probabilities = np.empty(len(kinds))
+    # One int k per run call: the benchmark's tracer (perfbench/layers.py) adds up
+    # run's k as a number.
+    for k in np.unique(ks).tolist():
+        rows = ks == k
+        probabilities[rows] = success_probability(run(mats[rows], k, starts[rows]))
+    return probabilities
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
@@ -211,17 +241,22 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     if args.samples == 0:
         print("0 cases checked; nothing to compare")
         return EXIT_OK
-    deviations, residuals = [], []
-    for _ in range(args.samples):
-        space, params, k = _random_case(rng, args.n)
-        full = run_full(space, params, k)
-        s = initial_state(space.num_targets / space.size)
-        sub = run(iteration_matrix(params, s), k, s)
-        deviations.append(abs(target_probability(full) - success_probability(sub)))
-        residuals.append(project_to_subspace(full)[1])
-        del full  # else it stays live beside the next sample's run_full buffers
-    # np.max, unlike max, keeps a nan sample: it prints as nan and fails the run.
-    max_prob_dev, max_residual = float(np.max(deviations)), float(np.max(residuals))
+    maxima = np.full(2, -np.inf)  # worst probability deviation and subspace residual so far
+    for first in range(0, args.samples, _BLOCK_SAMPLES):
+        size = min(_BLOCK_SAMPLES, args.samples - first)
+        kinds, phases, ks = np.empty(size, object), np.empty((4, size)), np.empty(size, int)
+        lambdas, p_full, residuals = np.empty(size), np.empty(size), np.empty(size)
+        for j in range(size):
+            space, kinds[j], phases[:, j], ks[j] = _random_case(rng, args.n)
+            full = run_full(space, params_from_phases(kinds[j], phases[:, j]), ks[j])
+            lambdas[j] = space.num_targets / space.size
+            p_full[j] = target_probability(full)
+            residuals[j] = project_to_subspace(full)[1]
+            del full  # else it stays live beside the next sample's run_full buffers
+        deviations = np.abs(p_full - _subspace_probabilities(kinds, phases, lambdas, ks))
+        # np.maximum, unlike max, keeps a nan sample: it prints as nan and fails the run.
+        maxima = np.maximum(maxima, [deviations.max(), residuals.max()])
+    max_prob_dev, max_residual = maxima.tolist()
     print(f"max probability deviation: {max_prob_dev:.3e}")
     print(f"max subspace residual: {max_residual:.3e}")
     ok = max_prob_dev < args.tol and math.isfinite(max_residual)

@@ -50,7 +50,8 @@ def _long_phi(params: LongParams) -> float:
 
 
 def _licm_phi(params: LiCMParams) -> float:
-    if angle_distance(params.gamma1 - params.gamma2, params.eta1 - params.eta2) > _CONDITION_TOL:
+    gap = angle_distance(params.gamma1 - params.gamma2, params.eta1 - params.eta2)
+    if not np.all(gap <= _CONDITION_TOL):  # every element of an array bundle
         raise ValueError(
             "licm parameters must satisfy gamma1 - gamma2 = eta1 - eta2 "
             "to sit on the transform chain"

@@ -28,8 +28,15 @@ def wrap_angle(angle: float) -> float:
     return a + 0.0  # normalizes -0.0
 
 
-def angle_distance(a: float, b: float) -> float:
-    """Distance between two angles mod 2*pi."""
+def angle_distance(a, b):
+    """Distance between two angles mod 2*pi, in [0, pi]; a or b may be a float array.
+
+    An array gets the scalar bits: fmod is exact, as math.remainder is, and
+    TAU - d is exact for d in (pi, TAU).
+    """
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        d = np.abs(np.fmod(np.subtract(a, b), TAU))
+        return np.where(d > math.pi, TAU - d, d)
     return abs(wrap_angle(a - b))
 
 

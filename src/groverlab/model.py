@@ -10,6 +10,7 @@ check_iterations.
 """
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields
 from enum import Enum, unique
@@ -76,8 +77,18 @@ def make_search_space(n: int, targets: Iterable[int]) -> SearchSpace:
 MAX_ITERATIONS = 2 ** 53
 
 
-def check_iterations(name: str, k: int) -> int:
-    """k as an int in [0, MAX_ITERATIONS], or an error naming it; a float k is a TypeError."""
+def check_iterations(name: str, k: int | np.ndarray) -> int | np.ndarray:
+    """k as an int in [0, MAX_ITERATIONS], or an error naming it; a float k is a TypeError.
+
+    k may also be an integer array, every entry of which must lie in that
+    range: its least and greatest entries go through the same rule.
+    """
+    if isinstance(k, np.ndarray):
+        if k.dtype.kind not in "iu":
+            raise TypeError(f"{name} must be an integer array, got dtype {k.dtype}")
+        for extreme in (k.min(), k.max()) if k.size else ():
+            check_iterations(name, int(extreme))
+        return k
     k = operator.index(k)
     if not 0 <= k <= MAX_ITERATIONS:
         raise ValueError(f"{name} must lie in [0, 2**53 = {MAX_ITERATIONS}], got {k}")
@@ -86,7 +97,12 @@ def check_iterations(name: str, k: int) -> int:
 
 def _require_finite(**angles: float) -> None:
     for name, value in angles.items():
-        if np.iscomplexobj(value) or not np.isfinite(value).all():  # a float or a float array
+        # math.isfinite takes a float (np.float64 included) ~10x faster than numpy's checks.
+        if isinstance(value, float):
+            finite = math.isfinite(value)
+        else:  # a float array; a complex value is rejected
+            finite = not np.iscomplexobj(value) and np.isfinite(value).all()
+        if not finite:
             raise ValueError(f"{name} must be a finite angle, got {value}")
 
 

@@ -5,9 +5,10 @@ import math
 import numpy as np
 
 from groverlab.analysis import sweep
+from groverlab.cli import _random_case
 from groverlab.model import AlgorithmKind, LongParams, params_from_phases
-from groverlab.operators import iteration_matrices, operator_coefficients
-from groverlab.statevector import StateVector
+from groverlab.operators import iteration_matrices, iteration_matrix, operator_coefficients
+from groverlab.statevector import StateVector, project_to_subspace, run_full, target_probability
 from groverlab.subspace import initial_state, run, success_probability
 
 KINDS = list(AlgorithmKind)
@@ -129,3 +130,28 @@ def apply_diffusion(v, params):
     # c * <s|v> * |s> has the constant value c * sum(v) / N on every index.
     uniform_part = c * v.amplitudes.sum() / v.space.size
     return StateVector(d * v.amplitudes + uniform_part, v.space)
+
+
+def crosscheck_reference(n, seed, samples, tol=1e-10):
+    """crosscheck's stdout lines and exit code by the per-sample path, and the (kind, k) drawn.
+
+    The same _random_case draws as the command, for samples >= 1, but every
+    sample's 2x2 side is its own run(iteration_matrix(params, s), k, s).
+    """
+    rng = np.random.default_rng(seed)
+    deviations, residuals, drawn = [], [], []
+    for _ in range(samples):
+        space, kind, phases, k = _random_case(rng, n)
+        params = params_from_phases(kind, phases)
+        full = run_full(space, params, k)
+        s = initial_state(space.num_targets / space.size)
+        sub = run(iteration_matrix(params, s), k, s)
+        deviations.append(abs(target_probability(full) - success_probability(sub)))
+        residuals.append(project_to_subspace(full)[1])
+        drawn.append((kind, k))
+    max_prob_dev, max_residual = float(np.max(deviations)), float(np.max(residuals))
+    lines = [f"rng=PCG64 seed={seed} n={n} samples={samples}",
+             f"max probability deviation: {max_prob_dev:.3e}",
+             f"max subspace residual: {max_residual:.3e}"]
+    ok = max_prob_dev < tol and math.isfinite(max_residual)
+    return lines, 0 if ok else 2, drawn

@@ -18,7 +18,7 @@ from groverlab.cli import main
 from groverlab.model import AlgorithmKind
 from groverlab.statevector import run_full
 
-from helpers import sweep_array
+from helpers import crosscheck_reference, sweep_array
 
 
 # The child interpreter imports the same package as this test process.
@@ -279,6 +279,52 @@ class TestCrosscheckCommand:
         deviation, residual = capsys.readouterr().out.splitlines()[1:]
         assert float(deviation.rsplit(" ", 1)[1]) < 1e-10
         assert residual == "max subspace residual: nan"
+
+
+class TestCrosscheckBlocks:
+    # Between them these seeds draw every kind and k = 0 (checked below).
+    SEEDS = (3, 5)
+
+    @pytest.mark.parametrize("n", [1, 4, 8])
+    def test_output_equals_the_per_sample_path(self, monkeypatch, capsys, n):
+        # With blocks of 3, 1, 4 and 7 samples end in a partial block, one
+        # full block and a partial one, and two full blocks and a partial one.
+        monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 3)
+        drawn = []
+        for seed in self.SEEDS:
+            for samples in (1, 7, cli._BLOCK_SAMPLES + 1):
+                lines, code, cases = crosscheck_reference(n, seed, samples)
+                argv = ["crosscheck", "--n", str(n), "--seed", str(seed), "--samples", str(samples)]
+                assert main(argv) == code
+                assert capsys.readouterr().out.splitlines() == lines
+                drawn += cases
+        assert {kind for kind, _ in drawn} == set(AlgorithmKind)
+        assert 0 in {k for _, k in drawn}
+
+    def test_a_full_block_equals_the_per_sample_path(self, capsys):
+        # 2049 samples: every (kind, k) pair shares its stacks with others.
+        samples = cli._BLOCK_SAMPLES + 1
+        lines, code, _ = crosscheck_reference(1, 3, samples)
+        assert main(["crosscheck", "--n", "1", "--seed", "3", "--samples", str(samples)]) == code
+        assert capsys.readouterr().out.splitlines() == lines
+
+    def test_memory_does_not_grow_with_samples(self):
+        argv = ["crosscheck", "--n", "4", "--seed", "5", "--samples"]
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                assert main([*argv, str(samples)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # An untraced run of the same draws first fills the interpreter's
+        # free lists and caches, which tracemalloc would count as growth.
+        assert main([*argv, "20000"]) == 0
+        small = peak(2000)
+        # Per-sample lists of deviations and residuals would add ~1.7 MB here.
+        assert peak(20000) <= small + 64 * 1024
 
 
 class TestMainEntryPoint:

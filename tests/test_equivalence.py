@@ -97,6 +97,20 @@ class TestTransformPhases:
         with pytest.raises(ValueError):
             transform_phases(LiCMParams(1.0, 0.0, 1.2, 0.0), AlgorithmKind.LONG)
 
+    def test_array_licm_maps_like_its_elements(self):
+        phi = np.array([-2.0, 0.4, math.pi, 5.0])
+        offset = np.array([0.3, -1.0, 0.0, 2.5])
+        gamma1, gamma2, eta1, eta2 = phi + offset, offset, phi - offset, -offset
+        for to_kind in TRANSFORMABLE_KINDS:
+            mapped = astuple(transform_phases(LiCMParams(gamma1, gamma2, eta1, eta2), to_kind))
+            for i in range(phi.size):
+                single = LiCMParams(gamma1[i], gamma2[i], eta1[i], eta2[i])
+                expected = astuple(transform_phases(single, to_kind))
+                assert tuple(np.broadcast_to(x, phi.shape)[i] for x in mapped) == expected
+        eta1[2] += 1e-6  # one element off the chain
+        with pytest.raises(ValueError, match=re.escape("gamma1 - gamma2 = eta1 - eta2")):
+            transform_phases(LiCMParams(gamma1, gamma2, eta1, eta2), AlgorithmKind.LONG)
+
     def test_original_rejected_both_ways(self):
         with pytest.raises(ValueError):
             transform_phases(OriginalParams(), AlgorithmKind.LONG)

@@ -3,6 +3,7 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import groverlab
@@ -14,9 +15,11 @@ from groverlab.statevector import run_full
 from groverlab.subspace import initial_state, run
 
 S = initial_state(0.25)
+M = iteration_matrix(OriginalParams(), S)
 
 LIBRARY = {
-    "run": lambda k: run(iteration_matrix(OriginalParams(), S), k, S),
+    "run": lambda k: run(M, k, S),
+    "run, k in an integer array": lambda k: run(np.stack([M, M]), np.array([0, k]), S),
     "run_full": lambda k: run_full(make_search_space(2, {0}), OriginalParams(), k),
     "closed_form_probability": lambda k: closed_form_probability(0.5, k),
     "SweepGrid": lambda k: SweepGrid(kind=AlgorithmKind.LONG, k=k),
@@ -55,7 +58,9 @@ def test_every_entry_point_rejects_a_bad_iteration_count(entry, k, tmp_path, cap
 def test_each_input_rule_has_one_home():
     # The iteration-count bound is read only by check_iterations, next to
     # which it is defined, and the CLI grows no rule of its own: it names
-    # its flag and calls the package's check.
+    # its flag and calls the package's check.  Nor does the CLI import a
+    # private name, such as subspace's kernel: it runs the engines through
+    # their public entry points.
     readers = set()
     for path in sorted(Path(groverlab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -68,4 +73,8 @@ def test_each_input_rule_has_one_home():
             helpers = [node.name for node in ast.walk(tree)
                        if isinstance(node, ast.FunctionDef) and node.name.startswith("_check")]
             assert helpers == []
+            private = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                       and (node.level or (node.module or "").startswith("groverlab"))
+                       for alias in node.names if alias.name.startswith("_")]
+            assert private == []
     assert readers == {"model.py"}

@@ -58,6 +58,15 @@ class TestWrapAngle:
         assert -math.pi < wrapped <= math.pi
         assert angle_distance(wrapped, x) < 1e-9
 
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False, max_value=1e300,
+                              min_value=-1e300), min_size=2, max_size=40))
+    def test_array_distance_has_the_scalar_bits(self, xs):
+        a = np.array(xs)
+        b = np.array([math.pi, -math.pi, 0.0, 3 * math.pi, *xs[::-1]])[:a.size]
+        expected = [angle_distance(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        assert angle_distance(a, b).tolist() == expected
+        assert angle_distance(a, 0.5).tolist() == [angle_distance(x, 0.5) for x in xs]
+
 
 class TestIsUnitary:
     def test_identity(self):

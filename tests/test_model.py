@@ -133,13 +133,14 @@ class TestPhaseParams:
         assert params.oracle_phase == 0.7
         assert params.diffusion_phase == 1.9
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
+                                     np.float64("nan"), np.float64("-inf")])
     def test_rejects_non_finite_angles(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^phi must be a finite angle, got {bad}$"):
             LongParams(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^tau must be a finite angle, got {bad}$"):
             LiDFParams(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^gamma2 must be a finite angle, got {bad}$"):
             LiCMParams(0.0, bad, 0.0, 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^beta must be a finite angle, got {bad}$"):
             LiPCParams(bad)

@@ -269,6 +269,18 @@ class TestClosedFormPower:
                 assert np.array_equal(run(matrices, np.int64(k), s),
                                       run(matrices, k, s))
 
+    def test_array_k_gives_every_cell_the_bits_of_its_own_run(self):
+        rng = np.random.default_rng(23)
+        ks = np.array([0, 1, 17, 2 ** 53] * 5)
+        starts = np.array([initial_state(float(lam)) for lam in rng.uniform(1e-3, 1.0, ks.size)])
+        mats = np.array([iteration_matrix(random_params(rng, random_kind(rng)), s) for s in starts])
+        states = run(mats, ks, starts)
+        for m, k, s, state in zip(mats, ks.tolist(), starts, states):
+            assert np.array_equal(state, run(m, k, s))
+        # A (4,) k broadcasts along the rows of a (5, 4) stack.
+        grid = run(mats.reshape(5, 4, 2, 2), ks[:4], starts.reshape(5, 4, 2))
+        assert np.array_equal(grid, states.reshape(5, 4, 2))
+
     def test_iteration_count_is_bounded_by_float64_integers(self):
         s = initial_state(0.25)
         m = iteration_matrix(OriginalParams(), s)
