@@ -38,7 +38,6 @@ from .model import (
     params_from_phases,
 )
 from .operators import (
-    iteration_matrices,
     iteration_matrix,
     operator_coefficients,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "closed_form_probability",
     "global_phase_align",
     "initial_state",
-    "iteration_matrices",
     "iteration_matrix",
     "make_search_space",
     "max_entry_deviation",

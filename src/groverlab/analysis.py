@@ -98,7 +98,7 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarr
         # LongParams(phase, phase) has the coefficients of LongParams(phase).
         pin = 0.0 if grid.kind is AlgorithmKind.LI_CM else phases
         params = params_from_phases(grid.kind, (phases, pin, phases, pin))
-    coefficients = np.broadcast_arrays(*operator_coefficients(params))  # one shape for all four
+    coefficients = operator_coefficients(params)
     starts = np.fromiter(map(initial_state, grid.lambdas().tolist()), np.dtype((float, 2)),
                          grid.lambda_steps)
     check_unitary(grid.kind, coefficients, starts)

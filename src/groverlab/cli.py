@@ -26,7 +26,7 @@ from .equivalence import TRANSFORMABLE_KINDS, verify_phase_equivalence
 from .linalg import check_tolerance, wrap_angle
 from .model import (AlgorithmKind, LongParams, check_iterations, make_search_space,
                     params_from_phases)
-from .operators import iteration_matrices, operator_coefficients
+from .operators import iteration_matrix
 from .statevector import project_to_subspace, run_full, target_probability
 from .subspace import check_proportion, initial_state, run, success_probability
 
@@ -216,8 +216,7 @@ def _subspace_probabilities(kinds, phases, lambdas, ks) -> np.ndarray:
     for kind in AlgorithmKind:
         rows = kinds == kind
         if rows.any():
-            coefficients = operator_coefficients(params_from_phases(kind, phases[:, rows]))
-            mats[rows] = iteration_matrices(kind, np.broadcast_arrays(*coefficients), starts[rows])
+            mats[rows] = iteration_matrix(params_from_phases(kind, phases[:, rows]), starts[rows])
     probabilities = np.empty(len(kinds))
     # One int k per run call: the benchmark's tracer (perfbench/layers.py) adds up
     # run's k as a number.

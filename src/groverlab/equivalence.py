@@ -19,21 +19,15 @@ is Long's phase matching (PRA 64, 022307, 2001); _CHAIN holds it per kind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .linalg import (angle_distance, check_tolerance, global_phase_align, max_entry_deviation,
                      wrap_angle)
-from .model import (
-    AlgorithmKind,
-    LiCMParams,
-    LiDFParams,
-    LiPCParams,
-    LongParams,
-    PhaseParams,
-)
+from .model import (AlgorithmKind, LiCMParams, LiDFParams, LiPCParams, LongParams, PhaseParams,
+                    _require_finite)
 from .operators import iteration_matrix
 from .subspace import run, success_probability
 
@@ -50,13 +44,21 @@ def _long_phi(params: LongParams) -> float:
 
 
 def _licm_phi(params: LiCMParams) -> float:
-    gap = angle_distance(params.gamma1 - params.gamma2, params.eta1 - params.eta2)
-    if not np.all(gap <= _CONDITION_TOL):  # every element of an array bundle
-        raise ValueError(
-            "licm parameters must satisfy gamma1 - gamma2 = eta1 - eta2 "
-            "to sit on the transform chain"
-        )
-    return params.gamma1 - params.gamma2
+    with np.errstate(over="ignore"):  # an overflow is rejected below, by name
+        phi, eta = params.gamma1 - params.gamma2, params.eta1 - params.eta2
+    _require_finite("licm gamma1 - gamma2", phi)
+    _require_finite("licm eta1 - eta2", eta)
+    if not np.all(angle_distance(phi, eta) <= _CONDITION_TOL):  # every element of an array
+        raise ValueError("licm parameters must satisfy gamma1 - gamma2 = eta1 - eta2 "
+                         "to sit on the transform chain")
+    return phi
+
+
+def _licm_chi(params: LiCMParams) -> float:
+    with np.errstate(over="ignore"):
+        offsets = params.gamma2 + params.eta2
+    _require_finite("licm gamma2 + eta2", offsets)
+    return -offsets
 
 
 class _ChainEntry(NamedTuple):
@@ -73,7 +75,7 @@ _CHAIN = {
     AlgorithmKind.LI_DF: _ChainEntry(lambda phi: LiDFParams((phi - math.pi) / 2.0),
                                      lambda p: 2.0 * p.tau + math.pi, lambda p: 0.0),
     AlgorithmKind.LI_CM: _ChainEntry(lambda phi: LiCMParams(phi, 0.0, phi, 0.0),
-                                     _licm_phi, lambda p: -(p.gamma2 + p.eta2)),
+                                     _licm_phi, _licm_chi),
     AlgorithmKind.LI_PC: _ChainEntry(lambda phi: LiPCParams(-phi),
                                      lambda p: -p.beta, lambda p: math.pi - p.beta),
 }
@@ -115,7 +117,6 @@ class EquivalenceReport:
     by at most the tolerance.
     """
 
-    source_params: PhaseParams
     target_params: PhaseParams
     predicted_phase: float
     measured_phase: float | None
@@ -126,7 +127,7 @@ class EquivalenceReport:
 
 def _perturbed(params: PhaseParams, delta: float) -> PhaseParams:
     """Shift a variant's leading phase (its first field) off the chain, for necessity checks."""
-    lead = fields(params)[0].name
+    lead = params.__match_args__[0]
     return replace(params, **{lead: getattr(params, lead) + delta})
 
 
@@ -168,7 +169,6 @@ def verify_phase_equivalence(
         )
         reports.append(
             EquivalenceReport(
-                source_params=params_long,
                 target_params=realized_params,
                 predicted_phase=predicted,
                 measured_phase=measured,

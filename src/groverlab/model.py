@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum, unique
 from typing import ClassVar, Iterable, Sequence, Union, get_args
 
@@ -95,26 +95,35 @@ def check_iterations(name: str, k: int | np.ndarray) -> int | np.ndarray:
     return k
 
 
-def _require_finite(**angles: float) -> None:
-    for name, value in angles.items():
-        # math.isfinite takes a float (np.float64 included) ~10x faster than numpy's checks.
-        if isinstance(value, float):
-            finite = math.isfinite(value)
-        else:  # a float array; a complex value is rejected
-            finite = not np.iscomplexobj(value) and np.isfinite(value).all()
-        if not finite:
-            raise ValueError(f"{name} must be a finite angle, got {value}")
+def _require_finite(name: str, value: float) -> None:
+    # math.isfinite takes a float (np.float64 included) ~10x faster than numpy's checks.
+    if isinstance(value, float):
+        finite = math.isfinite(value)
+    else:  # a float array; a complex value is rejected
+        finite = not np.iscomplexobj(value) and np.isfinite(value).all()
+    if not finite:
+        raise ValueError(f"{name} must be a finite angle, got {value}")
+
+
+class _Bundle:
+    """Base of the phase bundles: every phase that is set must be a finite angle."""
+
+    def __post_init__(self) -> None:
+        for name in self.__match_args__:  # the dataclass's fields, resolved once per class
+            value = getattr(self, name)
+            if value is not None:
+                _require_finite(name, value)
 
 
 @dataclass(frozen=True)
-class OriginalParams:
+class OriginalParams(_Bundle):
     """The phase-free original iteration."""
 
     kind: ClassVar[AlgorithmKind] = AlgorithmKind.ORIGINAL
 
 
 @dataclass(frozen=True)
-class LongParams:
+class LongParams(_Bundle):
     """Oracle phase phi, with an optional distinct diffusion phase.
 
     The single-phase form (diffusion_phi omitted) is the matched case in
@@ -124,11 +133,6 @@ class LongParams:
     phi: float
     diffusion_phi: float | None = None
     kind: ClassVar[AlgorithmKind] = AlgorithmKind.LONG
-
-    def __post_init__(self) -> None:
-        _require_finite(phi=self.phi)
-        if self.diffusion_phi is not None:
-            _require_finite(diffusion_phi=self.diffusion_phi)
 
     @property
     def oracle_phase(self) -> float:
@@ -140,18 +144,15 @@ class LongParams:
 
 
 @dataclass(frozen=True)
-class LiDFParams:
+class LiDFParams(_Bundle):
     """Single phase tau; both operator sides carry 2*cos(tau)*e^{i tau}."""
 
     tau: float
     kind: ClassVar[AlgorithmKind] = AlgorithmKind.LI_DF
 
-    def __post_init__(self) -> None:
-        _require_finite(tau=self.tau)
-
 
 @dataclass(frozen=True)
-class LiCMParams:
+class LiCMParams(_Bundle):
     """Four phases: gamma1/gamma2 on the diffusion side, eta1/eta2 on the oracle side."""
 
     gamma1: float
@@ -160,19 +161,13 @@ class LiCMParams:
     eta2: float
     kind: ClassVar[AlgorithmKind] = AlgorithmKind.LI_CM
 
-    def __post_init__(self) -> None:
-        _require_finite(gamma1=self.gamma1, gamma2=self.gamma2, eta1=self.eta1, eta2=self.eta2)
-
 
 @dataclass(frozen=True)
-class LiPCParams:
+class LiPCParams(_Bundle):
     """Single phase beta; the oracle applies e^{-i beta} to targets."""
 
     beta: float
     kind: ClassVar[AlgorithmKind] = AlgorithmKind.LI_PC
-
-    def __post_init__(self) -> None:
-        _require_finite(beta=self.beta)
 
 
 PhaseParams = Union[OriginalParams, LongParams, LiDFParams, LiCMParams, LiPCParams]
@@ -183,4 +178,4 @@ _PARAMS_OF_KIND = {cls.kind: cls for cls in get_args(PhaseParams)}
 def params_from_phases(kind: AlgorithmKind, phases: Sequence[float]) -> PhaseParams:
     """The kind's bundle with its fields, in declaration order, taken from the leading phases."""
     cls = _PARAMS_OF_KIND[kind]
-    return cls(*phases[:len(fields(cls))])
+    return cls(*phases[:len(cls.__match_args__)])

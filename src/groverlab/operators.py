@@ -25,20 +25,29 @@ UNITARITY_TOL = 1e-10
 
 
 def operator_coefficients(params: PhaseParams) -> tuple:
-    """The bundle's row (target, rest, c, d) of the table above; phase arrays give array entries."""
+    """The bundle's row (target, rest, c, d) of the table above, as four complex arrays.
+
+    The four have one shape: 0-d for a bundle of scalar phases, else the
+    broadcast shape of its phase arrays.
+    """
     if params.kind is AlgorithmKind.ORIGINAL:
-        return -1.0 + 0j, 1.0 + 0j, 2.0 + 0j, -1.0 + 0j
-    if params.kind is AlgorithmKind.LONG:
-        ed = np.exp(1j * params.diffusion_phase)
-        return np.exp(1j * params.oracle_phase), 1.0 + 0j, 1.0 - ed, -1.0 + 0j
-    if params.kind is AlgorithmKind.LI_DF:
+        row = -1.0, 1.0, 2.0, -1.0
+    elif params.kind is AlgorithmKind.LONG:
+        row = np.exp(1j * params.oracle_phase), 1.0, 1.0 - np.exp(1j * params.diffusion_phase), -1.0
+    elif params.kind is AlgorithmKind.LI_DF:
         w = 2.0 * np.cos(params.tau) * np.exp(1j * params.tau)
-        return 1.0 - w, 1.0 + 0j, w, -1.0 + 0j
-    if params.kind is AlgorithmKind.LI_CM:
+        row = 1.0 - w, 1.0, w, -1.0
+    elif params.kind is AlgorithmKind.LI_CM:
         eg1, eg2 = np.exp(1j * params.gamma1), np.exp(1j * params.gamma2)
-        return -np.exp(1j * params.eta1), -np.exp(1j * params.eta2), eg1 - eg2, eg2
-    e = np.exp(1j * params.beta)
-    return np.exp(-1j * params.beta), 1.0 + 0j, 1.0 - e, e
+        row = -np.exp(1j * params.eta1), -np.exp(1j * params.eta2), eg1 - eg2, eg2
+    else:
+        e = np.exp(1j * params.beta)
+        row = np.exp(-1j * params.beta), 1.0, 1.0 - e, e
+    # Arrays, even 0-d: numpy rounds a product of complex scalars differently
+    # from its array loops, which a sweep's planes go through.
+    row = [np.asarray(x, dtype=complex) for x in row]
+    # A scalar row skips np.broadcast_arrays, which would double the row's cost.
+    return tuple(np.broadcast_arrays(*row) if any(x.ndim for x in row) else row)
 
 
 def check_unitary(kind: AlgorithmKind, coefficients, s: np.ndarray) -> None:
@@ -72,21 +81,15 @@ def iteration_planes(coefficients, s: np.ndarray) -> tuple:
     return (c * (s0 * s0) + d) * target, off * rest, off * target, (c * (s1 * s1) + d) * rest
 
 
-def iteration_matrices(kind: AlgorithmKind, coefficients, s: np.ndarray) -> np.ndarray:
-    """The iteration_planes, checked by check_unitary, as one (..., 2, 2) stack.
+def iteration_matrix(params: PhaseParams, s: np.ndarray) -> np.ndarray:
+    """The bundle's iteration diffusion @ oracle about |s> = s, checked by check_unitary.
 
-    coefficients is (target, rest, c, d): four scalars or a (4, ...) array.  s
-    is one (2,) vector or a (..., 2) stack of them; the coefficients' shape
-    and s.shape[:-1] broadcast to the stack's leading axes.
+    A scalar bundle and one (2,) s give one (2, 2) matrix.  A bundle's
+    phases may be arrays and s a (..., 2) stack: the phases' shape and
+    s.shape[:-1] broadcast to the leading axes of a (..., 2, 2) stack, each
+    cell of which has the bits of its own scalar build.
     """
-    # Arrays, even 0-d: numpy rounds a product of complex scalars differently
-    # from its array loops, which a sweep's planes go through.
-    coefficients = [np.asarray(x, dtype=complex) for x in coefficients]
-    check_unitary(kind, coefficients, s)
+    coefficients = operator_coefficients(params)
+    check_unitary(params.kind, coefficients, s)
     m = np.stack(iteration_planes(coefficients, s), axis=-1)
     return m.reshape(m.shape[:-1] + (2, 2))
-
-
-def iteration_matrix(params: PhaseParams, s: np.ndarray) -> np.ndarray:
-    """Composed (2, 2) iteration for one bundle about |s> = s: diffusion @ oracle, checked unitary."""
-    return iteration_matrices(params.kind, operator_coefficients(params), s)

@@ -28,38 +28,28 @@ class StateVector:
     space: SearchSpace
 
 
-def _oracle_eigenvalues(params: PhaseParams) -> tuple[complex, complex]:
-    """(target, rest): the oracle's eigenvalue on marked and on unmarked indices."""
+def _coefficients(params: PhaseParams) -> tuple[complex, complex, complex, complex]:
+    """(target, rest, c, d): oracle eigenvalues on marked and other indices, diffusion (c, d)."""
     if params.kind is AlgorithmKind.ORIGINAL:
-        return -1.0, 1.0
+        return -1.0, 1.0, 2.0 + 0j, -1.0 + 0j
     if params.kind is AlgorithmKind.LONG:
-        return cmath.exp(1j * params.oracle_phase), 1.0
+        c = 1.0 - cmath.exp(1j * params.diffusion_phase)
+        return cmath.exp(1j * params.oracle_phase), 1.0, c, -1.0 + 0j
     if params.kind is AlgorithmKind.LI_DF:
-        return 1.0 - 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau), 1.0
-    if params.kind is AlgorithmKind.LI_CM:
-        return -cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2)
-    return cmath.exp(-1j * params.beta), 1.0
-
-
-def _diffusion_coefficients(params: PhaseParams) -> tuple[complex, complex]:
-    """(c, d) of the diffusion v -> c * <s|v> * |s> + d * v."""
-    if params.kind is AlgorithmKind.ORIGINAL:
-        return 2.0 + 0j, -1.0 + 0j
-    if params.kind is AlgorithmKind.LONG:
-        return 1.0 - cmath.exp(1j * params.diffusion_phase), -1.0 + 0j
-    if params.kind is AlgorithmKind.LI_DF:
-        return 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau), -1.0 + 0j
+        w = 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
+        return 1.0 - w, 1.0, w, -1.0 + 0j
     if params.kind is AlgorithmKind.LI_CM:
         d = cmath.exp(1j * params.gamma2)
-        return cmath.exp(1j * params.gamma1) - d, d
-    return 1.0 - cmath.exp(1j * params.beta), cmath.exp(1j * params.beta)
+        c = cmath.exp(1j * params.gamma1) - d
+        return -cmath.exp(1j * params.eta1), -cmath.exp(1j * params.eta2), c, d
+    e = cmath.exp(1j * params.beta)
+    return cmath.exp(-1j * params.beta), 1.0, 1.0 - e, e
 
 
 def run_full(space: SearchSpace, params: PhaseParams, k: int) -> StateVector:
     """k alternations of oracle then diffusion from the uniform state, every amplitude 1/sqrt(N)."""
     check_iterations("k", k)
-    target, rest = _oracle_eigenvalues(params)
-    c, d = _diffusion_coefficients(params)
+    target, rest, c, d = _coefficients(params)
     diagonal = np.where(space.marked, complex(target), complex(rest))
     amps = np.full(space.size, 1.0 / math.sqrt(space.size), dtype=complex)
     for _ in range(k):

@@ -34,7 +34,7 @@ def run(m: np.ndarray, k: int | np.ndarray, start: np.ndarray) -> np.ndarray:
     """State after k applications of m to start; k = 0 returns a copy of start.
 
     m is one unitary (2, 2) matrix or a (..., 2, 2) stack of them (callers
-    pass matrices that iteration_matrices has checked); start broadcasts to
+    pass matrices that iteration_matrix has checked); start broadcasts to
     m.shape[:-1], the shape of the result.  k is an int in [0, 2**53], or an
     integer array of them that broadcasts to m.shape[:-2]: one count per matrix.
 

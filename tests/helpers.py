@@ -7,7 +7,7 @@ import numpy as np
 from groverlab.analysis import sweep
 from groverlab.cli import _random_case
 from groverlab.model import AlgorithmKind, LongParams, params_from_phases
-from groverlab.operators import iteration_matrices, iteration_matrix, operator_coefficients
+from groverlab.operators import iteration_matrix
 from groverlab.statevector import StateVector, project_to_subspace, run_full, target_probability
 from groverlab.subspace import initial_state, run, success_probability
 
@@ -42,8 +42,7 @@ def cubic(m):
 def one_step_at_half_pi(ms):
     """The subspace engine's probability after one LongParams(pi/2) step, one per m in ms."""
     starts = np.array([initial_state(m) for m in np.atleast_1d(ms).tolist()])
-    coefficients = operator_coefficients(LongParams(math.pi / 2))
-    mats = iteration_matrices(AlgorithmKind.LONG, coefficients, starts)
+    mats = iteration_matrix(LongParams(math.pi / 2), starts)
     return success_probability(run(mats, 1, starts))
 
 

@@ -1,6 +1,7 @@
 """Tests for the phase-transform condition, its predictions, and verification."""
 import math
 import re
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -111,6 +112,23 @@ class TestTransformPhases:
         with pytest.raises(ValueError, match=re.escape("gamma1 - gamma2 = eta1 - eta2")):
             transform_phases(LiCMParams(gamma1, gamma2, eta1, eta2), AlgorithmKind.LONG)
 
+    @pytest.mark.parametrize("params,named", [
+        (LiCMParams(1e308, -1e308, 0.0, 0.0), "gamma1 - gamma2"),
+        (LiCMParams(np.float64(1e308), np.float64(-1e308), 0.0, 0.0), "gamma1 - gamma2"),
+        (LiCMParams(0.0, 0.0, -1e308, 1e308), "eta1 - eta2"),
+        (LiCMParams(np.array([0.5, 1e308]), np.array([0.0, -1e308]), 0.5, 0.0), "gamma1 - gamma2"),
+        (LiCMParams(0.5, 0.0, np.array([0.5, -1e308]), np.array([0.0, 1e308])), "eta1 - eta2"),
+    ])
+    def test_an_overflowing_licm_difference_is_named(self, params, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow must not warn either
+            with pytest.raises(ValueError, match=f"^licm {named} must be a finite angle, got "):
+                transform_phases(params, AlgorithmKind.LONG)
+
+    def test_a_large_finite_licm_difference_maps(self):
+        assert transform_phases(LiCMParams(0.0, 1e308, 0.0, 1e308), AlgorithmKind.LONG) == (
+            LongParams(-1e308))
+
     def test_original_rejected_both_ways(self):
         with pytest.raises(ValueError):
             transform_phases(OriginalParams(), AlgorithmKind.LONG)
@@ -154,6 +172,15 @@ class TestPredictedGlobalPhase:
     def test_condition_violation_rejected(self):
         with pytest.raises(ValueError):
             predicted_global_phase(LongParams(1.0), LiPCParams(-1.2))
+
+    @pytest.mark.parametrize("offset", [1e308, np.float64(1e308)])
+    def test_an_overflowing_licm_offset_sum_is_named(self, offset):
+        # On the chain (phi = -1e308), but chi = -(gamma2 + eta2) overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"^licm gamma2 \+ eta2 must be a finite angle, got inf$"):
+                predicted_global_phase(LongParams(-1e308), LiCMParams(0.0, offset, 0.0, offset))
 
 
 class TestVerifyPhaseEquivalence:

@@ -78,3 +78,24 @@ def test_each_input_rule_has_one_home():
                        for alias in node.names if alias.name.startswith("_")]
             assert private == []
     assert readers == {"model.py"}
+
+
+def test_each_engine_has_one_per_kind_row_and_the_bundles_one_check():
+    # Each engine turns a bundle into its (target, rest, c, d) row in one
+    # function, so only that function names licm, the kind whose four
+    # coefficients all depend on its phases.  The phase bundles share one
+    # finiteness check.
+    package = Path(groverlab.__file__).parent
+
+    def functions(module):
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def names_licm(function):
+        return any(isinstance(node, ast.Attribute) and node.attr == "LI_CM"
+                   and isinstance(node.value, ast.Name) and node.value.id == "AlgorithmKind"
+                   for node in ast.walk(function))
+
+    for module in ("operators.py", "statevector.py"):
+        assert sum(map(names_licm, functions(module))) == 1, module
+    assert [f.name for f in functions("model.py")].count("__post_init__") == 1

@@ -1,4 +1,7 @@
 """Tests for the search-space model and phase parameter bundles."""
+from dataclasses import fields
+from typing import get_args
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,6 +14,7 @@ from groverlab.model import (
     LiPCParams,
     LongParams,
     OriginalParams,
+    PhaseParams,
     make_search_space,
     params_from_phases,
 )
@@ -135,12 +139,13 @@ class TestPhaseParams:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),
                                      np.float64("nan"), np.float64("-inf")])
-    def test_rejects_non_finite_angles(self, bad):
-        with pytest.raises(ValueError, match=f"^phi must be a finite angle, got {bad}$"):
-            LongParams(bad)
-        with pytest.raises(ValueError, match=f"^tau must be a finite angle, got {bad}$"):
-            LiDFParams(bad)
-        with pytest.raises(ValueError, match=f"^gamma2 must be a finite angle, got {bad}$"):
-            LiCMParams(0.0, bad, 0.0, 0.0)
-        with pytest.raises(ValueError, match=f"^beta must be a finite angle, got {bad}$"):
-            LiPCParams(bad)
+    @pytest.mark.parametrize("cls", [cls for cls in get_args(PhaseParams) if fields(cls)],
+                             ids=lambda cls: cls.__name__)
+    def test_rejects_non_finite_angles(self, cls, bad):
+        names = [field.name for field in fields(cls)]
+        for name in names:
+            with pytest.raises(ValueError, match=f"^{name} must be a finite angle, got {bad}$"):
+                cls(**{**{other: 0.0 for other in names}, name: bad})
+        # Several bad phases: the first in declaration order is named.
+        with pytest.raises(ValueError, match=f"^{names[0]} must be a finite angle, got {bad}$"):
+            cls(**{name: bad for name in names})

@@ -1,6 +1,7 @@
 """Tests for the operator coefficient table and composed iterations."""
 import cmath
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from groverlab.model import (
 )
 from groverlab.operators import (
     UNITARITY_TOL,
-    iteration_matrices,
+    check_unitary,
     iteration_matrix,
+    iteration_planes,
     operator_coefficients,
 )
 
@@ -37,9 +39,9 @@ def oracle(params):
 
 
 def diffusion(params, s):
-    """c * |s><s| + d * I: the composer with the oracle set to the identity."""
+    """c * |s><s| + d * I: the iteration's entries with the oracle set to the identity."""
     _, _, c, d = operator_coefficients(params)
-    return iteration_matrices(params.kind, (1.0, 1.0, c, d), s)
+    return np.reshape(iteration_planes((1.0, 1.0, c, d), s), (2, 2))
 
 
 class TestOracleCoefficients:
@@ -95,6 +97,18 @@ class TestArrayTable:
         for entry, column in zip(table, zip(*rows)):
             assert np.ndim(entry) == 0 or entry.shape == TABLE_PHASES.shape
             assert bits(np.broadcast_to(entry, TABLE_PHASES.shape)) == bits(column)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_row_is_four_complex_arrays_of_the_phases_shape(self, kind):
+        column, row = TABLE_PHASES[:3, None], TABLE_PHASES[3:7]
+        for phases in [(0.3, -1.1, 2.0, 0.5), (column, row, column, row), (column, 0.5, row, 1.0)]:
+            params = params_from_phases(kind, phases)
+            shape = np.broadcast_shapes(*[np.shape(phase) for phase in astuple(params)])
+            table = operator_coefficients(params)
+            assert len(table) == 4
+            for entry in table:
+                assert type(entry) is np.ndarray and entry.dtype == complex
+                assert entry.shape == shape
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_scalar_rows_equal_the_cmath_expressions(self, kind):
@@ -156,32 +170,40 @@ class TestIterationMatrices:
     def test_stack_equals_scalar_builds_exactly(self):
         rng = np.random.default_rng(11)
         for kind in AlgorithmKind:
-            params = [random_params(rng, kind) for _ in range(4)]
+            phases = rng.uniform(-2 * math.pi, 2 * math.pi, size=(4, 4))  # column j: cell j
             vectors = [initial_state(float(lam)) for lam in rng.uniform(1e-4, 1.0, size=3)]
-            rows = np.array([operator_coefficients(p) for p in params]).T
-            stack = iteration_matrices(kind, rows, np.array(vectors)[:, None, :])
-            assert stack.shape == (3, 4, 2, 2)
+            stack = iteration_matrix(params_from_phases(kind, phases), np.array(vectors)[:, None])
+            # The phase-free original kind's stack broadcasts along the phase axis.
+            assert stack.shape == (3, 1 if kind is AlgorithmKind.ORIGINAL else 4, 2, 2)
+            stack = np.broadcast_to(stack, (3, 4, 2, 2))
             for i, s in enumerate(vectors):
-                for j, p in enumerate(params):
-                    assert np.array_equal(stack[i, j], iteration_matrix(p, s))
+                for j in range(4):
+                    cell = iteration_matrix(params_from_phases(kind, phases[:, j]), s)
+                    assert np.array_equal(stack[i, j], cell)
+
+    def test_an_array_bundle_about_one_s(self):
+        s = initial_state(0.3)
+        stack = iteration_matrix(LongParams(np.array([0.1, 0.2])), s)
+        assert stack.shape == (2, 2, 2)
+        assert np.array_equal(stack[1], iteration_matrix(LongParams(0.2), s))
 
     def test_one_non_unitary_cell_fails_the_stack(self):
         rows = np.array([operator_coefficients(LiPCParams(b))
                          for b in (0.1, 0.2, 0.3)]).T
         rows[3, 1] = 0.0  # d = 0 leaves the middle diffusion rank one
         with pytest.raises(ValueError, match="lipc iteration matrix failed the unitarity"):
-            iteration_matrices(AlgorithmKind.LI_PC, rows, np.tile([0.6, 0.8], (2, 1, 1)))
+            check_unitary(AlgorithmKind.LI_PC, rows, np.tile([0.6, 0.8], (2, 1, 1)))
 
     def test_non_unitary_coefficients_name_the_kind(self):
         with pytest.raises(ValueError, match="lidf iteration matrix failed the unitarity"):
-            iteration_matrices(AlgorithmKind.LI_DF, (1.0, 1.0, 1.0, 0.0), np.array([0.6, 0.8]))
+            check_unitary(AlgorithmKind.LI_DF, (1.0, 1.0, 1.0, 0.0), np.array([0.6, 0.8]))
 
     @pytest.mark.parametrize("s", [np.array([0.5, 0.5]), np.array([0.6, 0.8j]),
                                    np.array([0.6, 0.8 + 2e-10]), np.array([math.nan, 1.0]),
                                    np.array([[0.6, 0.8], [0.8, 0.5]])])
     def test_rejects_an_s_that_is_not_a_real_unit_vector(self, s):
         with pytest.raises(ValueError, match=r"s must be a real unit vector"):
-            iteration_matrices(AlgorithmKind.LONG, operator_coefficients(LongParams(1.0)), s)
+            check_unitary(AlgorithmKind.LONG, operator_coefficients(LongParams(1.0)), s)
         with pytest.raises(ValueError, match=r"s must be a real unit vector"):
             iteration_matrix(LongParams(1.0), s)
 
@@ -206,10 +228,11 @@ class TestIterationMatrices:
         if not is_unitary(stack, UNITARITY_TOL):
             with pytest.raises(ValueError, match=f"{kind.value} iteration matrix failed the "
                                                  f"unitarity check at {UNITARITY_TOL}"):
-                iteration_matrices(kind, coefficients, s)
+                check_unitary(kind, coefficients, s)
         if all(errors == (0.0,) * 4 for _, errors in rows):  # the table itself passes
-            built = iteration_matrices(kind, coefficients, s)
-            assert np.max(np.abs(built - stack)) < 1e-14
+            check_unitary(kind, coefficients, s)
+            built = np.stack(iteration_planes(coefficients, s), axis=-1)
+            assert np.max(np.abs(built - stack.reshape(stack.shape[:-2] + (4,)))) < 1e-14
 
 
 class TestIterationMatrix:
