@@ -15,14 +15,12 @@ from .analysis import (
 from .equivalence import (
     EquivalenceReport,
     TRANSFORMABLE_KINDS,
-    predicted_global_phase,
-    transform_phases,
-    verify_phase_equivalence,
-)
-from .linalg import (
     angle_distance,
     global_phase_align,
     max_entry_deviation,
+    predicted_global_phase,
+    transform_phases,
+    verify_phase_equivalence,
     wrap_angle,
 )
 from .model import (

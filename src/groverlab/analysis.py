@@ -8,10 +8,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .linalg import TAU
 from .model import AlgorithmKind, LongParams, check_iterations, params_from_phases
 from .operators import check_unitary, iteration_planes, operator_coefficients
-from .equivalence import transform_phases
+from .equivalence import TAU, transform_phases
 from .subspace import _power, check_proportion, initial_state, success_probability
 
 

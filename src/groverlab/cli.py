@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import SweepGrid, check_axis, closed_form_probability, optimal_iterations, sweep
-from .equivalence import TRANSFORMABLE_KINDS, verify_phase_equivalence
-from .linalg import check_tolerance, wrap_angle
+from .equivalence import (TRANSFORMABLE_KINDS, check_tolerance, verify_phase_equivalence,
+                          wrap_angle)
 from .model import (AlgorithmKind, LongParams, check_iterations, make_search_space,
                     params_from_phases)
 from .operators import iteration_matrix

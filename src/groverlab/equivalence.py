@@ -1,4 +1,4 @@
-"""The phase-transform condition and the global phases it predicts.
+"""The phase-transform condition, the global phases it predicts, and the angle arithmetic.
 
 The four variants coincide up to a global phase whenever their parameters
 sit on the chain
@@ -15,23 +15,80 @@ iteration is
 The licm entry generalizes the two-parameter case (where gamma = eta and the
 relative phase is -2*gamma2) to independent gamma2, eta2 offsets.  The chain
 is Long's phase matching (PRA 64, 022307, 2001); _CHAIN holds it per kind.
+
+Angles are radians, "wrapped" into (-pi, pi].  A global phase e^{i chi} between
+two complex arrays of one shape, such as two (2, 2) matrices, is read as chi.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linalg import (angle_distance, check_tolerance, global_phase_align, max_entry_deviation,
-                     wrap_angle)
 from .model import (AlgorithmKind, LiCMParams, LiDFParams, LiPCParams, LongParams, PhaseParams,
                     _require_finite)
 from .operators import iteration_matrix
 from .subspace import run, success_probability
 
+TAU = 2.0 * math.pi
 _CONDITION_TOL = 1e-9
+
+
+def check_tolerance(name: str, tol: float) -> None:
+    """Reject a tolerance that is not positive, NaN included, naming it by name."""
+    if not tol > 0:
+        raise ValueError(f"{name} must be positive, got {tol}")
+
+
+def wrap_angle(angle: float) -> float:
+    """Reduce an angle mod 2*pi into (-pi, pi]."""
+    a = math.remainder(angle, TAU)
+    if a <= -math.pi:
+        a += TAU
+    return a + 0.0  # normalizes -0.0
+
+
+def angle_distance(a, b):
+    """Distance between two angles mod 2*pi, in [0, pi]; a or b may be a float array.
+
+    An array gets the scalar bits: fmod is exact, as math.remainder is, and
+    TAU - d is exact for d in (pi, TAU).
+    """
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        d = np.abs(np.fmod(np.subtract(a, b), TAU))
+        return np.where(d > math.pi, TAU - d, d)
+    return abs(wrap_angle(a - b))
+
+
+def max_entry_deviation(a: np.ndarray, b: np.ndarray, phase: float = 0.0) -> float:
+    """Max entrywise |a - e^{i phase} * b|."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return float(np.max(np.abs(a - cmath.exp(1j * phase) * b)))
+
+
+def global_phase_align(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> float | None:
+    """Angle chi with a == e^{i chi} * b entrywise within tol, or None.
+
+    The candidate phase is read off the largest-magnitude entry of b, which
+    keeps the division away from near-zero entries.  None means "not
+    equivalent up to a global phase at this tolerance", which a NaN entry in
+    either matrix also is; it is not an error.
+    """
+    check_tolerance("tol", tol)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    pivot = int(np.argmax(np.abs(b)))
+    if abs(b.flat[pivot]) == 0.0:
+        raise ValueError("cannot align against the zero matrix")
+    ratio = complex(a.flat[pivot]) / complex(b.flat[pivot])
+    if not abs(abs(ratio) - 1.0) <= tol:  # NaN fails too
+        return None
+    chi = wrap_angle(cmath.phase(ratio))
+    return chi if max_entry_deviation(a, b, chi) <= tol else None
 
 
 def _long_phi(params: LongParams) -> float:
@@ -44,21 +101,12 @@ def _long_phi(params: LongParams) -> float:
 
 
 def _licm_phi(params: LiCMParams) -> float:
-    with np.errstate(over="ignore"):  # an overflow is rejected below, by name
-        phi, eta = params.gamma1 - params.gamma2, params.eta1 - params.eta2
-    _require_finite("licm gamma1 - gamma2", phi)
-    _require_finite("licm eta1 - eta2", eta)
+    phi = _require_finite("licm gamma1 - gamma2", params.gamma1 - params.gamma2)
+    eta = _require_finite("licm eta1 - eta2", params.eta1 - params.eta2)
     if not np.all(angle_distance(phi, eta) <= _CONDITION_TOL):  # every element of an array
         raise ValueError("licm parameters must satisfy gamma1 - gamma2 = eta1 - eta2 "
                          "to sit on the transform chain")
     return phi
-
-
-def _licm_chi(params: LiCMParams) -> float:
-    with np.errstate(over="ignore"):
-        offsets = params.gamma2 + params.eta2
-    _require_finite("licm gamma2 + eta2", offsets)
-    return -offsets
 
 
 class _ChainEntry(NamedTuple):
@@ -69,13 +117,16 @@ class _ChainEntry(NamedTuple):
 
 # licm gets the canonical representative (phi, 0, phi, 0): the chain pins
 # only the differences gamma1 - gamma2 and eta1 - eta2, and zero offsets make
-# the mapping a function (and the predicted relative phase 0).
+# the mapping a function (and the predicted relative phase 0).  A sum or
+# difference of finite phases can overflow, so each column names its own.
 _CHAIN = {
     AlgorithmKind.LONG: _ChainEntry(LongParams, _long_phi, lambda p: 0.0),
-    AlgorithmKind.LI_DF: _ChainEntry(lambda phi: LiDFParams((phi - math.pi) / 2.0),
-                                     lambda p: 2.0 * p.tau + math.pi, lambda p: 0.0),
-    AlgorithmKind.LI_CM: _ChainEntry(lambda phi: LiCMParams(phi, 0.0, phi, 0.0),
-                                     _licm_phi, _licm_chi),
+    AlgorithmKind.LI_DF: _ChainEntry(
+        lambda phi: LiDFParams((phi - math.pi) / 2.0),
+        lambda p: _require_finite("lidf 2*tau + pi", 2.0 * p.tau + math.pi), lambda p: 0.0),
+    AlgorithmKind.LI_CM: _ChainEntry(
+        lambda phi: LiCMParams(phi, 0.0, phi, 0.0), _licm_phi,
+        lambda p: -_require_finite("licm gamma2 + eta2", p.gamma2 + p.eta2)),
     AlgorithmKind.LI_PC: _ChainEntry(lambda phi: LiPCParams(-phi),
                                      lambda p: -p.beta, lambda p: math.pi - p.beta),
 }
@@ -90,29 +141,40 @@ def _chain_entry(kind: AlgorithmKind) -> _ChainEntry:
     return _CHAIN[kind]
 
 
+def _chain(column: str, params: PhaseParams) -> float:
+    """The bundle's chain value ("phi") or relative phase ("chi") from its _CHAIN column."""
+    entry = _chain_entry(params.kind)
+    with np.errstate(over="ignore"):  # the column rejects an overflow, by name
+        return getattr(entry, column)(params)
+
+
 def transform_phases(params: PhaseParams, to_kind: AlgorithmKind) -> PhaseParams:
     """Map a variant's parameters to another variant along the condition chain."""
-    return _chain_entry(to_kind).at(_chain_entry(params.kind).phi(params))
+    return _chain_entry(to_kind).at(_chain("phi", params))
+
+
+def _relative_phase(chi_a: float, chi_b: float) -> float:
+    """chi_b - chi_a, wrapped; each is reduced first, so the difference cannot overflow."""
+    return wrap_angle(wrap_angle(chi_b) - wrap_angle(chi_a))
 
 
 def predicted_global_phase(params_a: PhaseParams, params_b: PhaseParams) -> float:
     """Angle chi with G_a = e^{i chi} * G_b, given parameters on the chain."""
-    phi_a = _chain_entry(params_a.kind).phi(params_a)
-    phi_b = _chain_entry(params_b.kind).phi(params_b)
+    phi_a, phi_b = _chain("phi", params_a), _chain("phi", params_b)
     if angle_distance(phi_a, phi_b) > _CONDITION_TOL:
         raise ValueError(
             f"parameters do not satisfy the phase-transform condition: "
             f"chain values {phi_a} vs {phi_b}"
         )
-    return wrap_angle(_CHAIN[params_b.kind].chi(params_b) - _CHAIN[params_a.kind].chi(params_a))
+    return _relative_phase(_chain("chi", params_a), _chain("chi", params_b))
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
     """Outcome of aligning one variant pair at a tolerance.
 
-    holds requires all four: the alignment succeeded, its residual entry
-    deviation is within tolerance, the measured phase matches the
+    holds requires all three: the alignment succeeded (so its residual entry
+    deviation is within tolerance), the measured phase matches the
     prediction mod 2*pi, and the success probabilities after k steps differ
     by at most the tolerance.
     """
@@ -148,25 +210,21 @@ def verify_phase_equivalence(
     probabilities (at k = 0 it is 0).
     """
     check_tolerance("tol", tol)
-    mapped = [transform_phases(params_long, to_kind) for to_kind in TRANSFORMABLE_KINDS[1:]]
+    phi, chi_long = _chain("phi", params_long), _chain("chi", params_long)
+    mapped = [_CHAIN[kind].at(phi) for kind in TRANSFORMABLE_KINDS[1:]]
     realized = [_perturbed(p, perturb) if perturb else p for p in mapped]
     mats = np.stack([iteration_matrix(p, s) for p in [params_long, *realized]])
     probs = success_probability(run(mats, k, s))
     g_long = mats[0]
     reports = []
     for mapped_params, realized_params, g_other, p in zip(mapped, realized, mats[1:], probs[1:]):
-        predicted = predicted_global_phase(params_long, mapped_params)
+        predicted = _relative_phase(chi_long, _CHAIN[mapped_params.kind].chi(mapped_params))
         measured = global_phase_align(g_long, g_other, tol)
-        deviation = max_entry_deviation(
-            g_long, g_other, predicted if measured is None else measured
-        )
+        deviation = max_entry_deviation(g_long, g_other,
+                                        predicted if measured is None else measured)
         prob_deviation = float(abs(p - probs[0]))
-        holds = (
-            measured is not None
-            and deviation <= tol
-            and angle_distance(measured, predicted) <= tol
-            and prob_deviation <= tol
-        )
+        holds = (measured is not None and angle_distance(measured, predicted) <= tol
+                 and prob_deviation <= tol)
         reports.append(
             EquivalenceReport(
                 target_params=realized_params,

@@ -78,7 +78,7 @@ MAX_ITERATIONS = 2 ** 53
 
 
 def check_iterations(name: str, k: int | np.ndarray) -> int | np.ndarray:
-    """k as an int in [0, MAX_ITERATIONS], or an error naming it; a float k is a TypeError.
+    """k as an int in [0, MAX_ITERATIONS], or an error naming it; a float or bool k is a TypeError.
 
     k may also be an integer array, every entry of which must lie in that
     range: its least and greatest entries go through the same rule.
@@ -89,13 +89,15 @@ def check_iterations(name: str, k: int | np.ndarray) -> int | np.ndarray:
         for extreme in (k.min(), k.max()) if k.size else ():
             check_iterations(name, int(extreme))
         return k
+    if isinstance(k, bool):  # operator.index would read True as 1
+        raise TypeError(f"{name} must be an integer, got {k!r}")
     k = operator.index(k)
     if not 0 <= k <= MAX_ITERATIONS:
         raise ValueError(f"{name} must lie in [0, 2**53 = {MAX_ITERATIONS}], got {k}")
     return k
 
 
-def _require_finite(name: str, value: float) -> None:
+def _require_finite(name: str, value: float) -> float:
     # math.isfinite takes a float (np.float64 included) ~10x faster than numpy's checks.
     if isinstance(value, float):
         finite = math.isfinite(value)
@@ -103,6 +105,7 @@ def _require_finite(name: str, value: float) -> None:
         finite = not np.iscomplexobj(value) and np.isfinite(value).all()
     if not finite:
         raise ValueError(f"{name} must be a finite angle, got {value}")
+    return value
 
 
 class _Bundle:

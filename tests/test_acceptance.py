@@ -123,7 +123,7 @@ def test_criterion_6_engine_cross_validation():
 
 
 def test_criterion_7_reduction_to_the_original_iteration():
-    from groverlab.linalg import global_phase_align
+    from groverlab.equivalence import global_phase_align
 
     worst_entrywise = 0.0
     worst_aligned = 0.0

@@ -2,7 +2,7 @@
 import math
 import re
 import warnings
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -11,11 +11,15 @@ from hypothesis import strategies as st
 
 from groverlab.equivalence import (
     TRANSFORMABLE_KINDS,
+    EquivalenceReport,
+    angle_distance,
+    global_phase_align,
+    max_entry_deviation,
     predicted_global_phase,
     transform_phases,
     verify_phase_equivalence,
+    wrap_angle,
 )
-from groverlab.linalg import angle_distance, global_phase_align, wrap_angle
 from groverlab.model import (
     AlgorithmKind,
     LiCMParams,
@@ -125,6 +129,14 @@ class TestTransformPhases:
             with pytest.raises(ValueError, match=f"^licm {named} must be a finite angle, got "):
                 transform_phases(params, AlgorithmKind.LONG)
 
+    @pytest.mark.parametrize("tau", [1e308, np.float64(-1e308), np.array([0.5, 1e308])])
+    def test_an_overflowing_lidf_chain_value_is_named(self, tau):
+        # tau is finite, but its chain value 2*tau + pi is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^lidf 2\*tau \+ pi must be a finite angle"):
+                transform_phases(LiDFParams(tau), AlgorithmKind.LI_PC)
+
     def test_a_large_finite_licm_difference_maps(self):
         assert transform_phases(LiCMParams(0.0, 1e308, 0.0, 1e308), AlgorithmKind.LONG) == (
             LongParams(-1e308))
@@ -182,8 +194,49 @@ class TestPredictedGlobalPhase:
                                match=r"^licm gamma2 \+ eta2 must be a finite angle, got inf$"):
                 predicted_global_phase(LongParams(-1e308), LiCMParams(0.0, offset, 0.0, offset))
 
+    def test_chain_phases_whose_difference_overflows_give_a_wrapped_angle(self):
+        # On the chain at phi = 1e308: chi is 1e308 for lipc and -1e308 for licm.
+        lipc, licm = LiPCParams(-1e308), LiCMParams(1.5e308, 0.5e308, 1.5e308, 0.5e308)
+        chi = predicted_global_phase(lipc, licm)
+        assert isinstance(chi, float) and -math.pi < chi <= math.pi
+        assert chi == wrap_angle(-2.0 * wrap_angle(1e308))
+        assert angle_distance(predicted_global_phase(licm, lipc), -chi) < 1e-15
+
+
+def verify_by_pairs(params_long, s, tol=1e-10, perturb=0.0, k=0):
+    """verify_phase_equivalence as a loop over transform_phases and predicted_global_phase."""
+    def perturbed(params):
+        lead = params.__match_args__[0]
+        return replace(params, **{lead: getattr(params, lead) + perturb})
+
+    mapped = [transform_phases(params_long, to_kind) for to_kind in TRANSFORMABLE_KINDS[1:]]
+    realized = [perturbed(p) if perturb else p for p in mapped]
+    mats = np.stack([iteration_matrix(p, s) for p in [params_long, *realized]])
+    probs = success_probability(run(mats, k, s))
+    reports = []
+    for mapped_params, realized_params, g_other, p in zip(mapped, realized, mats[1:], probs[1:]):
+        predicted = predicted_global_phase(params_long, mapped_params)
+        measured = global_phase_align(mats[0], g_other, tol)
+        deviation = max_entry_deviation(mats[0], g_other,
+                                        predicted if measured is None else measured)
+        prob_deviation = float(abs(p - probs[0]))
+        holds = (measured is not None and deviation <= tol
+                 and angle_distance(measured, predicted) <= tol and prob_deviation <= tol)
+        reports.append(EquivalenceReport(realized_params, predicted, measured, deviation,
+                                         prob_deviation, holds))
+    return reports
+
 
 class TestVerifyPhaseEquivalence:
+    @given(st.floats(min_value=-1e6, max_value=1e6), st.floats(min_value=1e-14, max_value=1.0),
+           st.integers(min_value=0, max_value=300), st.sampled_from([0.0, 0.1]))
+    @settings(max_examples=300)
+    def test_reports_equal_those_of_the_pairwise_loop(self, phi, lam, k, perturb):
+        s = initial_state(lam)
+        reports = verify_phase_equivalence(LongParams(phi), s, perturb=perturb, k=k)
+        expected = verify_by_pairs(LongParams(phi), s, perturb=perturb, k=k)
+        assert reports == expected  # field by field, bundles included
+
     def test_reference_point_holds(self):
         reports = verify_phase_equivalence(LongParams(math.pi / 2), initial_state(1 / 3))
         assert len(reports) == 3

@@ -19,7 +19,7 @@ M = iteration_matrix(OriginalParams(), S)
 
 LIBRARY = {
     "run": lambda k: run(M, k, S),
-    "run, k in an integer array": lambda k: run(np.stack([M, M]), np.array([0, k]), S),
+    "run, k in an integer array": lambda k: run(np.stack([M, M]), np.array([0, k], type(k)), S),
     "run_full": lambda k: run_full(make_search_space(2, {0}), OriginalParams(), k),
     "closed_form_probability": lambda k: closed_form_probability(0.5, k),
     "SweepGrid": lambda k: SweepGrid(kind=AlgorithmKind.LONG, k=k),
@@ -30,22 +30,27 @@ CLI = {
 }
 
 
-@pytest.mark.parametrize("k", [-1, 2.5, 2 ** 53 + 1])
+@pytest.mark.parametrize("k", [-1, 2.5, 2 ** 53 + 1, True, False])
 @pytest.mark.parametrize("entry", [*LIBRARY, *CLI])
 def test_every_entry_point_rejects_a_bad_iteration_count(entry, k, tmp_path, capsys):
     out = tmp_path / "x.csv"
     if entry in CLI:
         argv = [*CLI[entry], "--k", str(k)] + ["--out", str(out)] * entry.startswith("sweep")
-        if isinstance(k, float):  # argparse's int() rejects it while parsing
+        if isinstance(k, (float, bool)):  # argparse's int() rejects it while parsing
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 1
-            assert "argument --k: invalid int value: '2.5'" in capsys.readouterr().err
+            assert f"argument --k: invalid int value: '{k}'" in capsys.readouterr().err
         else:
             assert main(argv) == 1
             assert capsys.readouterr().err == (
                 f"groverlab: error: --k must lie in [0, 2**53 = 9007199254740992], got {k}\n")
         assert not out.exists()
+    elif isinstance(k, bool):  # not read as 1 or 0
+        message = ("k must be an integer array, got dtype bool" if entry.endswith("array")
+                   else f"k must be an integer, got {k}")
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            LIBRARY[entry](k)
     elif isinstance(k, float):
         with pytest.raises(TypeError):
             LIBRARY[entry](k)

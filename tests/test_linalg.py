@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverlab.linalg import (
+from groverlab.equivalence import (
     angle_distance,
     global_phase_align,
     max_entry_deviation,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groverlab.equivalence import transform_phases
-from groverlab.linalg import global_phase_align
+from groverlab.equivalence import global_phase_align
 from groverlab.model import (
     AlgorithmKind,
     LiCMParams,

@@ -1,9 +1,12 @@
-"""The README's library example runs against the package as it is."""
+"""The README's library example and command lines run against the package as it is."""
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from groverlab.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +23,25 @@ def test_the_library_example_runs(capsys):
     assert lines[2] == f"LiPCParams(beta={-math.pi / 2!r})"
     assert [line.split()[-1] for line in lines[3:6]] == ["True"] * 3
     assert len(lines) == 9  # one row per lambda of a 3-point grid
+
+
+def command_lines():
+    blocks = re.findall(r"^```sh\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                        re.DOTALL | re.MULTILINE)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("groverlab ")]
+
+
+def test_the_readme_has_six_command_lines():
+    assert len(command_lines()) == 6
+
+
+@pytest.mark.parametrize("line", command_lines())
+def test_each_command_line_exits_as_documented(line, tmp_path, monkeypatch, capsys):
+    # --perturb steps off the condition, which the README documents as exit 2.
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(line, comments=True)[1:]
+    assert main(argv) == (2 if "--perturb" in argv else 0)
+    assert capsys.readouterr().err == ""
+    if "--out" in argv:
+        assert (tmp_path / argv[argv.index("--out") + 1]).stat().st_size > 0
