@@ -60,7 +60,15 @@ def angle_distance(a, b):
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         d = np.abs(np.fmod(np.subtract(a, b), TAU))
         return np.where(d > math.pi, TAU - d, d)
-    return abs(wrap_angle(a - b))
+    return abs(_wrapped_difference(a, b))
+
+
+def _wrapped_difference(a: float, b: float) -> float:
+    """a - b, wrapped; two finite angles whose difference overflows are reduced first."""
+    d = float(a) - float(b)
+    if math.isinf(d) and math.isfinite(a) and math.isfinite(b):
+        d = wrap_angle(a) - wrap_angle(b)
+    return wrap_angle(d)
 
 
 def max_entry_deviation(a: np.ndarray, b: np.ndarray, phase: float = 0.0) -> float:
@@ -153,11 +161,6 @@ def transform_phases(params: PhaseParams, to_kind: AlgorithmKind) -> PhaseParams
     return _chain_entry(to_kind).at(_chain("phi", params))
 
 
-def _relative_phase(chi_a: float, chi_b: float) -> float:
-    """chi_b - chi_a, wrapped; each is reduced first, so the difference cannot overflow."""
-    return wrap_angle(wrap_angle(chi_b) - wrap_angle(chi_a))
-
-
 def predicted_global_phase(params_a: PhaseParams, params_b: PhaseParams) -> float:
     """Angle chi with G_a = e^{i chi} * G_b, given parameters on the chain."""
     phi_a, phi_b = _chain("phi", params_a), _chain("phi", params_b)
@@ -166,7 +169,7 @@ def predicted_global_phase(params_a: PhaseParams, params_b: PhaseParams) -> floa
             f"parameters do not satisfy the phase-transform condition: "
             f"chain values {phi_a} vs {phi_b}"
         )
-    return _relative_phase(_chain("chi", params_a), _chain("chi", params_b))
+    return _wrapped_difference(_chain("chi", params_b), _chain("chi", params_a))
 
 
 @dataclass(frozen=True)
@@ -210,15 +213,14 @@ def verify_phase_equivalence(
     probabilities (at k = 0 it is 0).
     """
     check_tolerance("tol", tol)
-    phi, chi_long = _chain("phi", params_long), _chain("chi", params_long)
-    mapped = [_CHAIN[kind].at(phi) for kind in TRANSFORMABLE_KINDS[1:]]
+    mapped = [transform_phases(params_long, to_kind) for to_kind in TRANSFORMABLE_KINDS[1:]]
     realized = [_perturbed(p, perturb) if perturb else p for p in mapped]
     mats = np.stack([iteration_matrix(p, s) for p in [params_long, *realized]])
     probs = success_probability(run(mats, k, s))
     g_long = mats[0]
     reports = []
     for mapped_params, realized_params, g_other, p in zip(mapped, realized, mats[1:], probs[1:]):
-        predicted = _relative_phase(chi_long, _CHAIN[mapped_params.kind].chi(mapped_params))
+        predicted = predicted_global_phase(params_long, mapped_params)
         measured = global_phase_align(g_long, g_other, tol)
         deviation = max_entry_deviation(g_long, g_other,
                                         predicted if measured is None else measured)

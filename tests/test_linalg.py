@@ -67,6 +67,12 @@ class TestWrapAngle:
         assert angle_distance(a, b).tolist() == expected
         assert angle_distance(a, 0.5).tolist() == [angle_distance(x, 0.5) for x in xs]
 
+    @pytest.mark.parametrize("a, b", [(1e308, -1e308), (np.float64(-1e308), np.float64(1e308))])
+    def test_finite_angles_whose_difference_overflows_are_reduced_first(self, a, b):
+        d = angle_distance(a, b)
+        assert isinstance(d, float) and 0.0 <= d <= math.pi
+        assert d == angle_distance(wrap_angle(a), wrap_angle(b))
+
 
 class TestIsUnitary:
     def test_identity(self):
