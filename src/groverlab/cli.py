@@ -170,11 +170,8 @@ def cmd_check_equivalence(args: argparse.Namespace) -> int:
     check_proportion("--lambda", args.lam)
     check_tolerance("--tol", args.tol)
     check_iterations("--k", args.k)
-    if not math.isfinite(abs(args.phi) + abs(args.perturb)):
-        # beta = -phi, so one perturbed phase has magnitude |phi| + |perturb|.
-        raise ValueError(f"--phi {args.phi} and --perturb {args.perturb} overflow when "
-                         f"added; |--phi| + |--perturb| must be finite")
-    phi = wrap_angle(args.phi)  # mod 2*pi keeps the phase transforms exact for large |--phi|
+    # In [-pi, pi] the transforms are exact, and a mapped phase plus --perturb is finite.
+    phi = wrap_angle(args.phi)
     reports = verify_phase_equivalence(LongParams(phi), initial_state(args.lam),
                                        tol=args.tol, perturb=args.perturb, k=args.k)
     for rep in reports:
@@ -218,9 +215,7 @@ def _subspace_probabilities(kinds, phases, lambdas, ks) -> np.ndarray:
         if rows.any():
             mats[rows] = iteration_matrix(params_from_phases(kind, phases[:, rows]), starts[rows])
     probabilities = np.empty(len(kinds))
-    # One int k per run call: the benchmark's tracer (perfbench/layers.py) adds up
-    # run's k as a number.
-    for k in np.unique(ks).tolist():
+    for k in np.unique(ks).tolist():  # run takes one int k per stack
         rows = ks == k
         probabilities[rows] = success_probability(run(mats[rows], k, starts[rows]))
     return probabilities

@@ -54,12 +54,12 @@ def wrap_angle(angle: float) -> float:
 def angle_distance(a, b):
     """Distance between two angles mod 2*pi, in [0, pi]; a or b may be a float array.
 
-    An array gets the scalar bits: fmod is exact, as math.remainder is, and
-    TAU - d is exact for d in (pi, TAU).
+    Arrays go element by element through the scalar rule into their broadcast
+    shape, in Python: a numpy ufunc would warn at the rule's overflowing subtraction.
     """
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        d = np.abs(np.fmod(np.subtract(a, b), TAU))
-        return np.where(d > math.pi, TAU - d, d)
+        a, b = np.broadcast_arrays(a, b)
+        return np.fromiter(map(angle_distance, a.flat, b.flat), float, a.size).reshape(a.shape)
     return abs(_wrapped_difference(a, b))
 
 

@@ -77,18 +77,11 @@ def make_search_space(n: int, targets: Iterable[int]) -> SearchSpace:
 MAX_ITERATIONS = 2 ** 53
 
 
-def check_iterations(name: str, k: int | np.ndarray) -> int | np.ndarray:
-    """k as an int in [0, MAX_ITERATIONS], or an error naming it; a float or bool k is a TypeError.
+def check_iterations(name: str, k: int) -> int:
+    """k as an int in [0, MAX_ITERATIONS], or an error naming it.
 
-    k may also be an integer array, every entry of which must lie in that
-    range: its least and greatest entries go through the same rule.
+    A float, a bool or an array of several counts is a TypeError.
     """
-    if isinstance(k, np.ndarray):
-        if k.dtype.kind not in "iu":
-            raise TypeError(f"{name} must be an integer array, got dtype {k.dtype}")
-        for extreme in (k.min(), k.max()) if k.size else ():
-            check_iterations(name, int(extreme))
-        return k
     if isinstance(k, bool):  # operator.index would read True as 1
         raise TypeError(f"{name} must be an integer, got {k!r}")
     k = operator.index(k)

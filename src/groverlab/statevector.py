@@ -82,4 +82,5 @@ def project_to_subspace(v: StateVector) -> tuple[np.ndarray, float]:
     # The span's component of v, entry by entry; then v minus it, in place.
     residual = np.where(marked, a / math.sqrt(num_targets), b_entry)
     np.subtract(v.amplitudes, residual, out=residual)
-    return np.array([a, b]), float(np.linalg.norm(residual))
+    parts = residual.view(float)  # its norm from the squared parts, in place: no BLAS call
+    return np.array([a, b]), math.sqrt(np.square(parts, out=parts).sum())

@@ -30,13 +30,12 @@ def initial_state(lambda_: float) -> np.ndarray:
     return np.array([math.sin(theta), math.cos(theta)])
 
 
-def run(m: np.ndarray, k: int | np.ndarray, start: np.ndarray) -> np.ndarray:
+def run(m: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
     """State after k applications of m to start; k = 0 returns a copy of start.
 
     m is one unitary (2, 2) matrix or a (..., 2, 2) stack of them (callers
     pass matrices that iteration_matrix has checked); start broadcasts to
-    m.shape[:-1], the shape of the result.  k is an int in [0, 2**53], or an
-    integer array of them that broadcasts to m.shape[:-2]: one count per matrix.
+    m.shape[:-1], the shape of the result.  One int k in [0, 2**53] runs all.
 
     The cost does not depend on k.  With m = e^{i delta} V, det V = 1,
     tr V = 2 cos w and G = (m - (tr m / 2) I) / e^{i delta}, the Chebyshev
@@ -47,8 +46,6 @@ def run(m: np.ndarray, k: int | np.ndarray, start: np.ndarray) -> np.ndarray:
     angles are off by about |k w| * 2**-53 and |k delta| * 2**-53.
     """
     k = check_iterations("k", k)
-    if isinstance(k, np.ndarray):
-        k = np.broadcast_to(k, m.shape[:-2])[..., None]  # aligned with the (..., 1) planes
     # astype copies, so the in-place update below never writes into start.
     v = np.broadcast_to(start, m.shape[:-1]).astype(complex, order="C")
     # (..., 1) slices keep one matrix and a stack on the same array loops, so
@@ -60,8 +57,7 @@ def run(m: np.ndarray, k: int | np.ndarray, start: np.ndarray) -> np.ndarray:
 def _power(m00, m01, m10, m11, k, v0: np.ndarray, v1: np.ndarray) -> None:
     """Overwrite (v0, v1) with m^k (v0, v1), m = [[m00, m01], [m10, m11]], by run's closed form.
 
-    Each element is one cell; the entries and k (an int or an integer array)
-    broadcast to v0's shape.  The caller has checked k.
+    Each element is one cell; the entries broadcast to v0's shape.  k is a checked int.
     """
     phase = m00 * m11
     phase -= m01 * m10

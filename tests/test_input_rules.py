@@ -19,7 +19,7 @@ M = iteration_matrix(OriginalParams(), S)
 
 LIBRARY = {
     "run": lambda k: run(M, k, S),
-    "run, k in an integer array": lambda k: run(np.stack([M, M]), np.array([0, k], type(k)), S),
+    "run, k in a 0-d array": lambda k: run(np.stack([M, M]), np.array(k), S),
     "run_full": lambda k: run_full(make_search_space(2, {0}), OriginalParams(), k),
     "closed_form_probability": lambda k: closed_form_probability(0.5, k),
     "SweepGrid": lambda k: SweepGrid(kind=AlgorithmKind.LONG, k=k),
@@ -46,10 +46,10 @@ def test_every_entry_point_rejects_a_bad_iteration_count(entry, k, tmp_path, cap
             assert capsys.readouterr().err == (
                 f"groverlab: error: --k must lie in [0, 2**53 = 9007199254740992], got {k}\n")
         assert not out.exists()
-    elif isinstance(k, bool):  # not read as 1 or 0
-        message = ("k must be an integer array, got dtype bool" if entry.endswith("array")
-                   else f"k must be an integer, got {k}")
-        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+    elif isinstance(k, bool):  # not read as 1 or 0; numpy's operator.index rejects a 0-d bool
+        message = (r"^only integer scalar arrays" if entry.endswith("array")
+                   else f"^{re.escape(f'k must be an integer, got {k}')}$")
+        with pytest.raises(TypeError, match=message):
             LIBRARY[entry](k)
     elif isinstance(k, float):
         with pytest.raises(TypeError):

@@ -2,6 +2,7 @@
 import cmath
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -66,12 +67,23 @@ class TestWrapAngle:
         expected = [angle_distance(x, y) for x, y in zip(a.tolist(), b.tolist())]
         assert angle_distance(a, b).tolist() == expected
         assert angle_distance(a, 0.5).tolist() == [angle_distance(x, 0.5) for x in xs]
+        # A (3, 50) array against a (50,) one broadcasts, cell by cell.
+        rows = np.resize(a, (3, 50)) * np.array([[1.0], [-3.0], [1e8]])
+        row = np.resize(b, 50)
+        grid = angle_distance(rows, row)
+        assert grid.shape == (3, 50)
+        assert grid.tolist() == [[angle_distance(x, y) for x, y in zip(r, row.tolist())]
+                                 for r in rows.tolist()]
 
     @pytest.mark.parametrize("a, b", [(1e308, -1e308), (np.float64(-1e308), np.float64(1e308))])
     def test_finite_angles_whose_difference_overflows_are_reduced_first(self, a, b):
         d = angle_distance(a, b)
         assert isinstance(d, float) and 0.0 <= d <= math.pi
         assert d == angle_distance(wrap_angle(a), wrap_angle(b))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an array reduces first too, without a warning
+            pair = angle_distance(np.array([a, 0.3]), np.array([b, 0.3]))
+        assert pair.tolist() == [d, 0.0]
 
 
 class TestIsUnitary:

@@ -3,6 +3,7 @@ import ast
 import cmath
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +63,41 @@ def test_engine_imports_nothing_of_the_package_but_the_model():
         elif isinstance(node, ast.Import):
             package_imports.update(a.name for a in node.names if a.name.startswith("groverlab"))
     assert package_imports == {"model"}
+
+
+# numpy functions that run on BLAS; np.linalg does too.
+BLAS_FUNCTIONS = {"dot", "vdot", "matmul", "inner", "tensordot", "einsum"}
+
+
+def blas_uses(source):
+    """(line, name) of each BLAS call, np.linalg use or @ product in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_FUNCTIONS | {"linalg"}:
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in BLAS_FUNCTIONS:
+            found.append((node.lineno, node.id))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            found += [(node.lineno, name) for name in names
+                      if "linalg" in name.split(".") or name in BLAS_FUNCTIONS]
+    return found
+
+
+def test_the_package_makes_no_blas_call():
+    # An unpinned OpenBLAS spreads each call over every core and burns CPU
+    # time for no wall time; neither engine needs it.
+    package = Path(groverlab.__file__).parent
+    found = {path.name: blas_uses(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    # The scan sees each form it forbids, one to a line.
+    forms = ["import numpy.linalg", "from numpy import dot", "n = np.linalg.norm(v)", "w = a @ b",
+             "w @= b", "x = np.einsum('i,i', a, b)", "y = v.vdot(w)", "z = inner(a, b)"]
+    lines = {line for line, _ in blas_uses("\n".join(forms))}
+    assert lines == set(range(1, len(forms) + 1))
 
 
 class TestUniformState:
@@ -241,6 +277,18 @@ class TestProjectToSubspace:
         state, residual = project_to_subspace(StateVector(amps, space))
         assert abs(state[0]) < 1e-15 and abs(state[1]) < 1e-15
         assert residual == pytest.approx(1.0, abs=1e-12)
+
+    def test_residual_equals_the_reference_norm(self):
+        # Outside the span lies each amplitude minus its group's mean.  The
+        # reference sums in another order; N * 2**-52 bounds either order's error.
+        rng = np.random.default_rng(13)
+        for n, targets in ((3, {0, 5}), (10, range(0, 1024, 3)), (4, range(16))):
+            space = make_search_space(n, targets)
+            amps = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
+            _, residual = project_to_subspace(StateVector(amps.copy(), space))
+            groups = [amps[mask] for mask in (space.marked, ~space.marked) if mask.any()]
+            reference = math.hypot(*(np.linalg.norm(g - g.mean()) for g in groups))
+            assert residual == pytest.approx(reference, rel=space.size * 2.0 ** -52)
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_full_target_space_has_no_beta_component(self, kind):
