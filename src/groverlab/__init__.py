@@ -40,7 +40,6 @@ from .operators import (
     operator_coefficients,
 )
 from .statevector import (
-    StateVector,
     project_to_subspace,
     run_full,
     target_probability,
@@ -59,7 +58,6 @@ __all__ = [
     "OriginalParams",
     "PhaseParams",
     "SearchSpace",
-    "StateVector",
     "SweepGrid",
     "TRANSFORMABLE_KINDS",
     "angle_distance",

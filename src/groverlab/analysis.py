@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from .model import AlgorithmKind, LongParams, check_iterations, params_from_phases
+from .model import AlgorithmKind, LongParams, check_integer, check_iterations, params_from_phases
 from .operators import check_unitary, iteration_planes, operator_coefficients
 from .equivalence import TAU, transform_phases
 from .subspace import _power, check_proportion, initial_state, success_probability
@@ -27,14 +26,14 @@ def optimal_iterations(lambda_: float) -> int:
     return int(math.floor(math.pi / (4.0 * math.sqrt(lambda_))))
 
 
-def check_axis(lo: float, hi: float, steps: int, shown: str) -> None:
+def check_axis(lo: float, hi: float, steps: int, shown: str, steps_name: str = "steps") -> None:
     """Reject a sweep axis of steps points from lo to hi unless it is well formed.
 
     The endpoints and the span hi - lo must be finite, lo <= hi, and steps
-    an int >= 1 (a float, even 3.0, is a TypeError).  shown is the axis as
+    an int >= 1 (check_integer names it steps_name).  shown is the axis as
     its caller names it, quoted after "got" in the message.
     """
-    operator.index(steps)
+    check_integer(steps_name, steps)
     if not math.isfinite(float(hi) - float(lo)):  # also nan or inf at an endpoint
         raise ValueError(f"endpoints and max - min must be finite, got {shown}")
     if lo > hi:
@@ -61,7 +60,8 @@ class SweepGrid:
         check_proportion("lambda_max", self.lambda_max)
         for axis in ("lambda", "phase"):
             lo, hi, steps = (getattr(self, f"{axis}_{end}") for end in ("min", "max", "steps"))
-            check_axis(lo, hi, steps, f"{axis}_min={lo}, {axis}_max={hi}, {axis}_steps={steps}")
+            check_axis(lo, hi, steps, f"{axis}_min={lo}, {axis}_max={hi}, {axis}_steps={steps}",
+                       f"{axis}_steps")
         check_iterations("k", self.k)
 
     def lambdas(self) -> np.ndarray:

@@ -244,8 +244,8 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             space, kinds[j], phases[:, j], ks[j] = _random_case(rng, args.n)
             full = run_full(space, params_from_phases(kinds[j], phases[:, j]), ks[j])
             lambdas[j] = space.num_targets / space.size
-            p_full[j] = target_probability(full)
-            residuals[j] = project_to_subspace(full)[1]
+            p_full[j] = target_probability(space, full)
+            residuals[j] = project_to_subspace(space, full)[1]
             del full  # else it stays live beside the next sample's run_full buffers
         deviations = np.abs(p_full - _subspace_probabilities(kinds, phases, lambdas, ks))
         # np.maximum, unlike max, keeps a nan sample: it prints as nan and fails the run.

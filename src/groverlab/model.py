@@ -49,6 +49,7 @@ class SearchSpace:
 
 def make_search_space(n: int, targets: Iterable[int]) -> SearchSpace:
     """Search space marking the given indices; rejects empty, non-integer or out-of-range targets."""
+    n = check_integer("n", n)
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     size = 2 ** n
@@ -77,14 +78,19 @@ def make_search_space(n: int, targets: Iterable[int]) -> SearchSpace:
 MAX_ITERATIONS = 2 ** 53
 
 
-def check_iterations(name: str, k: int) -> int:
-    """k as an int in [0, MAX_ITERATIONS], or an error naming it.
+def check_integer(name: str, value: int) -> int:
+    """value as an int; a bool, float, string or array of several is a TypeError naming it."""
+    if not isinstance(value, bool):  # operator.index would read True as 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
-    A float, a bool or an array of several counts is a TypeError.
-    """
-    if isinstance(k, bool):  # operator.index would read True as 1
-        raise TypeError(f"{name} must be an integer, got {k!r}")
-    k = operator.index(k)
+
+def check_iterations(name: str, k: int) -> int:
+    """k as an int in [0, MAX_ITERATIONS] (through check_integer), or an error naming it."""
+    k = check_integer(name, k)
     if not 0 <= k <= MAX_ITERATIONS:
         raise ValueError(f"{name} must lie in [0, 2**53 = {MAX_ITERATIONS}], got {k}")
     return k

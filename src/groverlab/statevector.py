@@ -13,19 +13,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import AlgorithmKind, PhaseParams, SearchSpace, check_iterations
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Length-N amplitude vector over the computational basis."""
-
-    amplitudes: np.ndarray
-    space: SearchSpace
 
 
 def _coefficients(params: PhaseParams) -> tuple[complex, complex, complex, complex]:
@@ -46,8 +37,8 @@ def _coefficients(params: PhaseParams) -> tuple[complex, complex, complex, compl
     return cmath.exp(-1j * params.beta), 1.0, 1.0 - e, e
 
 
-def run_full(space: SearchSpace, params: PhaseParams, k: int) -> StateVector:
-    """k alternations of oracle then diffusion from the uniform state, every amplitude 1/sqrt(N)."""
+def run_full(space: SearchSpace, params: PhaseParams, k: int) -> np.ndarray:
+    """The N amplitudes after k oracle-then-diffusion steps from the uniform state 1/sqrt(N)."""
     check_iterations("k", k)
     target, rest, c, d = _coefficients(params)
     diagonal = np.where(space.marked, complex(target), complex(rest))
@@ -58,29 +49,29 @@ def run_full(space: SearchSpace, params: PhaseParams, k: int) -> StateVector:
         uniform_part = c * amps.sum() / space.size
         np.multiply(d, amps, out=amps)  # d first: the product's last bit depends on the order
         amps += uniform_part
-    return StateVector(amps, space)
+    return amps
 
 
-def target_probability(v: StateVector) -> float:
+def target_probability(space: SearchSpace, amplitudes: np.ndarray) -> float:
     """Summed |amplitude|^2 over the target indices, clamped into [0, 1]; nan stays nan."""
-    p = float(np.sum(np.abs(v.amplitudes[v.space.marked]) ** 2))
+    p = float(np.sum(np.abs(amplitudes[space.marked]) ** 2))
     return float(np.clip(p, 0.0, 1.0))
 
 
-def project_to_subspace(v: StateVector) -> tuple[np.ndarray, float]:
+def project_to_subspace(space: SearchSpace, amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
     """The (2,) amplitudes (<alpha|v>, <beta|v>) and the norm of what lies outside the span.
 
     With M = N there are no non-target indices; the |beta> component is 0.
     """
-    size, num_targets, marked = v.space.size, v.space.num_targets, v.space.marked
-    a = complex(v.amplitudes[marked].sum() / math.sqrt(num_targets))
+    size, num_targets, marked = space.size, space.num_targets, space.marked
+    a = complex(amplitudes[marked].sum() / math.sqrt(num_targets))
     if num_targets < size:
-        b = complex(v.amplitudes[~marked].sum() / math.sqrt(size - num_targets))
+        b = complex(amplitudes[~marked].sum() / math.sqrt(size - num_targets))
         b_entry = b / math.sqrt(size - num_targets)
     else:
         b = b_entry = 0j
     # The span's component of v, entry by entry; then v minus it, in place.
     residual = np.where(marked, a / math.sqrt(num_targets), b_entry)
-    np.subtract(v.amplitudes, residual, out=residual)
+    np.subtract(amplitudes, residual, out=residual)
     parts = residual.view(float)  # its norm from the squared parts, in place: no BLAS call
     return np.array([a, b]), math.sqrt(np.square(parts, out=parts).sum())

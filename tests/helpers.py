@@ -8,7 +8,7 @@ from groverlab.analysis import sweep
 from groverlab.cli import _random_case
 from groverlab.model import AlgorithmKind, LongParams, params_from_phases
 from groverlab.operators import iteration_matrix
-from groverlab.statevector import StateVector, project_to_subspace, run_full, target_probability
+from groverlab.statevector import project_to_subspace, run_full, target_probability
 from groverlab.subspace import initial_state, run, success_probability
 
 KINDS = list(AlgorithmKind)
@@ -109,26 +109,26 @@ def cmath_row(params):
     return cmath.exp(-1j * params.beta), 1.0 + 0j, 1.0 - e, e
 
 
-def apply_oracle(v, params):
+def apply_oracle(space, amplitudes, params):
     """Multiply marked amplitudes by the target eigenvalue of the bundle's kind.
 
     Only licm also rescales the unmarked amplitudes (by -e^{i eta2}).  One
     step at a time, by gather and scatter: the reference for run_full.
     """
     target, rest, _, _ = cmath_row(params)
-    amps = v.amplitudes.copy()
-    amps[v.space.marked] *= target
+    amps = amplitudes.copy()
+    amps[space.marked] *= target
     if rest != 1:
-        amps[~v.space.marked] *= rest
-    return StateVector(amps, v.space)
+        amps[~space.marked] *= rest
+    return amps
 
 
-def apply_diffusion(v, params):
+def apply_diffusion(space, amplitudes, params):
     """v -> c * <s|v> * |s> + d * v with the coefficients (c, d) of the bundle's kind."""
     _, _, c, d = cmath_row(params)
     # c * <s|v> * |s> has the constant value c * sum(v) / N on every index.
-    uniform_part = c * v.amplitudes.sum() / v.space.size
-    return StateVector(d * v.amplitudes + uniform_part, v.space)
+    uniform_part = c * amplitudes.sum() / space.size
+    return d * amplitudes + uniform_part
 
 
 def crosscheck_reference(n, seed, samples, tol=1e-10):
@@ -145,8 +145,8 @@ def crosscheck_reference(n, seed, samples, tol=1e-10):
         full = run_full(space, params, k)
         s = initial_state(space.num_targets / space.size)
         sub = run(iteration_matrix(params, s), k, s)
-        deviations.append(abs(target_probability(full) - success_probability(sub)))
-        residuals.append(project_to_subspace(full)[1])
+        deviations.append(abs(target_probability(space, full) - success_probability(sub)))
+        residuals.append(project_to_subspace(space, full)[1])
         drawn.append((kind, k))
     max_prob_dev, max_residual = float(np.max(deviations)), float(np.max(residuals))
     lines = [f"rng=PCG64 seed={seed} n={n} samples={samples}",

@@ -114,9 +114,9 @@ def test_criterion_6_engine_cross_validation():
             s = initial_state(space.num_targets / space.size)
             sub = run(iteration_matrix(params, s), k, s)
             worst_prob = max(
-                worst_prob, abs(target_probability(full) - success_probability(sub))
+                worst_prob, abs(target_probability(space, full) - success_probability(sub))
             )
-            worst_residual = max(worst_residual, project_to_subspace(full)[1])
+            worst_residual = max(worst_residual, project_to_subspace(space, full)[1])
     ok = worst_prob < 1e-10 and worst_residual < 1e-10
     report(6, "statevector vs subspace cross-validation", ok,
            f"max prob deviation = {worst_prob:.3e}, max residual = {worst_residual:.3e}")

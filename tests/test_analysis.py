@@ -118,7 +118,7 @@ class TestSingleIterationProbability:
                 space = make_search_space(n, range(num_targets))
                 out = run_full(space, LongParams(math.pi / 2), 1)
                 expected = cubic(num_targets / size)
-                assert abs(target_probability(out) - expected) < 1e-10
+                assert abs(target_probability(space, out) - expected) < 1e-10
 
 
 class TestProbabilityFloor:

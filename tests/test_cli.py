@@ -252,12 +252,12 @@ class TestCrosscheckCommand:
         calls = []
 
         def run_full_with_nan(space, params, k):
-            state = run_full(space, params, k)
+            amplitudes = run_full(space, params, k)
             indices = np.flatnonzero(space.marked if sector == "marked" else ~space.marked)
             if len(calls) in bad_calls and indices.size:
-                state.amplitudes[indices[0]] = np.nan
+                amplitudes[indices[0]] = np.nan
             calls.append(k)
-            return state
+            return amplitudes
 
         monkeypatch.setattr(cli, "run_full", run_full_with_nan)
 

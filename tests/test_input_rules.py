@@ -9,7 +9,7 @@ import pytest
 import groverlab
 from groverlab.analysis import SweepGrid, closed_form_probability
 from groverlab.cli import main
-from groverlab.model import AlgorithmKind, OriginalParams, make_search_space
+from groverlab.model import AlgorithmKind, OriginalParams, check_iterations, make_search_space
 from groverlab.operators import iteration_matrix
 from groverlab.statevector import run_full
 from groverlab.subspace import initial_state, run
@@ -46,13 +46,9 @@ def test_every_entry_point_rejects_a_bad_iteration_count(entry, k, tmp_path, cap
             assert capsys.readouterr().err == (
                 f"groverlab: error: --k must lie in [0, 2**53 = 9007199254740992], got {k}\n")
         assert not out.exists()
-    elif isinstance(k, bool):  # not read as 1 or 0; numpy's operator.index rejects a 0-d bool
-        message = (r"^only integer scalar arrays" if entry.endswith("array")
-                   else f"^{re.escape(f'k must be an integer, got {k}')}$")
-        with pytest.raises(TypeError, match=message):
-            LIBRARY[entry](k)
-    elif isinstance(k, float):
-        with pytest.raises(TypeError):
+    elif isinstance(k, (bool, float)):  # not read as 1 or 0, nor truncated
+        shown = repr(np.array(k)) if entry.endswith("array") else repr(k)
+        with pytest.raises(TypeError, match=f"^{re.escape(f'k must be an integer, got {shown}')}$"):
             LIBRARY[entry](k)
     else:
         with pytest.raises(ValueError, match=re.escape(
@@ -60,13 +56,51 @@ def test_every_entry_point_rejects_a_bad_iteration_count(entry, k, tmp_path, cap
             LIBRARY[entry](k)
 
 
+COUNTS = {
+    "check_iterations": ("k", lambda v: check_iterations("k", v)),
+    "SweepGrid lambda_steps": ("lambda_steps",
+                               lambda v: SweepGrid(kind=AlgorithmKind.LONG, k=1, lambda_steps=v)),
+    "SweepGrid phase_steps": ("phase_steps",
+                              lambda v: SweepGrid(kind=AlgorithmKind.LONG, k=1, phase_steps=v)),
+    "make_search_space": ("n", lambda v: make_search_space(v, [0])),
+}
+
+
+@pytest.mark.parametrize("entry,value", [
+    ("check_iterations", np.array([2, 5])),
+    ("check_iterations", np.True_),
+    ("check_iterations", np.array(True)),
+    ("check_iterations", "3"),
+    ("SweepGrid lambda_steps", True),
+    ("SweepGrid phase_steps", np.True_),
+    ("SweepGrid lambda_steps", "3"),
+    ("make_search_space", True),
+    ("make_search_space", 2.5),
+    ("make_search_space", np.array([2, 3])),
+])
+def test_every_count_rejects_a_non_integer_by_name(entry, value):
+    # One rule (model.check_integer) for every integer count: a bool is not
+    # read as 1 and a float is not truncated, and the error names the count.
+    name, call = COUNTS[entry]
+    message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+@pytest.mark.parametrize("value", [np.int64(2), np.array(2)])
+def test_every_count_reads_a_numpy_integer(entry, value):
+    COUNTS[entry][1](value)
+
+
 def test_each_input_rule_has_one_home():
     # The iteration-count bound is read only by check_iterations, next to
-    # which it is defined, and the CLI grows no rule of its own: it names
-    # its flag and calls the package's check.  Nor does the CLI import a
-    # private name, such as subspace's kernel: it runs the engines through
-    # their public entry points.
-    readers = set()
+    # which it is defined, and only check_integer reads a count through
+    # operator.index.  The CLI grows no rule of its own: it names its flag
+    # and calls the package's check.  Nor does the CLI import a private
+    # name, such as subspace's kernel: it runs the engines through their
+    # public entry points.
+    readers, index_readers = set(), set()
     for path in sorted(Path(groverlab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -74,6 +108,10 @@ def test_each_input_rule_has_one_home():
                      if isinstance(node, ast.ImportFrom) for alias in node.names)
         if "MAX_ITERATIONS" in names:
             readers.add(path.name)
+        if any(isinstance(node, ast.Attribute) and node.attr == "index"
+               and isinstance(node.value, ast.Name) and node.value.id == "operator"
+               for node in ast.walk(tree)):
+            index_readers.add(path.name)
         if path.name == "cli.py":
             helpers = [node.name for node in ast.walk(tree)
                        if isinstance(node, ast.FunctionDef) and node.name.startswith("_check")]
@@ -82,7 +120,7 @@ def test_each_input_rule_has_one_home():
                        and (node.level or (node.module or "").startswith("groverlab"))
                        for alias in node.names if alias.name.startswith("_")]
             assert private == []
-    assert readers == {"model.py"}
+    assert readers == index_readers == {"model.py"}
 
 
 def test_each_engine_has_one_per_kind_row_and_the_bundles_one_check():
