@@ -31,7 +31,6 @@ from .model import (
     LongParams,
     OriginalParams,
     PhaseParams,
-    SearchSpace,
     make_search_space,
     params_from_phases,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "LongParams",
     "OriginalParams",
     "PhaseParams",
-    "SearchSpace",
     "SweepGrid",
     "TRANSFORMABLE_KINDS",
     "angle_distance",

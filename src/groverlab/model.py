@@ -30,25 +30,8 @@ class AlgorithmKind(Enum):
     LI_PC = "lipc"
 
 
-@dataclass(frozen=True, eq=False)
-class SearchSpace:
-    """Database of 2**n items; marked is the read-only length-N bool mask of its targets."""
-
-    n: int
-    marked: np.ndarray
-
-    @property
-    def size(self) -> int:
-        """Database size N = 2**n."""
-        return 2 ** self.n
-
-    @property
-    def num_targets(self) -> int:
-        return int(np.count_nonzero(self.marked))
-
-
-def make_search_space(n: int, targets: Iterable[int]) -> SearchSpace:
-    """Search space marking the given indices; rejects empty, non-integer or out-of-range targets."""
+def make_search_space(n: int, targets: Iterable[int]) -> np.ndarray:
+    """Read-only length-2**n bool mask of the targets, a non-empty set of integers in [0, 2**n)."""
     n = check_integer("n", n)
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
@@ -70,7 +53,7 @@ def make_search_space(n: int, targets: Iterable[int]) -> SearchSpace:
     marked = np.zeros(size, dtype=bool)
     marked[indices.astype(np.intp, copy=False)] = True
     marked.flags.writeable = False
-    return SearchSpace(n=n, marked=marked)
+    return marked
 
 
 # Above 2**53 a float64 no longer holds every integer, so an angle k * w

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .model import AlgorithmKind, PhaseParams, SearchSpace, check_iterations
+from .model import AlgorithmKind, PhaseParams, check_iterations
 
 
 def _coefficients(params: PhaseParams) -> tuple[complex, complex, complex, complex]:
@@ -37,33 +37,45 @@ def _coefficients(params: PhaseParams) -> tuple[complex, complex, complex, compl
     return cmath.exp(-1j * params.beta), 1.0, 1.0 - e, e
 
 
-def run_full(space: SearchSpace, params: PhaseParams, k: int) -> np.ndarray:
-    """The N amplitudes after k oracle-then-diffusion steps from the uniform state 1/sqrt(N)."""
+def _check_mask(marked: np.ndarray) -> int:
+    """M, the target count of marked, which must be a 1-D bool mask with at least one target."""
+    if not isinstance(marked, np.ndarray) or marked.dtype != bool or marked.ndim != 1:
+        raise TypeError(f"marked must be a 1-D bool mask, got {marked!r}")
+    num_targets = int(np.count_nonzero(marked))
+    if num_targets == 0:
+        raise ValueError(f"marked must mark at least one of its {marked.size} indices")
+    return num_targets
+
+
+def run_full(marked: np.ndarray, params: PhaseParams, k: int) -> np.ndarray:
+    """The N = marked.size amplitudes after k oracle-then-diffusion steps from the uniform state."""
+    _check_mask(marked)
     check_iterations("k", k)
     target, rest, c, d = _coefficients(params)
-    diagonal = np.where(space.marked, complex(target), complex(rest))
-    amps = np.full(space.size, 1.0 / math.sqrt(space.size), dtype=complex)
+    diagonal = np.where(marked, complex(target), complex(rest))
+    amps = np.full(marked.size, 1.0 / math.sqrt(marked.size), dtype=complex)
     for _ in range(k):
         amps *= diagonal
         # c * <s|v> * |s> has the constant value c * sum(v) / N on every index.
-        uniform_part = c * amps.sum() / space.size
+        uniform_part = c * amps.sum() / marked.size
         np.multiply(d, amps, out=amps)  # d first: the product's last bit depends on the order
         amps += uniform_part
     return amps
 
 
-def target_probability(space: SearchSpace, amplitudes: np.ndarray) -> float:
+def target_probability(marked: np.ndarray, amplitudes: np.ndarray) -> float:
     """Summed |amplitude|^2 over the target indices, clamped into [0, 1]; nan stays nan."""
-    p = float(np.sum(np.abs(amplitudes[space.marked]) ** 2))
+    _check_mask(marked)
+    p = float(np.sum(np.abs(amplitudes[marked]) ** 2))
     return float(np.clip(p, 0.0, 1.0))
 
 
-def project_to_subspace(space: SearchSpace, amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
+def project_to_subspace(marked: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
     """The (2,) amplitudes (<alpha|v>, <beta|v>) and the norm of what lies outside the span.
 
     With M = N there are no non-target indices; the |beta> component is 0.
     """
-    size, num_targets, marked = space.size, space.num_targets, space.marked
+    num_targets, size = _check_mask(marked), marked.size
     a = complex(amplitudes[marked].sum() / math.sqrt(num_targets))
     if num_targets < size:
         b = complex(amplitudes[~marked].sum() / math.sqrt(size - num_targets))

@@ -106,17 +106,17 @@ def test_criterion_6_engine_cross_validation():
         size = 2 ** n
         for _ in range(100):
             num_targets = int(rng.integers(1, size + 1))
-            space = make_search_space(n, rng.choice(size, size=num_targets, replace=False))
+            marked = make_search_space(n, rng.choice(size, size=num_targets, replace=False))
             kind = random_kind(rng)
             params = random_params(rng, kind)
             k = int(rng.integers(0, 26))
-            full = run_full(space, params, k)
-            s = initial_state(space.num_targets / space.size)
+            full = run_full(marked, params, k)
+            s = initial_state(np.count_nonzero(marked) / marked.size)
             sub = run(iteration_matrix(params, s), k, s)
             worst_prob = max(
-                worst_prob, abs(target_probability(space, full) - success_probability(sub))
+                worst_prob, abs(target_probability(marked, full) - success_probability(sub))
             )
-            worst_residual = max(worst_residual, project_to_subspace(space, full)[1])
+            worst_residual = max(worst_residual, project_to_subspace(marked, full)[1])
     ok = worst_prob < 1e-10 and worst_residual < 1e-10
     report(6, "statevector vs subspace cross-validation", ok,
            f"max prob deviation = {worst_prob:.3e}, max residual = {worst_residual:.3e}")

@@ -115,10 +115,10 @@ class TestSingleIterationProbability:
         for n in range(1, 11):
             size = 2 ** n
             for num_targets in {1, max(1, size // 3), size // 2 or 1, size}:
-                space = make_search_space(n, range(num_targets))
-                out = run_full(space, LongParams(math.pi / 2), 1)
+                marked = make_search_space(n, range(num_targets))
+                out = run_full(marked, LongParams(math.pi / 2), 1)
                 expected = cubic(num_targets / size)
-                assert abs(target_probability(space, out) - expected) < 1e-10
+                assert abs(target_probability(marked, out) - expected) < 1e-10
 
 
 class TestProbabilityFloor:

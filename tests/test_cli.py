@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (exit codes, CSV contracts)."""
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import groverlab
-from groverlab import analysis, cli
+from groverlab import analysis, cli, statevector
 from groverlab.analysis import SweepGrid
 from groverlab.cli import main
 from groverlab.model import AlgorithmKind
@@ -251,9 +252,9 @@ class TestCrosscheckCommand:
         """Make run_full put nan on the first index of ``sector`` in the chosen calls."""
         calls = []
 
-        def run_full_with_nan(space, params, k):
-            amplitudes = run_full(space, params, k)
-            indices = np.flatnonzero(space.marked if sector == "marked" else ~space.marked)
+        def run_full_with_nan(marked, params, k):
+            amplitudes = run_full(marked, params, k)
+            indices = np.flatnonzero(marked if sector == "marked" else ~marked)
             if len(calls) in bad_calls and indices.size:
                 amplitudes[indices[0]] = np.nan
             calls.append(k)
@@ -271,6 +272,22 @@ class TestCrosscheckCommand:
             "max probability deviation: nan",
             "max subspace residual: nan",
         ]
+
+    def test_conjugated_statevector_phases_fail(self, monkeypatch, capsys):
+        # Conjugating the engine's coefficients conjugates every amplitude, so
+        # |a|^2 and the residual keep their bits; only the amplitude gap sees it.
+        argv = ["crosscheck", "--n", "4", "--seed", "1", "--samples", "40"]
+        assert main(argv) == 0
+        honest = capsys.readouterr()
+        assert honest.err == ""
+        coefficients = statevector._coefficients
+        monkeypatch.setattr(statevector, "_coefficients", lambda params: tuple(
+            complex(x).conjugate() for x in coefficients(params)))
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == honest.out
+        assert re.fullmatch(r"groverlab: max amplitude gap: \d\.\d{3}e[+-]\d+\n", err)
+        assert float(err.rsplit(" ", 1)[1]) > 0.1
 
     def test_nan_residual_alone_fails(self, monkeypatch, capsys):
         # nan on a non-target index leaves the target probability finite.
@@ -403,6 +420,12 @@ class TestNonFiniteInput:
         # finite endpoints whose span overflows; np.linspace would warn and fill nan
         ("--phase", ["sweep", "--kind", "long", "--k", "1", "--lambda=0.5:1:2",
                      "--phase=-1.7e308:1.7e308:3"]),
+        # a leading minus sign: a value for the flag's own check, not an option
+        ("--phi", ["check-equivalence", "--phi", "-inf", "--lambda", "0.5", "--k", "1"]),
+        ("--perturb", ["check-equivalence", "--phi", "1", "--lambda", "0.5", "--k", "1",
+                       "--perturb", "-nan"]),
+        ("--phase", ["sweep", "--kind", "long", "--k", "1", "--lambda", "0.1:1:3",
+                     "--phase", "-Infinity:1:3"]),
     ])
     def test_rejected_at_the_boundary_naming_the_flag(self, flag, argv, tmp_path, capsys,
                                                       recwarn):
@@ -411,7 +434,8 @@ class TestNonFiniteInput:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 1
-        assert f"argument {flag}:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "finite" in err
         assert not recwarn.list
         assert not (tmp_path / "x.csv").exists()
 

@@ -1,4 +1,4 @@
-"""Tests for the search-space model and phase parameter bundles."""
+"""Tests for the target-mask model and phase parameter bundles."""
 from dataclasses import fields
 from typing import get_args
 
@@ -20,22 +20,22 @@ from groverlab.model import (
 )
 
 
-class TestMakeSearchSpace:
+class TestTargetMask:
     def test_single_target(self):
-        space = make_search_space(2, {3})
-        assert space.size == 4
-        assert space.num_targets == 1
-        assert np.flatnonzero(space.marked).tolist() == [3]
+        marked = make_search_space(2, {3})
+        assert marked.size == 4
+        assert np.count_nonzero(marked) == 1
+        assert np.flatnonzero(marked).tolist() == [3]
 
     def test_deduplicates_and_sorts(self):
-        space = make_search_space(3, [5, 1, 1])
-        assert space.size == 8
-        assert np.flatnonzero(space.marked).tolist() == [1, 5]
+        marked = make_search_space(3, [5, 1, 1])
+        assert marked.size == 8
+        assert np.flatnonzero(marked).tolist() == [1, 5]
 
     def test_full_target_edge(self):
-        space = make_search_space(1, {0, 1})
-        assert space.size == 2
-        assert space.num_targets == 2
+        marked = make_search_space(1, {0, 1})
+        assert marked.size == 2
+        assert np.count_nonzero(marked) == 2
 
     def test_rejects_empty_targets(self):
         with pytest.raises(ValueError):
@@ -49,17 +49,17 @@ class TestMakeSearchSpace:
     @pytest.mark.parametrize("targets", [{1, 5}, [5, 1, 5, 1], range(1, 6, 4),
                                          np.array([5, 1, 1, 5]), (t for t in (1, 5))])
     def test_every_iterable_gives_the_same_mask(self, targets):
-        space = make_search_space(3, targets)
+        marked = make_search_space(3, targets)
         expected = np.array([False, True, False, False, False, True, False, False])
-        assert space.marked.dtype == bool
-        assert np.array_equal(space.marked, expected)
-        assert space.num_targets == 2
+        assert marked.dtype == bool
+        assert np.array_equal(marked, expected)
+        assert np.count_nonzero(marked) == 2
 
     def test_mask_is_read_only(self):
-        space = make_search_space(2, {1})
+        marked = make_search_space(2, {1})
         with pytest.raises(ValueError):
-            space.marked[0] = True
-        assert np.flatnonzero(space.marked).tolist() == [1]
+            marked[0] = True
+        assert np.flatnonzero(marked).tolist() == [1]
 
     def test_out_of_range_message_names_the_bounds_and_stays_short(self):
         bad = np.arange(-3, 2 ** 16 + 5)
@@ -88,7 +88,7 @@ class TestMakeSearchSpace:
         np.array([5, 1], dtype=np.int64), np.array([[5], [1]]),
     ])
     def test_accepts_python_and_numpy_integers(self, targets):
-        assert np.flatnonzero(make_search_space(3, targets).marked).tolist() == [1, 5]
+        assert np.flatnonzero(make_search_space(3, targets)).tolist() == [1, 5]
 
 
 def five_way_ladder(kind, a):

@@ -22,7 +22,8 @@ def test_the_library_example_runs(capsys):
     assert stacked == pytest.approx([1 / 3, 25 / 27, 25 / 27], abs=1e-8)
     assert lines[2] == f"LiPCParams(beta={-math.pi / 2!r})"
     assert [line.split()[-1] for line in lines[3:6]] == ["True"] * 3
-    assert len(lines) == 9  # one row per lambda of a 3-point grid
+    assert float(lines[9]) == pytest.approx(1.0, abs=1e-12)  # one step at lambda = 1/4
+    assert len(lines) == 10  # one row per lambda of a 3-point grid, then the mask example
 
 
 def command_lines():

@@ -28,14 +28,14 @@ from groverlab.subspace import initial_state, run, success_probability
 from helpers import apply_diffusion, apply_oracle, random_kind, random_params
 
 
-def random_state(rng, space):
-    raw = rng.normal(size=space.size) + 1j * rng.normal(size=space.size)
+def random_state(rng, marked):
+    raw = rng.normal(size=marked.size) + 1j * rng.normal(size=marked.size)
     return raw / np.linalg.norm(raw)
 
 
-def uniform(space):
+def uniform(marked):
     """The uniform state that run_full starts from."""
-    return run_full(space, OriginalParams(), 0)
+    return run_full(marked, OriginalParams(), 0)
 
 
 def random_case(rng, n):
@@ -95,6 +95,28 @@ def test_the_package_makes_no_blas_call():
     assert lines == set(range(1, len(forms) + 1))
 
 
+MEASUREMENTS = {
+    "run_full": lambda marked: run_full(marked, OriginalParams(), 1),
+    "target_probability": lambda marked: target_probability(marked, np.full(4, 0.5 + 0j)),
+    "project_to_subspace": lambda marked: project_to_subspace(marked, np.full(4, 0.5 + 0j)),
+}
+NOT_MASKS = {
+    "index array": np.array([0, 3]),
+    "float mask": np.array([0.0, 1.0, 0.0, 1.0]),
+    "2-D mask": np.array([[False, True], [False, True]]),
+    "bool list": [False, True, False, True],
+    "all-False mask": np.zeros(4, dtype=bool),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_MASKS.values(), ids=NOT_MASKS)
+@pytest.mark.parametrize("function", MEASUREMENTS)
+def test_each_function_takes_only_a_bool_mask_with_a_target(function, bad):
+    # An index array would otherwise run or measure a database of its length.
+    with pytest.raises((TypeError, ValueError), match="^marked must "):
+        MEASUREMENTS[function](bad)
+
+
 class TestUniformState:
     @pytest.mark.parametrize("n,expected", [(1, math.sqrt(0.5)), (2, 0.5), (3, 0.5 / math.sqrt(2))])
     def test_amplitudes(self, n, expected):
@@ -105,72 +127,72 @@ class TestUniformState:
 
 class TestApplyOracle:
     def test_original_negates_target(self):
-        space = make_search_space(2, {3})
-        out = apply_oracle(space, uniform(space), OriginalParams())
+        marked = make_search_space(2, {3})
+        out = apply_oracle(marked, uniform(marked), OriginalParams())
         assert np.allclose(out, [0.5, 0.5, 0.5, -0.5], atol=1e-15)
 
     def test_long_at_pi_matches_original(self):
         rng = np.random.default_rng(3)
-        space = make_search_space(4, {2, 7, 11})
-        state = random_state(rng, space)
-        via_long = apply_oracle(space, state, LongParams(math.pi))
-        via_original = apply_oracle(space, state, OriginalParams())
+        marked = make_search_space(4, {2, 7, 11})
+        state = random_state(rng, marked)
+        via_long = apply_oracle(marked, state, LongParams(math.pi))
+        via_original = apply_oracle(marked, state, OriginalParams())
         assert np.max(np.abs(via_long - via_original)) < 1e-15
 
     def test_lipc_at_zero_is_identity(self):
         rng = np.random.default_rng(4)
-        space = make_search_space(3, {0, 6})
-        state = random_state(rng, space)
-        out = apply_oracle(space, state, LiPCParams(0.0))
+        marked = make_search_space(3, {0, 6})
+        state = random_state(rng, marked)
+        out = apply_oracle(marked, state, LiPCParams(0.0))
         assert np.array_equal(out, state)
 
     @pytest.mark.parametrize("targets", [{1}, [3, 0, 3], range(4)])
     def test_licm_scales_both_sectors(self, targets):
-        space = make_search_space(2, targets)
-        out = apply_oracle(space, uniform(space), LiCMParams(0, 0, 0.9, -0.4))
+        marked = make_search_space(2, targets)
+        out = apply_oracle(marked, uniform(marked), LiCMParams(0, 0, 0.9, -0.4))
         for idx in range(4):
-            eta = 0.9 if space.marked[idx] else -0.4
+            eta = 0.9 if marked[idx] else -0.4
             assert out[idx] == pytest.approx(0.5 * -cmath.exp(1j * eta), abs=1e-15)
 
 
 class TestApplyDiffusion:
     def test_uniform_state_is_fixed_point_of_original(self):
-        space = make_search_space(3, {1})
-        state = uniform(space)
-        out = apply_diffusion(space, state, OriginalParams())
+        marked = make_search_space(3, {1})
+        state = uniform(marked)
+        out = apply_diffusion(marked, state, OriginalParams())
         assert np.max(np.abs(out - state)) < 1e-15
 
     def test_orthogonal_state_is_negated_by_original(self):
-        space = make_search_space(2, {0})
+        marked = make_search_space(2, {0})
         amps = np.array([1, -1, 0, 0], dtype=complex) / math.sqrt(2)
-        out = apply_diffusion(space, amps, OriginalParams())
+        out = apply_diffusion(marked, amps, OriginalParams())
         assert np.max(np.abs(out + amps)) < 1e-15
 
     def test_licm_with_equal_phases_is_global_factor(self):
         rng = np.random.default_rng(6)
-        space = make_search_space(3, {2, 5})
-        state = random_state(rng, space)
-        out = apply_diffusion(space, state, LiCMParams(0.8, 0.8, 0.1, 0.2))
+        marked = make_search_space(3, {2, 5})
+        state = random_state(rng, marked)
+        out = apply_diffusion(marked, state, LiCMParams(0.8, 0.8, 0.1, 0.2))
         assert np.max(np.abs(out - cmath.exp(0.8j) * state)) < 1e-14
 
 
 class TestRunFull:
     def test_quarter_proportion_single_iteration_is_certain(self):
-        space = make_search_space(2, {0})
-        out = run_full(space, OriginalParams(), 1)
-        assert isinstance(out, np.ndarray) and out.shape == (space.size,)
-        assert target_probability(space, out) == pytest.approx(1.0, abs=1e-12)
+        marked = make_search_space(2, {0})
+        out = run_full(marked, OriginalParams(), 1)
+        assert isinstance(out, np.ndarray) and out.shape == (marked.size,)
+        assert target_probability(marked, out) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_iterations_is_uniform(self):
-        space = make_search_space(3, {4})
-        out = run_full(space, LongParams(1.1), 0)
+        marked = make_search_space(3, {4})
+        out = run_full(marked, LongParams(1.1), 0)
         assert np.array_equal(out, np.full(8, 1 / math.sqrt(8), dtype=complex))
 
     @pytest.mark.parametrize("k", [0, 1, 3, 10])
     def test_full_target_space_always_succeeds(self, k):
-        space = make_search_space(1, {0, 1})
-        out = run_full(space, OriginalParams(), k)
-        assert target_probability(space, out) == pytest.approx(1.0, abs=1e-12)
+        marked = make_search_space(1, {0, 1})
+        out = run_full(marked, OriginalParams(), k)
+        assert target_probability(marked, out) == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
@@ -189,16 +211,16 @@ class TestRunFull:
         num_targets = data.draw(st.integers(1, size), label="M")
         seed = data.draw(st.integers(0, 2 ** 32 - 1), label="seed")
         targets = np.random.default_rng(seed).choice(size, size=num_targets, replace=False)
-        space = make_search_space(n, targets)
+        marked = make_search_space(n, targets)
         kind = data.draw(st.sampled_from(list(AlgorithmKind)), label="kind")
         phases = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
                                     min_size=4, max_size=4), label="phases")
         params = params_from_phases(kind, phases)
         k = data.draw(st.integers(0, 25), label="k")
-        reference = uniform(space)
+        reference = uniform(marked)
         for _ in range(k):
-            reference = apply_diffusion(space, apply_oracle(space, reference, params), params)
-        amps = run_full(space, params, k)
+            reference = apply_diffusion(marked, apply_oracle(marked, reference, params), params)
+        amps = run_full(marked, params, k)
         one_element_gather = num_targets == 1 or (
             kind is AlgorithmKind.LI_CM and size - num_targets == 1)
         if one_element_gather:
@@ -212,11 +234,11 @@ class TestRunFull:
     def test_peak_memory_is_two_vectors(self, kind, num_targets):
         # The amplitude buffer and the oracle diagonal; no per-step copies.
         n, size = 16, 2 ** 16
-        space = make_search_space(n, range(num_targets))
+        marked = make_search_space(n, range(num_targets))
         params = random_params(np.random.default_rng(5), kind)
         tracemalloc.start()
         try:
-            run_full(space, params, 25)
+            run_full(marked, params, 25)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -225,50 +247,50 @@ class TestRunFull:
     def test_norm_preserved_through_hundred_iterations(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            space, params, _ = random_case(rng, 6)
-            out = run_full(space, params, 100)
+            marked, params, _ = random_case(rng, 6)
+            out = run_full(marked, params, 100)
             assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
 class TestTargetProbability:
     def test_nan_amplitude_reads_nan(self):
         # The clamp into [0, 1] must not turn nan into 0.
-        space = make_search_space(2, {1, 3})
-        amps = uniform(space)
+        marked = make_search_space(2, {1, 3})
+        amps = uniform(marked)
         amps[3] = np.nan
-        assert math.isnan(target_probability(space, amps))
+        assert math.isnan(target_probability(marked, amps))
 
     def test_uniform_single_target(self):
-        space = make_search_space(2, {1})
-        assert target_probability(space, uniform(space)) == pytest.approx(0.25, abs=1e-15)
+        marked = make_search_space(2, {1})
+        assert target_probability(marked, uniform(marked)) == pytest.approx(0.25, abs=1e-15)
 
     def test_uniform_two_of_eight(self):
-        space = make_search_space(3, {1, 2})
-        assert target_probability(space, uniform(space)) == pytest.approx(0.25, abs=1e-15)
+        marked = make_search_space(3, {1, 2})
+        assert target_probability(marked, uniform(marked)) == pytest.approx(0.25, abs=1e-15)
 
 
 class TestProjectToSubspace:
     def test_uniform_state_projects_to_initial_pair(self):
-        space = make_search_space(4, {3, 9, 10})
-        s = initial_state(space.num_targets / space.size)
-        state, residual = project_to_subspace(space, uniform(space))
+        marked = make_search_space(4, {3, 9, 10})
+        s = initial_state(np.count_nonzero(marked) / marked.size)
+        state, residual = project_to_subspace(marked, uniform(marked))
         assert state[0] == pytest.approx(s[0], abs=1e-12)
         assert state[1] == pytest.approx(s[1], abs=1e-12)
         assert residual < 1e-12
 
     def test_pure_target_superposition(self):
-        space = make_search_space(2, {1, 2})
+        marked = make_search_space(2, {1, 2})
         amps = np.zeros(4, dtype=complex)
         amps[[1, 2]] = 1 / math.sqrt(2)
-        state, residual = project_to_subspace(space, amps)
+        state, residual = project_to_subspace(marked, amps)
         assert state[0] == pytest.approx(1.0, abs=1e-15)
         assert state[1] == pytest.approx(0.0, abs=1e-15)
         assert residual < 1e-15
 
     def test_component_outside_span_shows_as_residual(self):
-        space = make_search_space(2, {0})
+        marked = make_search_space(2, {0})
         amps = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
-        state, residual = project_to_subspace(space, amps)
+        state, residual = project_to_subspace(marked, amps)
         assert abs(state[0]) < 1e-15 and abs(state[1]) < 1e-15
         assert residual == pytest.approx(1.0, abs=1e-12)
 
@@ -277,29 +299,29 @@ class TestProjectToSubspace:
         # reference sums in another order; N * 2**-52 bounds either order's error.
         rng = np.random.default_rng(13)
         for n, targets in ((3, {0, 5}), (10, range(0, 1024, 3)), (4, range(16))):
-            space = make_search_space(n, targets)
-            amps = rng.standard_normal(space.size) + 1j * rng.standard_normal(space.size)
-            _, residual = project_to_subspace(space, amps.copy())
-            groups = [amps[mask] for mask in (space.marked, ~space.marked) if mask.any()]
+            marked = make_search_space(n, targets)
+            amps = rng.standard_normal(marked.size) + 1j * rng.standard_normal(marked.size)
+            _, residual = project_to_subspace(marked, amps.copy())
+            groups = [amps[mask] for mask in (marked, ~marked) if mask.any()]
             reference = math.hypot(*(np.linalg.norm(g - g.mean()) for g in groups))
-            assert residual == pytest.approx(reference, rel=space.size * 2.0 ** -52)
+            assert residual == pytest.approx(reference, rel=marked.size * 2.0 ** -52)
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     def test_full_target_space_has_no_beta_component(self, kind):
         # M = N: every amplitude is marked, so |beta> is absent and b = 0.
-        space = make_search_space(3, range(8))
-        assert not np.any(~space.marked)
-        out = run_full(space, random_params(np.random.default_rng(11), kind), 4)
-        state, residual = project_to_subspace(space, out)
+        marked = make_search_space(3, range(8))
+        assert not np.any(~marked)
+        out = run_full(marked, random_params(np.random.default_rng(11), kind), 4)
+        state, residual = project_to_subspace(marked, out)
         assert state[1] == 0
         assert residual < 1e-12
-        assert target_probability(space, out) == pytest.approx(1.0, abs=1e-12)
+        assert target_probability(marked, out) == pytest.approx(1.0, abs=1e-12)
 
     def test_runs_stay_in_the_subspace(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
-            space, params, k = random_case(rng, 5)
-            _, residual = project_to_subspace(space, run_full(space, params, k))
+            marked, params, k = random_case(rng, 5)
+            _, residual = project_to_subspace(marked, run_full(marked, params, k))
             assert residual < 1e-10
 
 
@@ -308,19 +330,19 @@ class TestCrossEngineAgreement:
         rng = np.random.default_rng(1234)
         for _ in range(60):
             n = int(rng.integers(1, 11))
-            space, params, k = random_case(rng, n)
-            full = run_full(space, params, k)
-            s = initial_state(space.num_targets / space.size)
+            marked, params, k = random_case(rng, n)
+            full = run_full(marked, params, k)
+            s = initial_state(np.count_nonzero(marked) / marked.size)
             sub = run(iteration_matrix(params, s), k, s)
-            assert abs(target_probability(space, full) - success_probability(sub)) < 1e-10
-            assert project_to_subspace(space, full)[1] < 1e-10
+            assert abs(target_probability(marked, full) - success_probability(sub)) < 1e-10
+            assert project_to_subspace(marked, full)[1] < 1e-10
 
     def test_amplitudes_match_for_the_same_kind(self):
         rng = np.random.default_rng(77)
         for _ in range(20):
-            space, params, k = random_case(rng, 6)
-            projected, _ = project_to_subspace(space, run_full(space, params, k))
-            s = initial_state(space.num_targets / space.size)
+            marked, params, k = random_case(rng, 6)
+            projected, _ = project_to_subspace(marked, run_full(marked, params, k))
+            s = initial_state(np.count_nonzero(marked) / marked.size)
             direct = run(iteration_matrix(params, s), k, s)
             assert abs(projected[0] - direct[0]) < 1e-10
             assert abs(projected[1] - direct[1]) < 1e-10
@@ -329,8 +351,8 @@ class TestCrossEngineAgreement:
     def test_variant_amplitudes_differ_by_the_predicted_phase_per_step(self, to_kind):
         # statevector run of a matched variant vs subspace run of long:
         # after k steps the states differ by e^{-i k chi}.
-        space = make_search_space(5, {4, 17, 23})
-        s = initial_state(space.num_targets / space.size)
+        marked = make_search_space(5, {4, 17, 23})
+        s = initial_state(np.count_nonzero(marked) / marked.size)
         params_long = LongParams(1.3)
         mapped = transform_phases(params_long, to_kind)
         if to_kind is AlgorithmKind.LI_CM:
@@ -338,7 +360,7 @@ class TestCrossEngineAgreement:
         chi = predicted_global_phase(params_long, mapped)
         it_long = iteration_matrix(params_long, s)
         for k in range(0, 11):
-            projected, residual = project_to_subspace(space, run_full(space, mapped, k))
+            projected, residual = project_to_subspace(marked, run_full(marked, mapped, k))
             assert residual < 1e-10
             reference = run(it_long, k, s)
             factor = cmath.exp(-1j * k * chi)
