@@ -72,11 +72,11 @@ class SweepGrid:
 
 
 # A sweep runs in blocks of whole lambda rows of at most this many cells (one
-# row if a row is longer).  A block's four entry planes take at most 128 KiB
-# and each per-cell temporary 32 KiB, reused from the allocator's heap; planes
-# for a whole 201x201 sweep (2.6 MB) and their temporaries would be mapped and
-# unmapped again, page fault by page fault, on every sweep.  Cells do not
-# depend on the block they are in.
+# row if a row is longer), so memory does not grow with lambda_steps; it grows with
+# phase_steps, as the table spans the phase axis (tracemalloc: about 270 B a step,
+# 27 MB at 1e5 steps; 35 MB for the sweep command).  Blocks keep a 201x201 sweep's
+# planes (2.6 MB whole) within 128 KiB, reused from the allocator's heap, not mapped
+# and unmapped page fault by page fault.  Cells do not depend on the block they are in.
 _BLOCK_CELLS = 2048
 
 

@@ -13,6 +13,7 @@ endings; identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -74,7 +75,9 @@ def _axis(text: str) -> tuple[float, float, int]:
     return lo, hi, steps
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process with the cmd_* functions bound at that call."""
     parser = _Parser(prog="groverlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -262,8 +265,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)  # a ValueError is a usage error, flag checks included
     except ValueError as exc:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .model import (AlgorithmKind, LiCMParams, LiDFParams, LiPCParams, LongParams, PhaseParams,
                     _require_finite)
-from .operators import iteration_matrix
+from .operators import check_unitary, iteration_planes, operator_coefficients
 from .subspace import run, success_probability
 
 TAU = 2.0 * math.pi
@@ -208,18 +208,26 @@ def verify_phase_equivalence(
     Failures are recorded in the reports, never raised.  A nonzero perturb
     offsets each mapped variant's leading phase, stepping off the chain; the
     reports then demonstrate that the condition is necessary, not just
-    sufficient.  The long iteration and the three variants run k steps as
-    one (4, 2, 2) stack; prob_deviation compares their success
+    sufficient.  The four bundles' rows make one table stack, checked and
+    expanded once, so the long iteration and the three variants run k steps
+    as one (4, 2, 2) stack; prob_deviation compares their success
     probabilities (at k = 0 it is 0).
     """
     check_tolerance("tol", tol)
     mapped = [transform_phases(params_long, to_kind) for to_kind in TRANSFORMABLE_KINDS[1:]]
-    realized = [_perturbed(p, perturb) if perturb else p for p in mapped]
-    mats = np.stack([iteration_matrix(p, s) for p in [params_long, *realized]])
+    bundles = [params_long] + [_perturbed(p, perturb) if perturb else p for p in mapped]
+    rows = [operator_coefficients(p) for p in bundles]
+    table = tuple(map(np.stack, zip(*rows)))  # each column of the table as a (4,) array
+    try:
+        check_unitary(params_long.kind, table, s)
+    except ValueError:  # one check of 4 rows is stricter than 4 checks; name a bad row's kind
+        for p, row in zip(bundles, rows):
+            check_unitary(p.kind, row, s)
+    mats = np.stack(iteration_planes(table, s), axis=-1).reshape(4, 2, 2)
     probs = success_probability(run(mats, k, s))
     g_long = mats[0]
     reports = []
-    for mapped_params, realized_params, g_other, p in zip(mapped, realized, mats[1:], probs[1:]):
+    for mapped_params, realized, g_other, p in zip(mapped, bundles[1:], mats[1:], probs[1:]):
         predicted = predicted_global_phase(params_long, mapped_params)
         measured = global_phase_align(g_long, g_other, tol)
         deviation = max_entry_deviation(g_long, g_other,
@@ -229,7 +237,7 @@ def verify_phase_equivalence(
                  and prob_deviation <= tol)
         reports.append(
             EquivalenceReport(
-                target_params=realized_params,
+                target_params=realized,
                 predicted_phase=predicted,
                 measured_phase=measured,
                 max_entry_deviation=deviation,

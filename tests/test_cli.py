@@ -26,14 +26,18 @@ from helpers import crosscheck_reference, sweep_array
 PACKAGE_ROOT = str(Path(groverlab.__file__).resolve().parents[1])
 
 
-def run_cli(*args):
+def run_python(*args):
     path = os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "groverlab", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_cli(*args):
+    return run_python("-m", "groverlab", *args)
 
 
 def read_csv(path):
@@ -368,6 +372,53 @@ class TestMainEntryPoint:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 1
+
+
+class TestParserCache:
+    # Two usage errors (one in a subparser), then each subcommand; {out} is the CSV path.
+    ARGVS = (
+        ["sweep", "--kind", "lipc", "--k", "2", "--lambda", "0.1:1:3", "--out", "{out}"],
+        ["no-such-command"],
+        ["figure", "1", "--out", "{out}"],
+        ["sweep", "--kind", "lipc", "--k", "3", "--lambda", "0.1:1:4", "--phase", "-1:2:5",
+         "--matched", "--out", "{out}"],
+        ["check-equivalence", "--phi", "-1.3", "--lambda", "0.37", "--k", "5", "--perturb", "0.1"],
+        ["crosscheck", "--n", "3", "--seed", "7", "--samples", "5"],
+    )
+
+    def test_import_builds_no_parser(self):
+        proc = run_python("-c", "import groverlab.cli as cli; "
+                                "print(cli.build_parser.cache_info().currsize)")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+    def test_main_calls_share_one_parser(self, capsys):
+        cli.build_parser.cache_clear()
+        argv = ["check-equivalence", "--phi", "1.3", "--lambda", "0.37", "--k", "5"]
+        assert main(argv) == 0 and main(argv) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+    def outcomes(self, out, capsys):
+        """(rc, stdout, stderr, CSV bytes or None) of each argv, in order, in this process."""
+        results = []
+        for argv in self.ARGVS:
+            try:
+                rc = main([arg.replace("{out}", str(out)) for arg in argv])
+            except SystemExit as exc:
+                rc = exc.code
+            csv = out.read_bytes() if out.exists() else None
+            out.unlink(missing_ok=True)
+            results.append((rc, *capsys.readouterr(), csv))
+        return results
+
+    def test_usage_errors_leave_the_cached_parser_as_a_fresh_one(self, monkeypatch, tmp_path,
+                                                                 capsys):
+        cli.build_parser()  # the errors below hit the cached tree
+        cached = self.outcomes(tmp_path / "out.csv", capsys)
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        fresh = self.outcomes(tmp_path / "out.csv", capsys)
+        assert [r[0] for r in cached] == [1, 1, 0, 0, 2, 0]
+        assert cached == fresh
 
 
 class TestNegativeValues:

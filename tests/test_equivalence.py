@@ -3,12 +3,14 @@ import math
 import re
 import warnings
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groverlab import equivalence
 from groverlab.equivalence import (
     TRANSFORMABLE_KINDS,
     angle_distance,
@@ -26,7 +28,7 @@ from groverlab.model import (
     LongParams,
     OriginalParams,
 )
-from groverlab.operators import iteration_matrix
+from groverlab.operators import UNITARITY_TOL, iteration_matrix, operator_coefficients
 from groverlab.subspace import initial_state, run, success_probability
 
 
@@ -292,6 +294,49 @@ class TestVerifyPhaseEquivalence:
             assert rep.max_entry_deviation <= 1e-10
             assert rep.prob_deviation > 1e-10
             assert not rep.holds
+
+    @given(st.floats(min_value=-1e6, max_value=1e6),
+           st.floats(min_value=-14.0, max_value=0.0).map(lambda e: 10.0 ** e),
+           st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0)))
+    @settings(max_examples=300)
+    def test_the_table_stack_is_the_four_builds_bit_for_bit(self, phi, lam, perturb):
+        s, stacks = initial_state(lam), []
+
+        def spy(mats, k, start):
+            stacks.append(mats)
+            return run(mats, k, start)
+
+        with mock.patch.object(equivalence, "run", spy):
+            reports = verify_phase_equivalence(LongParams(phi), s, perturb=perturb)
+        builds = np.stack([iteration_matrix(p, s)
+                           for p in [LongParams(phi), *(r.target_params for r in reports)]])
+        assert stacks[0].shape == builds.shape == (4, 2, 2)
+        assert stacks[0].tobytes() == builds.tobytes()
+
+    @pytest.mark.parametrize("scaled, error, fails", [
+        ({AlgorithmKind.LI_PC: "oracle"}, 2.0, True),
+        # Each row alone is within UNITARITY_TOL; a check of the stack pairing
+        # long's oracle error with lidf's diffusion error would not be.
+        ({AlgorithmKind.LONG: "oracle", AlgorithmKind.LI_DF: "diffusion"}, 0.75, False),
+    ])
+    def test_a_non_unit_row_fails_as_four_builds_would(self, monkeypatch, scaled, error, fails):
+        grow = math.sqrt(1.0 + error * UNITARITY_TOL)  # |x|^2 - 1 = error * UNITARITY_TOL
+
+        def coefficients(params):
+            target, rest, c, d = operator_coefficients(params)
+            if scaled.get(params.kind) == "oracle":
+                return target * grow, rest, c, d
+            if scaled.get(params.kind) == "diffusion":
+                return target, rest, c * grow, d * grow
+            return target, rest, c, d
+
+        monkeypatch.setattr(equivalence, "operator_coefficients", coefficients)
+        if fails:
+            message = "lipc iteration matrix failed the unitarity check"
+            with pytest.raises(ValueError, match=message):
+                verify_phase_equivalence(LongParams(1.3), initial_state(0.37))
+        else:
+            assert len(verify_phase_equivalence(LongParams(1.3), initial_state(0.37))) == 3
 
     @pytest.mark.parametrize("tol", [0.0, float("nan")])
     def test_rejects_nonpositive_tolerance(self, tol):
