@@ -38,11 +38,7 @@ from .operators import (
     iteration_matrix,
     operator_coefficients,
 )
-from .statevector import (
-    project_to_subspace,
-    run_full,
-    target_probability,
-)
+from .statevector import measure, run_full
 from .subspace import initial_state, run, success_probability
 
 __version__ = "0.1.0"
@@ -65,16 +61,15 @@ __all__ = [
     "iteration_matrix",
     "make_search_space",
     "max_entry_deviation",
+    "measure",
     "operator_coefficients",
     "optimal_iterations",
     "params_from_phases",
     "predicted_global_phase",
-    "project_to_subspace",
     "run",
     "run_full",
     "success_probability",
     "sweep",
-    "target_probability",
     "transform_phases",
     "verify_phase_equivalence",
     "wrap_angle",

@@ -28,7 +28,7 @@ from .equivalence import (TRANSFORMABLE_KINDS, check_tolerance, verify_phase_equ
 from .model import (AlgorithmKind, LongParams, check_iterations, make_search_space,
                     params_from_phases)
 from .operators import iteration_matrix
-from .statevector import project_to_subspace, run_full, target_probability
+from .statevector import measure, run_full
 from .subspace import check_proportion, initial_state, run, success_probability
 
 EXIT_OK = 0
@@ -248,8 +248,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
             marked, kinds[j], phases[:, j], ks[j] = _random_case(rng, args.n)
             full = run_full(marked, params_from_phases(kinds[j], phases[:, j]), ks[j])
             lambdas[j] = np.count_nonzero(marked) / marked.size
-            p_full[j] = target_probability(marked, full)
-            projected[j], residuals[j] = project_to_subspace(marked, full)
+            p_full[j], projected[j], residuals[j] = measure(marked, full)
             del full  # else it stays live beside the next sample's run_full buffers
         states = _subspace_states(kinds, phases, lambdas, ks)
         deviations = np.abs(p_full - success_probability(states))

@@ -216,13 +216,9 @@ def verify_phase_equivalence(
     check_tolerance("tol", tol)
     mapped = [transform_phases(params_long, to_kind) for to_kind in TRANSFORMABLE_KINDS[1:]]
     bundles = [params_long] + [_perturbed(p, perturb) if perturb else p for p in mapped]
-    rows = [operator_coefficients(p) for p in bundles]
-    table = tuple(map(np.stack, zip(*rows)))  # each column of the table as a (4,) array
-    try:
-        check_unitary(params_long.kind, table, s)
-    except ValueError:  # one check of 4 rows is stricter than 4 checks; name a bad row's kind
-        for p, row in zip(bundles, rows):
-            check_unitary(p.kind, row, s)
+    # Each column of the table as a (4,) array, one cell per bundle.
+    table = tuple(map(np.stack, zip(*map(operator_coefficients, bundles))))
+    check_unitary([p.kind for p in bundles], table, s)
     mats = np.stack(iteration_planes(table, s), axis=-1).reshape(4, 2, 2)
     probs = success_probability(run(mats, k, s))
     g_long = mats[0]

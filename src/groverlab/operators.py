@@ -50,25 +50,26 @@ def operator_coefficients(params: PhaseParams) -> tuple:
     return tuple(np.broadcast_arrays(*row) if any(x.ndim for x in row) else row)
 
 
-def check_unitary(kind: AlgorithmKind, coefficients, s: np.ndarray) -> None:
+def check_unitary(kind, coefficients, s: np.ndarray) -> None:
     """Reject table rows or start vectors whose iterations would not be unitary.
 
-    coefficients is (target, rest, c, d), four entries of one shape.
-    Unitarity is checked on the coefficients and on s, never on a matrix.  s
-    must be real with |s|^2 within UNITARITY_TOL of 1, so the diffusion is
-    normal with eigenvalues d and c + d (to |c| * UNITARITY_TOL), and the
-    oracle is diagonal.  With e_o and e_d the worst ||x|^2 - 1| over
-    (target, rest) and over (d, c + d), every iteration's m @ m^dagger lies
-    within (1 + e_o) * (1 + e_d) - 1 of the identity in spectral norm, which
-    bounds every entry.
+    coefficients is (target, rest, c, d), four entries of one shape: one cell
+    each.  kind is every cell's kind, or a sequence of one kind per cell of a
+    1-D table.  s must be real with |s|^2 within UNITARITY_TOL of 1, so the
+    diffusion is normal with eigenvalues d and c + d (to |c| * UNITARITY_TOL),
+    and the oracle is diagonal.  With a cell's e_o and e_d the worst
+    ||x|^2 - 1| over its (target, rest) and over its (d, c + d), its
+    m @ m^dagger lies within (1 + e_o) * (1 + e_d) - 1 of the identity in
+    spectral norm, which bounds every entry; so no matrix is built, and a
+    table passes exactly when each of its rows would.
     """
     target, rest, c, d = coefficients
-    moduli = np.abs(np.stack([target, rest, d, c + d])) ** 2 - 1.0
-    e_o, e_d = np.abs(moduli[:2]).max(), np.abs(moduli[2:]).max()
-    if not (1.0 + e_o) * (1.0 + e_d) - 1.0 <= UNITARITY_TOL:  # NaN fails too
-        raise ValueError(
-            f"{kind.value} iteration matrix failed the unitarity check at {UNITARITY_TOL}"
-        )
+    e = np.abs(np.abs(np.stack([target, rest, d, c + d])) ** 2 - 1.0)
+    passed = (1.0 + np.maximum(e[0], e[1])) * (1.0 + np.maximum(e[2], e[3])) - 1.0 <= UNITARITY_TOL
+    if not passed.all():  # NaN fails too; name the first failing cell's kind
+        name = kind if isinstance(kind, AlgorithmKind) else kind[int(np.argmin(passed))]
+        raise ValueError(f"{name.value} iteration matrix failed the unitarity check at "
+                         f"{UNITARITY_TOL}")
     if np.iscomplexobj(s) or not np.abs(np.square(s).sum(axis=-1) - 1.0).max() <= UNITARITY_TOL:
         raise ValueError(f"s must be a real unit vector, |s|^2 within {UNITARITY_TOL} of 1")
 

@@ -4,10 +4,11 @@ The oracle is a diagonal: the kind's target eigenvalue on marked indices and
 its rest eigenvalue (1 except for licm) elsewhere.  The diffusion maps v to
 c * <s|v> * |s> + d * v, a rank-one update.  run_full builds the oracle
 diagonal once and then works on one amplitude buffer, four O(N) passes per
-step: scale by the diagonal, sum, scale by d, add the uniform part.  The
-coefficients are written out here from the operator definitions on purpose:
-this module must stay an independent route from the 2x2 construction in
-operators.py, so no coefficient tables are shared.
+step: scale by the diagonal, sum, scale by d, add the uniform part.  No mask
+work branches per entry: gathers go through an index, selects by table
+lookup.  The coefficients are written out here from the operator definitions
+on purpose: this module must stay an independent route from the 2x2
+construction in operators.py, so no coefficient tables are shared.
 """
 from __future__ import annotations
 
@@ -52,7 +53,8 @@ def run_full(marked: np.ndarray, params: PhaseParams, k: int) -> np.ndarray:
     _check_mask(marked)
     check_iterations("k", k)
     target, rest, c, d = _coefficients(params)
-    diagonal = np.where(marked, complex(target), complex(rest))
+    # No state is live yet, so the select is whole: its N-entry index is freed before amps exists.
+    diagonal = _select(marked, complex(rest), complex(target))
     amps = np.full(marked.size, 1.0 / math.sqrt(marked.size), dtype=complex)
     for _ in range(k):
         amps *= diagonal
@@ -63,27 +65,47 @@ def run_full(marked: np.ndarray, params: PhaseParams, k: int) -> np.ndarray:
     return amps
 
 
-def target_probability(marked: np.ndarray, amplitudes: np.ndarray) -> float:
-    """Summed |amplitude|^2 over the target indices, clamped into [0, 1]; nan stays nan."""
-    _check_mask(marked)
-    p = float(np.sum(np.abs(amplitudes[marked]) ** 2))
-    return float(np.clip(p, 0.0, 1.0))
+_CHUNK = 2 ** 14  # entries per gather or select beside a live state, each with an 8-byte index
 
 
-def project_to_subspace(marked: np.ndarray, amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
-    """The (2,) amplitudes (<alpha|v>, <beta|v>) and the norm of what lies outside the span.
+def _select(marked: np.ndarray, off: complex, on: complex, out: np.ndarray | None = None):
+    """on where marked, else off, by table lookup; "clip" reads any nonzero byte as marked."""
+    return np.array([off, on]).take(marked.view(np.uint8), out=out, mode="clip")
 
-    With M = N there are no non-target indices; the |beta> component is 0.
+
+def measure(marked: np.ndarray, amplitudes: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(p, (a, b), residual): target probability, (<alpha|v>, <beta|v>), norm outside their span.
+
+    p is clamped into [0, 1]; nan stays nan.  With M = N there are no
+    non-target indices and b = 0.  Each side is gathered once.  Above the
+    amplitudes the peak is at most max(24 M, 16 N + 9 min(N, _CHUNK)) bytes:
+    1.5 N-length complex arrays from N = 2 * _CHUNK on.
     """
     num_targets, size = _check_mask(marked), marked.size
-    a = complex(amplitudes[marked].sum() / math.sqrt(num_targets))
+    on = np.compress(marked, amplitudes)
+    a = complex(on.sum() / math.sqrt(num_targets))
+    moduli = np.abs(on)
+    del on  # then squared in place: numpy elides the temporary of ** 2 only above 256 KiB
+    p = float(np.clip(float(np.square(moduli, out=moduli).sum()), 0.0, 1.0))
+    del moduli
     if num_targets < size:
-        b = complex(amplitudes[~marked].sum() / math.sqrt(size - num_targets))
+        # In chunks: a whole index of the non-targets would be 1.5 N-length
+        # arrays beside the state when M is small.
+        others, at = np.empty(size - num_targets, complex), 0
+        for i in range(0, size, _CHUNK):  # "clip" writes into out directly; "raise" copies it
+            index = np.flatnonzero(~marked[i:i + _CHUNK])
+            amplitudes[i:i + _CHUNK].take(index, out=others[at:at + index.size], mode="clip")
+            at += index.size
+            del index  # else it is live beside the next chunk's
+        b = complex(others.sum() / math.sqrt(size - num_targets))
+        del others
         b_entry = b / math.sqrt(size - num_targets)
     else:
         b = b_entry = 0j
     # The span's component of v, entry by entry; then v minus it, in place.
-    residual = np.where(marked, a / math.sqrt(num_targets), b_entry)
+    a_entry, residual = a / math.sqrt(num_targets), np.empty(size, complex)
+    for i in range(0, size, _CHUNK):
+        _select(marked[i:i + _CHUNK], b_entry, a_entry, out=residual[i:i + _CHUNK])
     np.subtract(amplitudes, residual, out=residual)
     parts = residual.view(float)  # its norm from the squared parts, in place: no BLAS call
-    return np.array([a, b]), math.sqrt(np.square(parts, out=parts).sum())
+    return p, np.array([a, b]), math.sqrt(np.square(parts, out=parts).sum())

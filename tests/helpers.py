@@ -8,7 +8,7 @@ from groverlab.analysis import sweep
 from groverlab.cli import _random_case
 from groverlab.model import AlgorithmKind, LongParams, params_from_phases
 from groverlab.operators import iteration_matrix
-from groverlab.statevector import project_to_subspace, run_full, target_probability
+from groverlab.statevector import measure, run_full
 from groverlab.subspace import initial_state, run, success_probability
 
 KINDS = list(AlgorithmKind)
@@ -146,8 +146,8 @@ def crosscheck_reference(n, seed, samples, tol=1e-10):
         full = run_full(marked, params, k)
         s = initial_state(np.count_nonzero(marked) / marked.size)
         sub = run(iteration_matrix(params, s), k, s)
-        deviations.append(abs(target_probability(marked, full) - success_probability(sub)))
-        projected, residual = project_to_subspace(marked, full)
+        probability, projected, residual = measure(marked, full)
+        deviations.append(abs(probability - success_probability(sub)))
         residuals.append(residual)
         gaps.append(np.abs(projected - sub).max())
         drawn.append((kind, k))

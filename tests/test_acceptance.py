@@ -19,7 +19,7 @@ from groverlab.model import (
     make_search_space,
 )
 from groverlab.operators import iteration_matrix
-from groverlab.statevector import project_to_subspace, run_full, target_probability
+from groverlab.statevector import measure, run_full
 from groverlab.subspace import initial_state, run, success_probability
 
 from helpers import cubic, is_unitary, one_step_at_half_pi, random_kind, random_params, sweep_array
@@ -113,10 +113,9 @@ def test_criterion_6_engine_cross_validation():
             full = run_full(marked, params, k)
             s = initial_state(np.count_nonzero(marked) / marked.size)
             sub = run(iteration_matrix(params, s), k, s)
-            worst_prob = max(
-                worst_prob, abs(target_probability(marked, full) - success_probability(sub))
-            )
-            worst_residual = max(worst_residual, project_to_subspace(marked, full)[1])
+            probability, _, residual = measure(marked, full)
+            worst_prob = max(worst_prob, abs(probability - success_probability(sub)))
+            worst_residual = max(worst_residual, residual)
     ok = worst_prob < 1e-10 and worst_residual < 1e-10
     report(6, "statevector vs subspace cross-validation", ok,
            f"max prob deviation = {worst_prob:.3e}, max residual = {worst_residual:.3e}")

@@ -110,7 +110,7 @@ class TestSingleIterationProbability:
 
     def test_matches_statevector_engine_at_realizable_proportions(self):
         from groverlab.model import LongParams, make_search_space
-        from groverlab.statevector import run_full, target_probability
+        from groverlab.statevector import measure, run_full
 
         for n in range(1, 11):
             size = 2 ** n
@@ -118,7 +118,7 @@ class TestSingleIterationProbability:
                 marked = make_search_space(n, range(num_targets))
                 out = run_full(marked, LongParams(math.pi / 2), 1)
                 expected = cubic(num_targets / size)
-                assert abs(target_probability(marked, out) - expected) < 1e-10
+                assert abs(measure(marked, out)[0] - expected) < 1e-10
 
 
 class TestProbabilityFloor:

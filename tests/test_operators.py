@@ -194,6 +194,28 @@ class TestIterationMatrices:
         with pytest.raises(ValueError, match="lipc iteration matrix failed the unitarity"):
             check_unitary(AlgorithmKind.LI_PC, rows, np.tile([0.6, 0.8], (2, 1, 1)))
 
+    def test_each_cell_is_held_to_its_own_bound(self):
+        # Cell 0 errs in its oracle and cell 1 in its diffusion, each by 0.75
+        # UNITARITY_TOL: each row passes alone, and so does the table.
+        grow = math.sqrt(1.0 + 0.75 * UNITARITY_TOL)
+        rows = np.array([operator_coefficients(LiPCParams(b)) for b in (0.1, 0.2)]).T
+        rows[0, 0] *= grow
+        rows[2:, 1] *= grow
+        s = np.array([0.6, 0.8])
+        for cell in range(2):
+            check_unitary(AlgorithmKind.LI_PC, rows[:, cell], s)
+        check_unitary(AlgorithmKind.LI_PC, rows, s)
+        rows[0, 1] *= grow  # both errors in one cell fail it
+        with pytest.raises(ValueError, match="lipc iteration matrix failed the unitarity"):
+            check_unitary(AlgorithmKind.LI_PC, rows, s)
+
+    def test_a_kind_per_cell_names_the_first_failing_cell(self):
+        rows = np.array([operator_coefficients(LongParams(p)) for p in (0.1, 0.2, 0.3)]).T
+        rows[3, 1:] = 0.0
+        kinds = [AlgorithmKind.LONG, AlgorithmKind.LI_CM, AlgorithmKind.LI_PC]
+        with pytest.raises(ValueError, match="licm iteration matrix failed the unitarity"):
+            check_unitary(kinds, rows, np.array([0.6, 0.8]))
+
     def test_non_unitary_coefficients_name_the_kind(self):
         with pytest.raises(ValueError, match="lidf iteration matrix failed the unitarity"):
             check_unitary(AlgorithmKind.LI_DF, (1.0, 1.0, 1.0, 0.0), np.array([0.6, 0.8]))

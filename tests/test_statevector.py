@@ -22,7 +22,7 @@ from groverlab.model import (
 )
 from groverlab.operators import iteration_matrix
 import groverlab.statevector
-from groverlab.statevector import project_to_subspace, run_full, target_probability
+from groverlab.statevector import _CHUNK, _coefficients, _select, measure, run_full
 from groverlab.subspace import initial_state, run, success_probability
 
 from helpers import apply_diffusion, apply_oracle, random_kind, random_params
@@ -95,10 +95,35 @@ def test_the_package_makes_no_blas_call():
     assert lines == set(range(1, len(forms) + 1))
 
 
+def mask_calls(source):
+    """(line, form) of each np.where call and each subscript by marked or ~marked in the source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+            if getattr(node.func, "attr", getattr(node.func, "id", None)) == "where":
+                found.append((node.lineno, "where"))
+        elif isinstance(node, ast.Subscript):
+            index = node.slice.operand if isinstance(node.slice, ast.UnaryOp) else node.slice
+            if isinstance(index, ast.Name) and index.id == "marked":
+                found.append((node.lineno, "subscript"))
+    return found
+
+
+def test_the_engine_takes_no_branchy_mask_path():
+    # np.where and a boolean subscript branch on every entry of the mask; the
+    # engine gathers through an index and selects by table lookup instead.
+    with open(groverlab.statevector.__file__, encoding="utf-8") as fh:
+        assert mask_calls(fh.read()) == []
+    forms = ["d = np.where(marked, t, r)", "g = amps[marked]", "h = amps[~marked]",
+             "x = where(marked, 1, 0)", "amps[marked] = 0"]
+    assert {line for line, _ in mask_calls("\n".join(forms))} == set(range(1, len(forms) + 1))
+    # A slice of the mask is no boolean subscript.
+    assert mask_calls("piece = marked[i:i + 4]\nq = marked[3]") == []
+
+
 MEASUREMENTS = {
     "run_full": lambda marked: run_full(marked, OriginalParams(), 1),
-    "target_probability": lambda marked: target_probability(marked, np.full(4, 0.5 + 0j)),
-    "project_to_subspace": lambda marked: project_to_subspace(marked, np.full(4, 0.5 + 0j)),
+    "measure": lambda marked: measure(marked, np.full(4, 0.5 + 0j)),
 }
 NOT_MASKS = {
     "index array": np.array([0, 3]),
@@ -181,7 +206,7 @@ class TestRunFull:
         marked = make_search_space(2, {0})
         out = run_full(marked, OriginalParams(), 1)
         assert isinstance(out, np.ndarray) and out.shape == (marked.size,)
-        assert target_probability(marked, out) == pytest.approx(1.0, abs=1e-12)
+        assert measure(marked, out)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_iterations_is_uniform(self):
         marked = make_search_space(3, {4})
@@ -192,7 +217,7 @@ class TestRunFull:
     def test_full_target_space_always_succeeds(self, k):
         marked = make_search_space(1, {0, 1})
         out = run_full(marked, OriginalParams(), k)
-        assert target_probability(marked, out) == pytest.approx(1.0, abs=1e-12)
+        assert measure(marked, out)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_iterations_rejected(self):
         with pytest.raises(ValueError):
@@ -232,9 +257,11 @@ class TestRunFull:
     @pytest.mark.parametrize("kind", [AlgorithmKind.LONG, AlgorithmKind.LI_CM])
     @pytest.mark.parametrize("num_targets", [1, 2 ** 16 // 3, 2 ** 16 - 1])
     def test_peak_memory_is_two_vectors(self, kind, num_targets):
-        # The amplitude buffer and the oracle diagonal; no per-step copies.
+        # The amplitude buffer and the oracle diagonal; no per-step copies.  The
+        # targets are scattered, so a select that branched or kept an index would show.
         n, size = 16, 2 ** 16
-        marked = make_search_space(n, range(num_targets))
+        targets = np.random.default_rng(num_targets).choice(size, num_targets, replace=False)
+        marked = make_search_space(n, targets)
         params = random_params(np.random.default_rng(5), kind)
         tracemalloc.start()
         try:
@@ -252,28 +279,103 @@ class TestRunFull:
             assert abs(np.linalg.norm(out) - 1.0) < 1e-9
 
 
-class TestTargetProbability:
+def branchy_measure(marked, amplitudes):
+    """measure by the boolean-subscript and np.where expressions it replaced, for bit comparison."""
+    num_targets, size = np.count_nonzero(marked), marked.size
+    p = float(np.clip(float(np.sum(np.abs(amplitudes[marked]) ** 2)), 0.0, 1.0))
+    a = complex(amplitudes[marked].sum() / math.sqrt(num_targets))
+    if num_targets < size:
+        b = complex(amplitudes[~marked].sum() / math.sqrt(size - num_targets))
+        b_entry = b / math.sqrt(size - num_targets)
+    else:
+        b = b_entry = 0j
+    residual = amplitudes - np.where(marked, a / math.sqrt(num_targets), b_entry)
+    return p, np.array([a, b]), math.sqrt(np.square(residual.view(float)).sum())
+
+
+class TestMeasure:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_branchy_expressions_bit_for_bit(self, data):
+        # Scattered targets, and sometimes a strided view of a mask or state.
+        n = data.draw(st.integers(1, 12), label="n")
+        size = 2 ** n
+        num_targets = data.draw(st.sampled_from([1, 2, size // 2, size - 1, size]), label="M")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+        targets = rng.choice(size, size=num_targets, replace=False)
+        marked = make_search_space(n, targets)
+        params = random_params(rng, data.draw(st.sampled_from(list(AlgorithmKind)), label="kind"))
+        amplitudes = run_full(marked, params, data.draw(st.integers(0, 25), label="k"))
+        if data.draw(st.booleans(), label="strided"):
+            marked = np.repeat(marked, 2)[::2]
+            amplitudes = np.repeat(amplitudes, 2)[1::2]
+            assert not marked.flags.contiguous and not amplitudes.flags.contiguous
+        p, pair, residual = measure(marked, amplitudes)
+        p_ref, pair_ref, residual_ref = branchy_measure(marked, amplitudes)
+        assert p == p_ref and residual == residual_ref
+        assert np.array_equal(pair, pair_ref)
+        # run_full's oracle diagonal: the select of np.where, rest eigenvalue not 1 for licm.
+        target, rest, _, _ = _coefficients(params)
+        diagonal = _select(marked, complex(rest), complex(target))
+        assert np.array_equal(diagonal, np.where(marked, complex(target), complex(rest)))
+
+    def test_a_mask_byte_other_than_one_reads_as_a_target(self):
+        # A bool array may hold any nonzero byte; a bare take by the bytes would
+        # raise IndexError on 2, where np.where and a subscript read True.
+        marked = np.array([0, 2, 0, 1], np.uint8).view(bool)
+        clean = np.array([False, True, False, True])
+        amplitudes = random_state(np.random.default_rng(21), clean)
+        p, pair, residual = measure(marked, amplitudes)
+        p_ref, pair_ref, residual_ref = branchy_measure(clean, amplitudes)
+        assert p == p_ref and residual == residual_ref and np.array_equal(pair, pair_ref)
+        assert np.array_equal(_select(marked, 1j, 2.0 + 0j), [1j, 2, 1j, 2])
+        params = LiCMParams(0.3, -0.2, 0.9, -0.4)
+        assert np.array_equal(run_full(marked, params, 3), run_full(clean, params, 3))
+
+    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("count", [lambda size: 1, lambda size: size // 3,
+                                       lambda size: size - 1, lambda size: size],
+                             ids=["1", "N/3", "N-1", "N"])
+    def test_peak_memory_above_the_state(self, n, count):
+        # The target side's gather with its index or its moduli holds 24 bytes a
+        # target.  The non-target side's gather and the residual hold 16 bytes an
+        # entry, beside one chunk's index (8 bytes an entry) and negation (1).
+        # The 4 KiB are small objects.
+        size = 2 ** n
+        num_targets = count(size)
+        targets = np.random.default_rng(num_targets).choice(size, num_targets, replace=False)
+        marked = make_search_space(n, targets)
+        amplitudes = random_state(np.random.default_rng(2), marked)
+        tracemalloc.start()
+        try:
+            measure(marked, amplitudes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(24 * num_targets, 16 * size + 9 * min(size, _CHUNK))
+        assert peak <= largest + 4096
+        if n == 16:  # what the boolean-subscript measurement peaked at, at M = N
+            assert peak <= 1.5 * 16 * size + 4096
+
     def test_nan_amplitude_reads_nan(self):
         # The clamp into [0, 1] must not turn nan into 0.
         marked = make_search_space(2, {1, 3})
         amps = uniform(marked)
         amps[3] = np.nan
-        assert math.isnan(target_probability(marked, amps))
+        assert math.isnan(measure(marked, amps)[0])
 
     def test_uniform_single_target(self):
         marked = make_search_space(2, {1})
-        assert target_probability(marked, uniform(marked)) == pytest.approx(0.25, abs=1e-15)
+        assert measure(marked, uniform(marked))[0] == pytest.approx(0.25, abs=1e-15)
 
     def test_uniform_two_of_eight(self):
         marked = make_search_space(3, {1, 2})
-        assert target_probability(marked, uniform(marked)) == pytest.approx(0.25, abs=1e-15)
+        assert measure(marked, uniform(marked))[0] == pytest.approx(0.25, abs=1e-15)
 
-
-class TestProjectToSubspace:
     def test_uniform_state_projects_to_initial_pair(self):
         marked = make_search_space(4, {3, 9, 10})
         s = initial_state(np.count_nonzero(marked) / marked.size)
-        state, residual = project_to_subspace(marked, uniform(marked))
+        _, state, residual = measure(marked, uniform(marked))
         assert state[0] == pytest.approx(s[0], abs=1e-12)
         assert state[1] == pytest.approx(s[1], abs=1e-12)
         assert residual < 1e-12
@@ -282,7 +384,7 @@ class TestProjectToSubspace:
         marked = make_search_space(2, {1, 2})
         amps = np.zeros(4, dtype=complex)
         amps[[1, 2]] = 1 / math.sqrt(2)
-        state, residual = project_to_subspace(marked, amps)
+        _, state, residual = measure(marked, amps)
         assert state[0] == pytest.approx(1.0, abs=1e-15)
         assert state[1] == pytest.approx(0.0, abs=1e-15)
         assert residual < 1e-15
@@ -290,7 +392,7 @@ class TestProjectToSubspace:
     def test_component_outside_span_shows_as_residual(self):
         marked = make_search_space(2, {0})
         amps = np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2)
-        state, residual = project_to_subspace(marked, amps)
+        _, state, residual = measure(marked, amps)
         assert abs(state[0]) < 1e-15 and abs(state[1]) < 1e-15
         assert residual == pytest.approx(1.0, abs=1e-12)
 
@@ -301,7 +403,7 @@ class TestProjectToSubspace:
         for n, targets in ((3, {0, 5}), (10, range(0, 1024, 3)), (4, range(16))):
             marked = make_search_space(n, targets)
             amps = rng.standard_normal(marked.size) + 1j * rng.standard_normal(marked.size)
-            _, residual = project_to_subspace(marked, amps.copy())
+            _, _, residual = measure(marked, amps.copy())
             groups = [amps[mask] for mask in (marked, ~marked) if mask.any()]
             reference = math.hypot(*(np.linalg.norm(g - g.mean()) for g in groups))
             assert residual == pytest.approx(reference, rel=marked.size * 2.0 ** -52)
@@ -312,17 +414,16 @@ class TestProjectToSubspace:
         marked = make_search_space(3, range(8))
         assert not np.any(~marked)
         out = run_full(marked, random_params(np.random.default_rng(11), kind), 4)
-        state, residual = project_to_subspace(marked, out)
+        p, state, residual = measure(marked, out)
         assert state[1] == 0
         assert residual < 1e-12
-        assert target_probability(marked, out) == pytest.approx(1.0, abs=1e-12)
+        assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_runs_stay_in_the_subspace(self):
         rng = np.random.default_rng(9)
         for _ in range(30):
             marked, params, k = random_case(rng, 5)
-            _, residual = project_to_subspace(marked, run_full(marked, params, k))
-            assert residual < 1e-10
+            assert measure(marked, run_full(marked, params, k))[2] < 1e-10
 
 
 class TestCrossEngineAgreement:
@@ -334,14 +435,15 @@ class TestCrossEngineAgreement:
             full = run_full(marked, params, k)
             s = initial_state(np.count_nonzero(marked) / marked.size)
             sub = run(iteration_matrix(params, s), k, s)
-            assert abs(target_probability(marked, full) - success_probability(sub)) < 1e-10
-            assert project_to_subspace(marked, full)[1] < 1e-10
+            p, _, residual = measure(marked, full)
+            assert abs(p - success_probability(sub)) < 1e-10
+            assert residual < 1e-10
 
     def test_amplitudes_match_for_the_same_kind(self):
         rng = np.random.default_rng(77)
         for _ in range(20):
             marked, params, k = random_case(rng, 6)
-            projected, _ = project_to_subspace(marked, run_full(marked, params, k))
+            _, projected, _ = measure(marked, run_full(marked, params, k))
             s = initial_state(np.count_nonzero(marked) / marked.size)
             direct = run(iteration_matrix(params, s), k, s)
             assert abs(projected[0] - direct[0]) < 1e-10
@@ -360,7 +462,7 @@ class TestCrossEngineAgreement:
         chi = predicted_global_phase(params_long, mapped)
         it_long = iteration_matrix(params_long, s)
         for k in range(0, 11):
-            projected, residual = project_to_subspace(marked, run_full(marked, mapped, k))
+            _, projected, residual = measure(marked, run_full(marked, mapped, k))
             assert residual < 1e-10
             reference = run(it_long, k, s)
             factor = cmath.exp(-1j * k * chi)
