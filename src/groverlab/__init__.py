@@ -35,7 +35,7 @@ from .model import (
     params_from_phases,
 )
 from .operators import (
-    iteration_matrix,
+    iteration_planes,
     operator_coefficients,
 )
 from .statevector import measure, run_full
@@ -58,7 +58,7 @@ __all__ = [
     "closed_form_probability",
     "global_phase_align",
     "initial_state",
-    "iteration_matrix",
+    "iteration_planes",
     "make_search_space",
     "max_entry_deviation",
     "measure",

@@ -10,7 +10,7 @@ import numpy as np
 from .model import AlgorithmKind, LongParams, check_integer, check_iterations, params_from_phases
 from .operators import check_unitary, iteration_planes, operator_coefficients
 from .equivalence import TAU, transform_phases
-from .subspace import _power, check_proportion, initial_state, success_probability
+from .subspace import check_proportion, initial_state, run, success_probability
 
 
 def closed_form_probability(lambda_: float, k: int) -> float:
@@ -73,15 +73,15 @@ class SweepGrid:
 
 # A sweep runs in blocks of whole lambda rows of at most this many cells (one
 # row if a row is longer), so memory does not grow with lambda_steps; it grows with
-# phase_steps, as the table spans the phase axis (tracemalloc: about 270 B a step,
-# 27 MB at 1e5 steps; 35 MB for the sweep command).  Blocks keep a 201x201 sweep's
-# planes (2.6 MB whole) within 128 KiB, reused from the allocator's heap, not mapped
-# and unmapped page fault by page fault.  Cells do not depend on the block they are in.
+# phase_steps, as the table spans the phase axis (tracemalloc, lipc: about 272 B a
+# step, 27.2 MB at 1e5 steps; 35.3 MB for the sweep command).  Blocks keep a 201x201
+# sweep's planes (2.6 MB whole) within 128 KiB, reused from the allocator's heap, not
+# mapped and unmapped page fault by page fault.  Cells do not depend on their block.
 _BLOCK_CELLS = 2048
 
 
 def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarray]:
-    """Success probabilities over the grid: one (phase_steps,) row per lambda, in order.
+    """Success probabilities over the grid: one read-only (phase_steps,) row per lambda, in order.
 
     With matched_from_long the scalar phase axis is read as the long oracle
     phase and mapped to the grid's kind through the transform condition, so
@@ -103,8 +103,7 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarr
     check_unitary(grid.kind, coefficients, starts)
     rows = max(1, _BLOCK_CELLS // grid.phase_steps)
     for i in range(0, grid.lambda_steps, rows):
-        s = starts[i:i + rows]
-        # Contiguous (rows, phase_steps) planes; the original kind's entries stay (rows, 1).
-        v0, v1 = np.broadcast_to(s.T[..., None], (2, len(s), grid.phase_steps)).astype(complex)
-        _power(*iteration_planes(coefficients, s[:, None]), grid.k, v0, v1)
-        yield from success_probability(v0[..., None])
+        s = starts[i:i + rows, None]
+        # (rows, phase_steps) cells; the original kind's 0-d table gives one per row.
+        p = success_probability(run(iteration_planes(coefficients, s), grid.k, s))
+        yield from np.broadcast_to(p, (len(p), grid.phase_steps))

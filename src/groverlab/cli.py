@@ -27,7 +27,7 @@ from .equivalence import (TRANSFORMABLE_KINDS, check_tolerance, verify_phase_equ
                           wrap_angle)
 from .model import (AlgorithmKind, LongParams, check_iterations, make_search_space,
                     params_from_phases)
-from .operators import iteration_matrix
+from .operators import check_unitary, iteration_planes, operator_coefficients
 from .statevector import measure, run_full
 from .subspace import check_proportion, initial_state, run, success_probability
 
@@ -208,19 +208,23 @@ def _subspace_states(kinds, phases, lambdas, ks) -> np.ndarray:
     """Each sample's (2,) state after its k steps on the 2x2 engine, from stacked passes.
 
     kinds, lambdas and ks hold one entry per sample and phases one column of
-    four.  The matrices are built once per kind and run once per k; every
-    cell of a stack gets the bits of its own single run.
+    four.  One table of mixed kinds holds every sample's row, filled once per
+    kind and checked once; its planes run once per k.  Every cell gets the
+    bits of its own single run.
     """
     starts = np.array([initial_state(lam) for lam in lambdas.tolist()])
-    mats = np.empty((len(kinds), 2, 2), complex)
-    for kind in AlgorithmKind:
+    table = np.empty((4, len(kinds)), complex)
+    for kind in set(kinds):
         rows = kinds == kind
-        if rows.any():
-            mats[rows] = iteration_matrix(params_from_phases(kind, phases[:, rows]), starts[rows])
+        # An original row is four 0-d entries; (4, -1) broadcasts it over the rows.
+        table[:, rows] = np.reshape(operator_coefficients(
+            params_from_phases(kind, phases[:, rows])), (4, -1))
+    check_unitary(kinds, table, starts)
+    planes = iteration_planes(table, starts)
     states = np.empty((len(kinds), 2), complex)
     for k in np.unique(ks).tolist():  # run takes one int k per stack
         rows = ks == k
-        states[rows] = run(mats[rows], k, starts[rows])
+        states[rows] = run([p[rows] for p in planes], k, starts[rows])
     return states
 
 

@@ -208,10 +208,10 @@ def verify_phase_equivalence(
     Failures are recorded in the reports, never raised.  A nonzero perturb
     offsets each mapped variant's leading phase, stepping off the chain; the
     reports then demonstrate that the condition is necessary, not just
-    sufficient.  The four bundles' rows make one table stack, checked and
-    expanded once, so the long iteration and the three variants run k steps
-    as one (4, 2, 2) stack; prob_deviation compares their success
-    probabilities (at k = 0 it is 0).
+    sufficient.  The four bundles' rows make one table, checked and expanded
+    once, so the long iteration and the three variants run k steps as four
+    cells of one run; prob_deviation compares their success probabilities
+    (at k = 0 it is 0).
     """
     check_tolerance("tol", tol)
     mapped = [transform_phases(params_long, to_kind) for to_kind in TRANSFORMABLE_KINDS[1:]]
@@ -219,11 +219,12 @@ def verify_phase_equivalence(
     # Each column of the table as a (4,) array, one cell per bundle.
     table = tuple(map(np.stack, zip(*map(operator_coefficients, bundles))))
     check_unitary([p.kind for p in bundles], table, s)
-    mats = np.stack(iteration_planes(table, s), axis=-1).reshape(4, 2, 2)
-    probs = success_probability(run(mats, k, s))
-    g_long = mats[0]
+    # One row of entries (m00, m01, m10, m11) per bundle; its columns are run's planes.
+    entries = np.stack(iteration_planes(table, s), axis=-1)
+    probs = success_probability(run(entries.T, k, s))
+    g_long = entries[0]
     reports = []
-    for mapped_params, realized, g_other, p in zip(mapped, bundles[1:], mats[1:], probs[1:]):
+    for mapped_params, realized, g_other, p in zip(mapped, bundles[1:], entries[1:], probs[1:]):
         predicted = predicted_global_phase(params_long, mapped_params)
         measured = global_phase_align(g_long, g_other, tol)
         deviation = max_entry_deviation(g_long, g_other,

@@ -75,22 +75,9 @@ def check_unitary(kind, coefficients, s: np.ndarray) -> None:
 
 
 def iteration_planes(coefficients, s: np.ndarray) -> tuple:
-    """Entries (m00, m01, m10, m11) of (c |s><s| + d I) diag(target, rest), broadcast together."""
+    """Entries (m00, m01, m10, m11) of (c |s><s| + d I) diag(target, rest): run's planes."""
     target, rest, c, d = coefficients
     s0, s1 = s[..., 0], s[..., 1]
     off = c * (s0 * s1)  # the shared off-diagonal of the diffusion
     return (c * (s0 * s0) + d) * target, off * rest, off * target, (c * (s1 * s1) + d) * rest
 
-
-def iteration_matrix(params: PhaseParams, s: np.ndarray) -> np.ndarray:
-    """The bundle's iteration diffusion @ oracle about |s> = s, checked by check_unitary.
-
-    A scalar bundle and one (2,) s give one (2, 2) matrix.  A bundle's
-    phases may be arrays and s a (..., 2) stack: the phases' shape and
-    s.shape[:-1] broadcast to the leading axes of a (..., 2, 2) stack, each
-    cell of which has the bits of its own scalar build.
-    """
-    coefficients = operator_coefficients(params)
-    check_unitary(params.kind, coefficients, s)
-    m = np.stack(iteration_planes(coefficients, s), axis=-1)
-    return m.reshape(m.shape[:-1] + (2, 2))

@@ -30,35 +30,34 @@ def initial_state(lambda_: float) -> np.ndarray:
     return np.array([math.sin(theta), math.cos(theta)])
 
 
-def run(m: np.ndarray, k: int, start: np.ndarray) -> np.ndarray:
-    """State after k applications of m to start; k = 0 returns a copy of start.
+def run(planes, k: int, start: np.ndarray) -> np.ndarray:
+    """State after k applications of the iteration m to start; k = 0 returns a copy of start.
 
-    m is one unitary (2, 2) matrix or a (..., 2, 2) stack of them (callers
-    pass matrices that iteration_matrix has checked); start broadcasts to
-    m.shape[:-1], the shape of the result.  One int k in [0, 2**53] runs all.
+    planes are m's entries (m00, m01, m10, m11), four arrays of the cells'
+    shape, from iteration_planes on a table that check_unitary has passed.
+    start broadcasts to the cells' shape + (2,), the shape of the result.
+    One int k in [0, 2**53] runs all.
 
     The cost does not depend on k.  With m = e^{i delta} V, det V = 1,
     tr V = 2 cos w and G = (m - (tr m / 2) I) / e^{i delta}, the Chebyshev
     power (sin(k w) V - sin((k-1) w) I) / sin w is V^k = cos(k w) I +
     sin(k w) / sin(w) * G, and I + k G at sin w = 0.  The sign of
-    e^{i delta} = +-sqrt(det m) puts w in [0, pi/2].  Only the rounding of
-    k w and k delta grows with k: the state keeps unit norm, and those
-    angles are off by about |k w| * 2**-53 and |k delta| * 2**-53.
+    e^{i delta} = +-sqrt(det m) puts w in [0, pi/2].  The state keeps unit
+    norm, and the angles k w and k delta are off by about |k w| 2**-53 and
+    |k delta| 2**-53.  Near an identity step (w and delta both small) the
+    rounding of m's own entries dominates instead, and the probability error
+    grows as k 2**-53.  Against an 80-digit power of the exact iteration,
+    tests/test_run_reference.py bounds it by 8 ((k (w + |delta|) + 1) 2**-53
+    + 2 |sin(k w) / sin w| g), with g the float m's rounding of the target
+    amplitude of T s, T = m - (tr m / 2) I.
     """
     k = check_iterations("k", k)
+    # (..., 1) views keep one cell and a stack on the same array loops, so
+    # every cell of a stack gets the bits of its own single run.
+    m00, m01, m10, m11 = (p[..., None] for p in planes)
     # astype copies, so the in-place update below never writes into start.
-    v = np.broadcast_to(start, m.shape[:-1]).astype(complex, order="C")
-    # (..., 1) slices keep one matrix and a stack on the same array loops, so
-    # every matrix of a stack gets the bits of its own single run.
-    _power(m[..., 0, :1], m[..., 0, 1:], m[..., 1, :1], m[..., 1, 1:], k, v[..., :1], v[..., 1:])
-    return v
-
-
-def _power(m00, m01, m10, m11, k, v0: np.ndarray, v1: np.ndarray) -> None:
-    """Overwrite (v0, v1) with m^k (v0, v1), m = [[m00, m01], [m10, m11]], by run's closed form.
-
-    Each element is one cell; the entries broadcast to v0's shape.  k is a checked int.
-    """
+    v = np.broadcast_to(start, m00.shape[:-1] + (2,)).astype(complex, order="C")
+    v0, v1 = v[..., :1], v[..., 1:]
     phase = m00 * m11
     phase -= m01 * m10
     np.sqrt(phase, out=phase)
@@ -91,6 +90,7 @@ def _power(m00, m01, m10, m11, k, v0: np.ndarray, v1: np.ndarray) -> None:
     tv1 = m10 * v0 - half_gap * v1
     np.add(v0 * i_coef, tv0 * t_coef, out=v0)
     np.add(v1 * i_coef, tv1 * t_coef, out=v1)
+    return v
 
 
 def success_probability(v: np.ndarray):

@@ -7,7 +7,7 @@ import numpy as np
 from groverlab.analysis import sweep
 from groverlab.cli import _random_case
 from groverlab.model import AlgorithmKind, LongParams, params_from_phases
-from groverlab.operators import iteration_matrix
+from groverlab.operators import check_unitary, iteration_planes, operator_coefficients
 from groverlab.statevector import measure, run_full
 from groverlab.subspace import initial_state, run, success_probability
 
@@ -39,11 +39,30 @@ def cubic(m):
     return 4 * m ** 3 - 8 * m ** 2 + 5 * m
 
 
+def iteration_matrix(params, s):
+    """The bundle's iteration diffusion @ oracle about |s> = s, checked by check_unitary.
+
+    A scalar bundle and one (2,) s give one (2, 2) matrix.  A bundle's
+    phases may be arrays and s a (..., 2) stack: the phases' shape and
+    s.shape[:-1] broadcast to the leading axes of a (..., 2, 2) stack, each
+    cell of which has the bits of its own scalar build.
+    """
+    coefficients = operator_coefficients(params)
+    check_unitary(params.kind, coefficients, s)
+    m = np.stack(iteration_planes(coefficients, s), axis=-1)
+    return m.reshape(m.shape[:-1] + (2, 2))
+
+
+def run_matrix(m, k, start):
+    """subspace.run on a (2, 2) matrix or a (..., 2, 2) stack, whose entries are run's planes."""
+    return run((m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]), k, start)
+
+
 def one_step_at_half_pi(ms):
     """The subspace engine's probability after one LongParams(pi/2) step, one per m in ms."""
     starts = np.array([initial_state(m) for m in np.atleast_1d(ms).tolist()])
     mats = iteration_matrix(LongParams(math.pi / 2), starts)
-    return success_probability(run(mats, 1, starts))
+    return success_probability(run_matrix(mats, 1, starts))
 
 
 def long_iteration_closed_form(start, phi, diffusion_phi=None):
@@ -136,7 +155,7 @@ def crosscheck_reference(n, seed, samples, tol=1e-10):
     """crosscheck's stdout lines and exit code by the per-sample path, and the (kind, k) drawn.
 
     The same _random_case draws as the command, for samples >= 1, but every
-    sample's 2x2 side is its own run(iteration_matrix(params, s), k, s).
+    sample's 2x2 side is its own run_matrix(iteration_matrix(params, s), k, s).
     """
     rng = np.random.default_rng(seed)
     deviations, residuals, gaps, drawn = [], [], [], []
@@ -145,7 +164,7 @@ def crosscheck_reference(n, seed, samples, tol=1e-10):
         params = params_from_phases(kind, phases)
         full = run_full(marked, params, k)
         s = initial_state(np.count_nonzero(marked) / marked.size)
-        sub = run(iteration_matrix(params, s), k, s)
+        sub = run_matrix(iteration_matrix(params, s), k, s)
         probability, projected, residual = measure(marked, full)
         deviations.append(abs(probability - success_probability(sub)))
         residuals.append(residual)

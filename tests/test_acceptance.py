@@ -18,11 +18,11 @@ from groverlab.model import (
     OriginalParams,
     make_search_space,
 )
-from groverlab.operators import iteration_matrix
 from groverlab.statevector import measure, run_full
-from groverlab.subspace import initial_state, run, success_probability
+from groverlab.subspace import initial_state, success_probability
 
-from helpers import cubic, is_unitary, one_step_at_half_pi, random_kind, random_params, sweep_array
+from helpers import (cubic, is_unitary, iteration_matrix, one_step_at_half_pi, random_kind,
+                     random_params, run_matrix, sweep_array)
 
 VARIANTS = (AlgorithmKind.LONG, AlgorithmKind.LI_DF, AlgorithmKind.LI_CM, AlgorithmKind.LI_PC)
 
@@ -82,7 +82,7 @@ def test_criterion_4_single_iteration_equivalence_across_variants():
         s = initial_state(float(m))
         expected = cubic(float(m))
         for kind, params in matched.items():
-            p = success_probability(run(iteration_matrix(params, s), 1, s))
+            p = success_probability(run_matrix(iteration_matrix(params, s), 1, s))
             worst = max(worst, abs(p - expected))
     report(4, "single-iteration cubic across variants", worst < 1e-10,
            f"max |P - cubic| = {worst:.3e}")
@@ -112,7 +112,7 @@ def test_criterion_6_engine_cross_validation():
             k = int(rng.integers(0, 26))
             full = run_full(marked, params, k)
             s = initial_state(np.count_nonzero(marked) / marked.size)
-            sub = run(iteration_matrix(params, s), k, s)
+            sub = run_matrix(iteration_matrix(params, s), k, s)
             probability, _, residual = measure(marked, full)
             worst_prob = max(worst_prob, abs(probability - success_probability(sub)))
             worst_residual = max(worst_residual, residual)

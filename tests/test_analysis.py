@@ -10,11 +10,10 @@ from groverlab import analysis
 from groverlab.analysis import SweepGrid, closed_form_probability, optimal_iterations, sweep
 from groverlab.equivalence import transform_phases
 from groverlab.model import AlgorithmKind, LongParams, OriginalParams
-from groverlab.operators import iteration_matrix
-from groverlab.subspace import initial_state, run, success_probability
+from groverlab.subspace import initial_state, success_probability
 
-from helpers import (cubic, one_step_at_half_pi, single_iteration_amplitude_long, sweep_array,
-                     unmatched_params)
+from helpers import (cubic, iteration_matrix, one_step_at_half_pi, run_matrix,
+                     single_iteration_amplitude_long, sweep_array, unmatched_params)
 
 
 def cubic_exact(m: Fraction) -> Fraction:
@@ -53,7 +52,7 @@ class TestClosedFormProbability:
             s = initial_state(float(lam))
             it = iteration_matrix(OriginalParams(), s)
             for k in (0, 1, 2, 5, 9):
-                engine = success_probability(run(it, k, s))
+                engine = success_probability(run_matrix(it, k, s))
                 assert abs(engine - closed_form_probability(float(lam), k)) < 1e-10
 
 
@@ -216,7 +215,7 @@ class TestSweep:
             for phase, prob in zip(grid.phases().tolist(), row):
                 s = initial_state(lam)
                 it = iteration_matrix(unmatched_params(grid.kind, phase), s)
-                assert abs(prob - success_probability(run(it, grid.k, s))) < 1e-14
+                assert abs(prob - success_probability(run_matrix(it, grid.k, s))) < 1e-14
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     @pytest.mark.parametrize("matched", [False, True])
@@ -234,7 +233,7 @@ class TestSweep:
                               else unmatched_params(kind, phase))
                     s = initial_state(lam)
                     m = iteration_matrix(params, s)
-                    assert prob == success_probability(run(m, k, s))
+                    assert prob == success_probability(run_matrix(m, k, s))
 
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     @pytest.mark.parametrize("matched", [False, True])
@@ -254,7 +253,7 @@ class TestSweep:
                 params = (transform_phases(LongParams(phase), kind) if matched
                           else unmatched_params(kind, phase))
                 s = initial_state(lam)
-                assert prob == success_probability(run(iteration_matrix(params, s), k, s))
+                assert prob == success_probability(run_matrix(iteration_matrix(params, s), k, s))
 
     def test_original_kind_ignores_phase_axis(self):
         grid = SweepGrid(

@@ -17,6 +17,7 @@ from groverlab import analysis, cli, statevector
 from groverlab.analysis import SweepGrid
 from groverlab.cli import main
 from groverlab.model import AlgorithmKind
+from groverlab.operators import UNITARITY_TOL
 from groverlab.statevector import run_full
 
 from helpers import crosscheck_reference, sweep_array
@@ -300,6 +301,23 @@ class TestCrosscheckCommand:
         deviation, residual = capsys.readouterr().out.splitlines()[1:]
         assert float(deviation.rsplit(" ", 1)[1]) < 1e-10
         assert residual == "max subspace residual: nan"
+
+
+    @pytest.mark.parametrize("kind", list(AlgorithmKind))
+    def test_a_non_unit_row_of_one_kind_fails_naming_it(self, monkeypatch, capsys, kind):
+        # Seed 3 draws all five kinds in its first 11 samples, so the block's
+        # one table mixes them and the check must name the bad rows' kind.
+        grow = math.sqrt(1.0 + 2.0 * UNITARITY_TOL)  # |target|^2 - 1 = 2 * UNITARITY_TOL
+        coefficients = cli.operator_coefficients
+
+        def scaled(params):
+            target, rest, c, d = coefficients(params)
+            return (target * grow if params.kind is kind else target), rest, c, d
+
+        monkeypatch.setattr(cli, "operator_coefficients", scaled)
+        assert main(["crosscheck", "--n", "4", "--seed", "3", "--samples", "11"]) == 1
+        assert capsys.readouterr().err == (f"groverlab: error: {kind.value} iteration matrix failed "
+                                           f"the unitarity check at {UNITARITY_TOL}\n")
 
 
 class TestCrosscheckBlocks:

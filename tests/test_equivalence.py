@@ -28,8 +28,10 @@ from groverlab.model import (
     LongParams,
     OriginalParams,
 )
-from groverlab.operators import UNITARITY_TOL, iteration_matrix, operator_coefficients
+from groverlab.operators import UNITARITY_TOL, operator_coefficients
 from groverlab.subspace import initial_state, run, success_probability
+
+from helpers import iteration_matrix, run_matrix
 
 
 chain_kinds = st.sampled_from(TRANSFORMABLE_KINDS)
@@ -273,12 +275,12 @@ class TestVerifyPhaseEquivalence:
         for rep in verify_phase_equivalence(params_long, s):
             assert rep.prob_deviation == 0.0
         p_long = success_probability(
-            run(iteration_matrix(params_long, s), 25, s)
+            run_matrix(iteration_matrix(params_long, s), 25, s)
         )
         for rep in verify_phase_equivalence(params_long, s, k=25):
             assert rep.holds
             p_other = success_probability(
-                run(iteration_matrix(rep.target_params, s), 25, s)
+                run_matrix(iteration_matrix(rep.target_params, s), 25, s)
             )
             assert abs(rep.prob_deviation - abs(p_other - p_long)) < 1e-15
             assert rep.prob_deviation < 1e-10
@@ -300,18 +302,22 @@ class TestVerifyPhaseEquivalence:
            st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0)))
     @settings(max_examples=300)
     def test_the_table_stack_is_the_four_builds_bit_for_bit(self, phi, lam, perturb):
-        s, stacks = initial_state(lam), []
+        s, calls = initial_state(lam), []
 
-        def spy(mats, k, start):
-            stacks.append(mats)
-            return run(mats, k, start)
+        def spy(planes, k, start):
+            calls.append(planes)
+            return run(planes, k, start)
 
         with mock.patch.object(equivalence, "run", spy):
             reports = verify_phase_equivalence(LongParams(phi), s, perturb=perturb)
         builds = np.stack([iteration_matrix(p, s)
                            for p in [LongParams(phi), *(r.target_params for r in reports)]])
-        assert stacks[0].shape == builds.shape == (4, 2, 2)
-        assert stacks[0].tobytes() == builds.tobytes()
+        # Plane j holds entry j (m00, m01, m10, m11 in turn) of each of the four builds.
+        entries = builds.reshape(4, 4).T
+        assert len(calls) == 1 and len(calls[0]) == len(entries) == 4
+        for plane, entry in zip(calls[0], entries):
+            assert plane.shape == entry.shape == (4,)
+            assert np.ascontiguousarray(plane).tobytes() == np.ascontiguousarray(entry).tobytes()
 
     @pytest.mark.parametrize("scaled, error, fails", [
         ({AlgorithmKind.LI_PC: "oracle"}, 2.0, True),
@@ -359,7 +365,7 @@ class TestProbabilityEqualityAcrossVariants:
             params_long = LongParams(phi)
             reference = [
                 success_probability(
-                    run(iteration_matrix(params_long, s), k, s)
+                    run_matrix(iteration_matrix(params_long, s), k, s)
                 )
                 for k in range(26)
             ]
@@ -367,5 +373,5 @@ class TestProbabilityEqualityAcrossVariants:
                 mapped = transform_phases(params_long, to_kind)
                 it = iteration_matrix(mapped, s)
                 for k in range(26):
-                    p = success_probability(run(it, k, s))
+                    p = success_probability(run_matrix(it, k, s))
                     assert abs(p - reference[k]) < 1e-10

@@ -10,16 +10,17 @@ import groverlab
 from groverlab.analysis import SweepGrid, closed_form_probability
 from groverlab.cli import main
 from groverlab.model import AlgorithmKind, OriginalParams, check_iterations, make_search_space
-from groverlab.operators import iteration_matrix
 from groverlab.statevector import run_full
-from groverlab.subspace import initial_state, run
+from groverlab.subspace import initial_state
+
+from helpers import iteration_matrix, run_matrix
 
 S = initial_state(0.25)
 M = iteration_matrix(OriginalParams(), S)
 
 LIBRARY = {
-    "run": lambda k: run(M, k, S),
-    "run, k in a 0-d array": lambda k: run(np.stack([M, M]), np.array(k), S),
+    "run": lambda k: run_matrix(M, k, S),
+    "run, k in a 0-d array": lambda k: run_matrix(np.stack([M, M]), np.array(k), S),
     "run_full": lambda k: run_full(make_search_space(2, {0}), OriginalParams(), k),
     "closed_form_probability": lambda k: closed_form_probability(0.5, k),
     "SweepGrid": lambda k: SweepGrid(kind=AlgorithmKind.LONG, k=k),
@@ -98,8 +99,7 @@ def test_each_input_rule_has_one_home():
     # which it is defined, and only check_integer reads a count through
     # operator.index.  The CLI grows no rule of its own: it names its flag
     # and calls the package's check.  Nor does the CLI import a private
-    # name, such as subspace's kernel: it runs the engines through their
-    # public entry points.
+    # name: it runs the engines through their public entry points.
     readers, index_readers = set(), set()
     for path in sorted(Path(groverlab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -22,15 +22,14 @@ from groverlab.model import (
 from groverlab.operators import (
     UNITARITY_TOL,
     check_unitary,
-    iteration_matrix,
     iteration_planes,
     operator_coefficients,
 )
 
 from groverlab.subspace import initial_state
 
-from helpers import (KINDS, cmath_row, is_unitary, long_iteration_closed_form, random_kind,
-                     random_params, unmatched_params)
+from helpers import (KINDS, cmath_row, is_unitary, iteration_matrix, long_iteration_closed_form,
+                     random_kind, random_params, unmatched_params)
 
 
 def oracle(params):

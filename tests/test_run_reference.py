@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from groverlab.model import AlgorithmKind, LiPCParams, params_from_phases
-from groverlab.operators import iteration_matrix
-from groverlab.subspace import initial_state, run, success_probability
+from groverlab.subspace import initial_state, success_probability
 
-from helpers import cmath_row
+from helpers import cmath_row, iteration_matrix, run_matrix
 
 EPS = 2.0 ** -53
 KS = [1, 10 ** 3, 10 ** 6, 10 ** 9, 10 ** 12, 2 ** 53]
@@ -64,7 +63,7 @@ def test_forward_error_stays_within_the_stated_bound(params, lam):
         g = float(abs((gap[0][0] - gap[1][1]) / 2 * s0 + gap[0][1] * s1))
         for k in KS:
             p_exact = float(abs((exact ** k * mpmath.matrix([s0, s1]))[0]) ** 2)
-            p_run = float(success_probability(run(m, k, s)))
+            p_run = float(success_probability(run_matrix(m, k, s)))
             t_coef = abs(mpmath.sin(k * w) / mpmath.sin(w)) if w else k
             bound = C * (float(k * (w + abs(delta)) + 1) * EPS + 2 * float(t_coef) * g)
             assert abs(p_run - p_exact) <= bound, (k, p_run, p_exact, bound)

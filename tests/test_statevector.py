@@ -20,12 +20,12 @@ from groverlab.model import (
     make_search_space,
     params_from_phases,
 )
-from groverlab.operators import iteration_matrix
 import groverlab.statevector
 from groverlab.statevector import _CHUNK, _coefficients, _select, measure, run_full
-from groverlab.subspace import initial_state, run, success_probability
+from groverlab.subspace import initial_state, success_probability
 
-from helpers import apply_diffusion, apply_oracle, random_kind, random_params
+from helpers import (apply_diffusion, apply_oracle, iteration_matrix, random_kind, random_params,
+                     run_matrix)
 
 
 def random_state(rng, marked):
@@ -434,7 +434,7 @@ class TestCrossEngineAgreement:
             marked, params, k = random_case(rng, n)
             full = run_full(marked, params, k)
             s = initial_state(np.count_nonzero(marked) / marked.size)
-            sub = run(iteration_matrix(params, s), k, s)
+            sub = run_matrix(iteration_matrix(params, s), k, s)
             p, _, residual = measure(marked, full)
             assert abs(p - success_probability(sub)) < 1e-10
             assert residual < 1e-10
@@ -445,7 +445,7 @@ class TestCrossEngineAgreement:
             marked, params, k = random_case(rng, 6)
             _, projected, _ = measure(marked, run_full(marked, params, k))
             s = initial_state(np.count_nonzero(marked) / marked.size)
-            direct = run(iteration_matrix(params, s), k, s)
+            direct = run_matrix(iteration_matrix(params, s), k, s)
             assert abs(projected[0] - direct[0]) < 1e-10
             assert abs(projected[1] - direct[1]) < 1e-10
 
@@ -464,7 +464,7 @@ class TestCrossEngineAgreement:
         for k in range(0, 11):
             _, projected, residual = measure(marked, run_full(marked, mapped, k))
             assert residual < 1e-10
-            reference = run(it_long, k, s)
+            reference = run_matrix(it_long, k, s)
             factor = cmath.exp(-1j * k * chi)
             assert abs(projected[0] - factor * reference[0]) < 1e-10
             assert abs(projected[1] - factor * reference[1]) < 1e-10

@@ -19,10 +19,10 @@ from groverlab.model import (
     OriginalParams,
     params_from_phases,
 )
-from groverlab.operators import iteration_matrix
-from groverlab.subspace import initial_state, run, success_probability
+from groverlab.subspace import initial_state, success_probability
 
-from helpers import KINDS, random_kind, random_params, single_iteration_amplitude_long
+from helpers import (KINDS, iteration_matrix, random_kind, random_params, run_matrix,
+                     single_iteration_amplitude_long)
 
 
 def k_fold(m, k, start):
@@ -98,7 +98,7 @@ class TestRun:
     def test_zero_iterations_returns_initial_state(self):
         s = initial_state(0.33)
         m = iteration_matrix(OriginalParams(), s)
-        state = run(m, 0, s)
+        state = run_matrix(m, 0, s)
         assert np.array_equal(state, s)
 
     def test_negative_iterations_rejected(self):
@@ -107,7 +107,7 @@ class TestRun:
         for matrices in (m, np.stack([m, m])):
             with pytest.raises(ValueError, match=re.escape(
                     "k must lie in [0, 2**53 = 9007199254740992], got -1")):
-                run(matrices, -1, s)
+                run_matrix(matrices, -1, s)
 
     def test_stack_matches_slice_by_slice_runs(self):
         rng = np.random.default_rng(19)
@@ -117,11 +117,11 @@ class TestRun:
         stack = np.array([[iteration_matrix(p, s) for p in params] for s in vectors])
         starts = np.array(vectors)[:, None, :]
         for k in (0, 1, 7, 250):
-            states = run(stack, k, starts)
+            states = run_matrix(stack, k, starts)
             assert states.shape == (3, 4, 2)
             for i, s in enumerate(vectors):
                 for j in range(len(kinds)):
-                    single = run(stack[i, j], k, s)
+                    single = run_matrix(stack[i, j], k, s)
                     assert np.max(np.abs(states[i, j] - single)) < 1e-15
 
     def test_original_closed_form(self):
@@ -139,7 +139,7 @@ class TestRun:
     def test_long_one_iteration_at_half_proportion_is_certain(self):
         s = initial_state(0.5)
         m = iteration_matrix(LongParams(math.pi / 2), s)
-        assert success_probability(run(m, 1, s)) == pytest.approx(1.0, abs=1e-12)
+        assert success_probability(run_matrix(m, 1, s)) == pytest.approx(1.0, abs=1e-12)
 
     def test_long_single_iteration_amplitude(self):
         # engine amplitude vs the closed-form target amplitude
@@ -148,7 +148,7 @@ class TestRun:
                 s = initial_state(float(m))
                 it = iteration_matrix(LongParams(float(phi)), s)
                 expected = single_iteration_amplitude_long(float(m), float(phi))
-                assert abs(run(it, 1, s)[0] - expected) < 1e-12
+                assert abs(run_matrix(it, 1, s)[0] - expected) < 1e-12
 
     def test_norm_preserved_through_thousand_iterations(self):
         rng = np.random.default_rng(11)
@@ -156,7 +156,7 @@ class TestRun:
             kind = random_kind(rng)
             s = initial_state(float(rng.uniform(1e-3, 1.0)))
             m = iteration_matrix(random_params(rng, kind), s)
-            state = run(m, 1000, s)
+            state = run_matrix(m, 1000, s)
             norm_sq = abs(state[0]) ** 2 + abs(state[1]) ** 2
             assert abs(norm_sq - 1.0) < 1e-9
 
@@ -169,8 +169,8 @@ class TestRun:
             chi = float(rng.uniform(-math.pi, math.pi))
             shifted = cmath.exp(1j * chi) * m
             for k in (1, 5, 13):
-                p = success_probability(run(m, k, s))
-                p_shifted = success_probability(run(shifted, k, s))
+                p = success_probability(run_matrix(m, k, s))
+                p_shifted = success_probability(run_matrix(shifted, k, s))
                 assert abs(p - p_shifted) < 1e-12
 
 
@@ -180,7 +180,7 @@ class TestClosedFormPower:
     def test_equals_the_k_fold_multiply(self, kind, phases, lam, k):
         s = initial_state(lam)
         m = iteration_matrix(params_from_phases(kind, phases), s)
-        assert np.max(np.abs(run(m, k, s) - k_fold(m, k, s))) < 1e-12
+        assert np.max(np.abs(run_matrix(m, k, s) - k_fold(m, k, s))) < 1e-12
 
     @pytest.mark.parametrize("kind,params", CORNERS)
     @given(lam=lambdas, k=steps)
@@ -188,7 +188,7 @@ class TestClosedFormPower:
     def test_corners_equal_the_k_fold_multiply(self, kind, params, lam, k):
         s = initial_state(lam)
         m = iteration_matrix(params, s)
-        assert np.max(np.abs(run(m, k, s) - k_fold(m, k, s))) < 1e-12
+        assert np.max(np.abs(run_matrix(m, k, s) - k_fold(m, k, s))) < 1e-12
 
     @given(st.lists(st.tuples(st.sampled_from(KINDS), real_phases, lambdas),
                     min_size=1, max_size=6), steps)
@@ -200,9 +200,9 @@ class TestClosedFormPower:
         cases += [(iteration_matrix(params, initial_state(0.3)),
                    initial_state(0.3)) for kind, params in CORNERS]
         stack = np.stack([m for m, _ in cases])
-        states = run(stack, k, np.stack([s for _, s in cases]))
+        states = run_matrix(stack, k, np.stack([s for _, s in cases]))
         for state, (m, start) in zip(states, cases):
-            assert np.array_equal(state, run(m, k, start))
+            assert np.array_equal(state, run_matrix(m, k, start))
 
     def test_complex_starts_give_a_stack_the_bits_of_single_runs(self):
         rng = np.random.default_rng(21)
@@ -211,8 +211,8 @@ class TestClosedFormPower:
                          for lam in rng.uniform(1e-6, 1.0, 200)])
         starts = rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2))
         for k in (1, 7, 2 ** 40):
-            for state, m, start in zip(run(mats, k, starts), mats, starts):
-                assert np.array_equal(state, run(m, k, start))
+            for state, m, start in zip(run_matrix(mats, k, starts), mats, starts):
+                assert np.array_equal(state, run_matrix(m, k, start))
 
     @pytest.mark.parametrize("dtype", [float, complex])  # a complex start needs no cast
     @pytest.mark.parametrize("k", [0, 1, 9])
@@ -221,7 +221,7 @@ class TestClosedFormPower:
         for matrices in (m, np.stack([m, m.T])):
             start = initial_state(0.3).astype(dtype)
             start.flags.writeable = False
-            state = run(matrices, k, start)
+            state = run_matrix(matrices, k, start)
             assert np.array_equal(start, initial_state(0.3))
             assert not np.shares_memory(state, start)
             assert state.flags.c_contiguous and state.flags.writeable
@@ -230,7 +230,7 @@ class TestClosedFormPower:
         # The k-fold multiply drifted 1.9e-10 from the closed form here.
         s = initial_state(1e-6)
         m = iteration_matrix(OriginalParams(), s)
-        p = success_probability(run(m, 10 ** 6, s))
+        p = success_probability(run_matrix(m, 10 ** 6, s))
         assert abs(p - closed_form_probability(1e-6, 10 ** 6)) < 1e-12
 
     @pytest.mark.parametrize("chi", [math.pi, -math.pi / 2, 2.0, 3.0])
@@ -239,7 +239,7 @@ class TestClosedFormPower:
         # rounding of k w (about k * pi * 2**-53) would reach the probability.
         s = initial_state(1e-6)
         m = cmath.exp(1j * chi) * iteration_matrix(OriginalParams(), s)
-        p = success_probability(run(m, 10 ** 6, s))
+        p = success_probability(run_matrix(m, 10 ** 6, s))
         assert abs(p - closed_form_probability(1e-6, 10 ** 6)) < 1e-12
 
     def test_norm_holds_at_any_k(self):
@@ -250,7 +250,7 @@ class TestClosedFormPower:
             for kind in KINDS:
                 m = iteration_matrix(random_params(rng, kind), s)
                 for k in (10 ** 9, 10 ** 12, MAX_ITERATIONS):
-                    state = run(m, k, s)
+                    state = run_matrix(m, k, s)
                     assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
 
     # A stack runs by one count, so an array of counts is rejected too.
@@ -260,28 +260,28 @@ class TestClosedFormPower:
         m = iteration_matrix(LongParams(1.1), s)
         for matrices in (m, np.stack([m, m])):
             with pytest.raises(TypeError):
-                run(matrices, k, s)
+                run_matrix(matrices, k, s)
 
     def test_numpy_integer_k_gives_the_same_bits(self):
         s = initial_state(0.3)
         m = iteration_matrix(LiPCParams(0.7), s)
         for matrices in (m, np.stack([m, m.T])):
             for k in (0, 3, 10 ** 6):
-                assert np.array_equal(run(matrices, np.int64(k), s),
-                                      run(matrices, k, s))
-                assert np.array_equal(run(matrices, np.array(k), s),
-                                      run(matrices, k, s))
+                assert np.array_equal(run_matrix(matrices, np.int64(k), s),
+                                      run_matrix(matrices, k, s))
+                assert np.array_equal(run_matrix(matrices, np.array(k), s),
+                                      run_matrix(matrices, k, s))
 
     def test_iteration_count_is_bounded_by_float64_integers(self):
         s = initial_state(0.25)
         m = iteration_matrix(OriginalParams(), s)
         assert MAX_ITERATIONS == 2 ** 53
-        state = run(m, MAX_ITERATIONS, s)
+        state = run_matrix(m, MAX_ITERATIONS, s)
         assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-12
         for matrices in (m, np.stack([m, m])):
             with pytest.raises(ValueError, match=re.escape(
                     "k must lie in [0, 2**53 = 9007199254740992], got 9007199254740993")):
-                run(matrices, MAX_ITERATIONS + 1, s)
+                run_matrix(matrices, MAX_ITERATIONS + 1, s)
 
 
 class TestSuccessProbability:
@@ -291,12 +291,12 @@ class TestSuccessProbability:
     def test_rotation_reaches_certainty_at_quarter_proportion(self):
         s = initial_state(0.25)
         m = iteration_matrix(OriginalParams(), s)
-        assert success_probability(run(m, 1, s)) == pytest.approx(1.0, abs=1e-12)
+        assert success_probability(run_matrix(m, 1, s)) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_proportion_single_iteration(self):
         s = initial_state(0.5)
         m = iteration_matrix(OriginalParams(), s)
-        assert success_probability(run(m, 1, s)) == pytest.approx(0.5, abs=1e-12)
+        assert success_probability(run_matrix(m, 1, s)) == pytest.approx(0.5, abs=1e-12)
 
     def test_clamps_roundoff_overshoot(self):
         assert success_probability(np.array([1.0 + 1e-12 + 0j, 0j])) == 1.0
