@@ -17,8 +17,6 @@ from .equivalence import (
     TRANSFORMABLE_KINDS,
     angle_distance,
     global_phase_align,
-    max_entry_deviation,
-    predicted_global_phase,
     transform_phases,
     verify_phase_equivalence,
     wrap_angle,
@@ -60,12 +58,10 @@ __all__ = [
     "initial_state",
     "iteration_planes",
     "make_search_space",
-    "max_entry_deviation",
     "measure",
     "operator_coefficients",
     "optimal_iterations",
     "params_from_phases",
-    "predicted_global_phase",
     "run",
     "run_full",
     "success_probability",

@@ -71,13 +71,6 @@ def _wrapped_difference(a: float, b: float) -> float:
     return wrap_angle(d)
 
 
-def max_entry_deviation(a: np.ndarray, b: np.ndarray, phase: float = 0.0) -> float:
-    """Max entrywise |a - e^{i phase} * b|."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return float(np.max(np.abs(a - cmath.exp(1j * phase) * b)))
-
-
 def global_phase_align(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> float | None:
     """Angle chi with a == e^{i chi} * b entrywise within tol, or None.
 
@@ -87,16 +80,36 @@ def global_phase_align(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> floa
     either matrix also is; it is not an error.
     """
     check_tolerance("tol", tol)
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    pivot = int(np.argmax(np.abs(b)))
-    if abs(b.flat[pivot]) == 0.0:
-        raise ValueError("cannot align against the zero matrix")
-    ratio = complex(a.flat[pivot]) / complex(b.flat[pivot])
-    if not abs(abs(ratio) - 1.0) <= tol:  # NaN fails too
-        return None
-    chi = wrap_angle(cmath.phase(ratio))
-    return chi if max_entry_deviation(a, b, chi) <= tol else None
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    (chi,), _ = _align(a.ravel(), b.reshape(1, -1), tol, [math.nan])
+    return chi
+
+
+def _align(a: np.ndarray, rows: np.ndarray, tol: float, fallback: list) -> tuple[list, list]:
+    """global_phase_align of the row a against each row of rows, and each row's deviation.
+
+    The deviation max |a - e^{i chi} row| is taken at the measured chi, else
+    at the row's fallback phase; a NaN fallback gives NaN, without a warning.
+    """
+    a_list, candidates = a.tolist(), []
+    for row, pivot in zip(rows.tolist(), np.abs(rows).argmax(axis=-1).tolist()):
+        if abs(row[pivot]) == 0.0:
+            raise ValueError("cannot align against the zero matrix")
+        ratio = a_list[pivot] / row[pivot]  # Python's division: numpy rounds complex ones otherwise
+        candidates.append(wrap_angle(cmath.phase(ratio)) if abs(abs(ratio) - 1.0) <= tol else None)
+    deviations = _deviations(a, rows, [f if c is None else c for c, f in zip(candidates, fallback)])
+    measured = [c if c is not None and d <= tol else None  # NaN fails too
+                for c, d in zip(candidates, deviations)]
+    for j, (c, m) in enumerate(zip(candidates, measured)):
+        if c is not None and m is None:  # the candidate failed its own deviation
+            deviations[j] = _deviations(a, rows[j], fallback[j:j + 1])[0]
+    return measured, deviations
+
+
+def _deviations(a: np.ndarray, rows: np.ndarray, phases: list) -> list:
+    """max |a - e^{i phase} row| for each row and its phase, rounded as for one row."""
+    factors = np.array([cmath.exp(1j * phase) for phase in phases])[:, None]
+    return np.maximum.reduce(np.abs(a - factors * rows), axis=-1).tolist()
 
 
 def _long_phi(params: LongParams) -> float:
@@ -149,27 +162,11 @@ def _chain_entry(kind: AlgorithmKind) -> _ChainEntry:
     return _CHAIN[kind]
 
 
-def _chain(column: str, params: PhaseParams) -> float:
-    """The bundle's chain value ("phi") or relative phase ("chi") from its _CHAIN column."""
-    entry = _chain_entry(params.kind)
-    with np.errstate(over="ignore"):  # the column rejects an overflow, by name
-        return getattr(entry, column)(params)
-
-
 def transform_phases(params: PhaseParams, to_kind: AlgorithmKind) -> PhaseParams:
     """Map a variant's parameters to another variant along the condition chain."""
-    return _chain_entry(to_kind).at(_chain("phi", params))
-
-
-def predicted_global_phase(params_a: PhaseParams, params_b: PhaseParams) -> float:
-    """Angle chi with G_a = e^{i chi} * G_b, given parameters on the chain."""
-    phi_a, phi_b = _chain("phi", params_a), _chain("phi", params_b)
-    if angle_distance(phi_a, phi_b) > _CONDITION_TOL:
-        raise ValueError(
-            f"parameters do not satisfy the phase-transform condition: "
-            f"chain values {phi_a} vs {phi_b}"
-        )
-    return _wrapped_difference(_chain("chi", params_b), _chain("chi", params_a))
+    entry = _chain_entry(to_kind)
+    with np.errstate(over="ignore"):  # the chain-value column rejects an overflow, by name
+        return entry.at(_chain_entry(params.kind).phi(params))
 
 
 @dataclass(frozen=True)
@@ -208,38 +205,44 @@ def verify_phase_equivalence(
     Failures are recorded in the reports, never raised.  A nonzero perturb
     offsets each mapped variant's leading phase, stepping off the chain; the
     reports then demonstrate that the condition is necessary, not just
-    sufficient.  The four bundles' rows make one table, checked and expanded
-    once, so the long iteration and the three variants run k steps as four
-    cells of one run; prob_deviation compares their success probabilities
-    (at k = 0 it is 0).
+    sufficient.  Long's chain value is read once and mapped to each kind.
+    The four bundles' rows make one table, checked and expanded once, so the
+    long iteration and the three variants run k steps as four cells of one
+    run; prob_deviation compares their success probabilities (at k = 0 it
+    is 0).  The three entry rows are aligned against long's in one pass.
+
+    phi is taken as given, and the mapped phases round at its scale: at
+    LongParams(1e8), lambda 0.3 and k = 3, lidf and lipc FAIL.  Pass
+    wrap_angle(phi), as check-equivalence does with --phi, to avoid that.
     """
     check_tolerance("tol", tol)
-    mapped = [transform_phases(params_long, to_kind) for to_kind in TRANSFORMABLE_KINDS[1:]]
+    long_entry = _chain_entry(params_long.kind)
+    with np.errstate(over="ignore"):  # each column rejects an overflow, by name
+        phi, chi_long = long_entry.phi(params_long), long_entry.chi(params_long)
+        mapped = [_CHAIN[kind].at(phi) for kind in TRANSFORMABLE_KINDS[1:]]
+        for params in mapped:
+            chain_value = _CHAIN[params.kind].phi(params)
+            if angle_distance(phi, chain_value) > _CONDITION_TOL:
+                raise ValueError(f"parameters do not satisfy the phase-transform condition: "
+                                 f"chain values {phi} vs {chain_value}")
+        predicted = [_wrapped_difference(_CHAIN[p.kind].chi(p), chi_long) for p in mapped]
     bundles = [params_long] + [_perturbed(p, perturb) if perturb else p for p in mapped]
-    # Each column of the table as a (4,) array, one cell per bundle.
-    table = tuple(map(np.stack, zip(*map(operator_coefficients, bundles))))
+    # The table's columns (target, rest, c, d) as rows of one (4, 4) array, one cell per bundle.
+    table = np.array(list(zip(*map(operator_coefficients, bundles))))
     check_unitary([p.kind for p in bundles], table, s)
-    # One row of entries (m00, m01, m10, m11) per bundle; its columns are run's planes.
-    entries = np.stack(iteration_planes(table, s), axis=-1)
-    probs = success_probability(run(entries.T, k, s))
-    g_long = entries[0]
+    # run's planes; column j holds bundle j's entries (m00, m01, m10, m11).
+    planes = np.array(iteration_planes(table, s))
+    p_long, *probs = success_probability(run(planes, k, s)).tolist()
+    measured, deviations = _align(planes[:, 0], planes[:, 1:].T, tol, predicted)
     reports = []
-    for mapped_params, realized, g_other, p in zip(mapped, bundles[1:], entries[1:], probs[1:]):
-        predicted = predicted_global_phase(params_long, mapped_params)
-        measured = global_phase_align(g_long, g_other, tol)
-        deviation = max_entry_deviation(g_long, g_other,
-                                        predicted if measured is None else measured)
-        prob_deviation = float(abs(p - probs[0]))
-        holds = (measured is not None and angle_distance(measured, predicted) <= tol
-                 and prob_deviation <= tol)
-        reports.append(
-            EquivalenceReport(
-                target_params=realized,
-                predicted_phase=predicted,
-                measured_phase=measured,
-                max_entry_deviation=deviation,
-                prob_deviation=prob_deviation,
-                holds=holds,
-            )
-        )
+    for realized, chi, m, deviation, p in zip(bundles[1:], predicted, measured, deviations, probs):
+        prob_deviation = abs(p - p_long)
+        reports.append(EquivalenceReport(
+            target_params=realized,
+            predicted_phase=chi,
+            measured_phase=m,
+            max_entry_deviation=deviation,
+            prob_deviation=prob_deviation,
+            holds=m is not None and angle_distance(m, chi) <= tol and prob_deviation <= tol,
+        ))
     return reports

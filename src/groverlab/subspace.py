@@ -11,6 +11,8 @@ import numpy as np
 
 from .model import check_iterations
 
+_TINY = np.finfo(float).tiny
+
 
 def check_proportion(name: str, value: float) -> None:
     """Reject a target proportion outside (0, 1], NaN included, naming it by name."""
@@ -74,7 +76,7 @@ def run(planes, k: int, start: np.ndarray) -> np.ndarray:
     # m^k = e^{i k delta} (cos(k w) I + sin(k w) / sin(w) * T / e^{i delta})
     #     = i_coef * I + t_coef * T
     t_coef = np.divide(np.sin(kw), sin_w, out=np.full_like(kw, k),  # the limit k at w = 0
-                       where=sin_w >= np.finfo(float).tiny)
+                       where=sin_w >= _TINY)
     cos_kw = np.cos(kw, out=kw)
     del sin_w, cos_w
     # e^{i k delta} with unit modulus: phase ** k would carry |phase|^k drift.

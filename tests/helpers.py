@@ -6,6 +6,9 @@ import numpy as np
 
 from groverlab.analysis import sweep
 from groverlab.cli import _random_case
+from groverlab.equivalence import (_CONDITION_TOL, TRANSFORMABLE_KINDS, EquivalenceReport,
+                                   _chain_entry, _perturbed, _wrapped_difference, angle_distance,
+                                   check_tolerance, transform_phases, wrap_angle)
 from groverlab.model import AlgorithmKind, LongParams, params_from_phases
 from groverlab.operators import check_unitary, iteration_planes, operator_coefficients
 from groverlab.statevector import measure, run_full
@@ -56,6 +59,68 @@ def iteration_matrix(params, s):
 def run_matrix(m, k, start):
     """subspace.run on a (2, 2) matrix or a (..., 2, 2) stack, whose entries are run's planes."""
     return run((m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]), k, start)
+
+
+def max_entry_deviation(a, b, phase=0.0):
+    """Max entrywise |a - e^{i phase} * b|."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    return float(np.max(np.abs(a - cmath.exp(1j * phase) * b)))
+
+
+def predicted_global_phase(params_a, params_b):
+    """Angle chi with G_a = e^{i chi} * G_b, given parameters on the chain, from its table."""
+    entry_a, entry_b = _chain_entry(params_a.kind), _chain_entry(params_b.kind)
+    with np.errstate(over="ignore"):  # a column rejects an overflow, by name
+        phi_a, phi_b = entry_a.phi(params_a), entry_b.phi(params_b)
+        if angle_distance(phi_a, phi_b) > _CONDITION_TOL:
+            raise ValueError(f"parameters do not satisfy the phase-transform condition: "
+                             f"chain values {phi_a} vs {phi_b}")
+        return _wrapped_difference(entry_b.chi(params_b), entry_a.chi(params_a))
+
+
+def global_phase_align_reference(a, b, tol=1e-10):
+    """equivalence.global_phase_align for one pair of matrices, written out on its own."""
+    check_tolerance("tol", tol)
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    pivot = int(np.argmax(np.abs(b)))
+    if abs(b.flat[pivot]) == 0.0:
+        raise ValueError("cannot align against the zero matrix")
+    ratio = complex(a.flat[pivot]) / complex(b.flat[pivot])
+    if not abs(abs(ratio) - 1.0) <= tol:  # NaN fails too
+        return None
+    chi = wrap_angle(cmath.phase(ratio))
+    return chi if max_entry_deviation(a, b, chi) <= tol else None
+
+
+def verify_reference(params_long, s, tol=1e-10, perturb=0.0, k=0):
+    """equivalence.verify_phase_equivalence by its per-variant loop.
+
+    Each mapped variant gets its own transform_phases, predicted_global_phase,
+    global_phase_align_reference and max_entry_deviation; the four bundles
+    still run as the four cells of one run.
+    """
+    check_tolerance("tol", tol)
+    mapped = [transform_phases(params_long, to_kind) for to_kind in TRANSFORMABLE_KINDS[1:]]
+    bundles = [params_long] + [_perturbed(p, perturb) if perturb else p for p in mapped]
+    table = tuple(map(np.stack, zip(*map(operator_coefficients, bundles))))
+    check_unitary([p.kind for p in bundles], table, s)
+    entries = np.stack(iteration_planes(table, s), axis=-1)
+    probs = success_probability(run(entries.T, k, s))
+    g_long = entries[0]
+    reports = []
+    for mapped_params, realized, g_other, p in zip(mapped, bundles[1:], entries[1:], probs[1:]):
+        predicted = predicted_global_phase(params_long, mapped_params)
+        measured = global_phase_align_reference(g_long, g_other, tol)
+        deviation = max_entry_deviation(g_long, g_other,
+                                        predicted if measured is None else measured)
+        prob_deviation = float(abs(p - probs[0]))
+        holds = (measured is not None and angle_distance(measured, predicted) <= tol
+                 and prob_deviation <= tol)
+        reports.append(EquivalenceReport(realized, predicted, measured, deviation,
+                                         prob_deviation, holds))
+    return reports
 
 
 def one_step_at_half_pi(ms):

@@ -12,11 +12,10 @@ from hypothesis import strategies as st
 from groverlab.equivalence import (
     angle_distance,
     global_phase_align,
-    max_entry_deviation,
     wrap_angle,
 )
 
-from helpers import is_unitary
+from helpers import global_phase_align_reference, is_unitary, max_entry_deviation
 
 IDENTITY2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -153,6 +152,22 @@ class TestGlobalPhaseAlign:
         a, b = IDENTITY2.copy(), IDENTITY2.copy()
         (a if side == "a" else b)[entry] = np.nan
         assert global_phase_align(a, b, 1e-10) is None
+
+    @given(angles, angles, angles, angles, st.sampled_from([0.0, 1e-12, 1e-6, 0.5]),
+           st.integers(min_value=0, max_value=3),
+           st.sampled_from([None, 0.0, math.inf, -math.inf, math.nan, complex(0.0, math.inf)]),
+           st.booleans(), st.sampled_from([1e-10, 1e-300, 1e-3]))
+    @settings(max_examples=300)
+    def test_the_one_row_rule_is_the_pairwise_one(self, a, b, t, chi, noise, entry, value,
+                                                  on_a, tol):
+        # The suite makes a RuntimeWarning an error: a non-finite entry must not warn either.
+        u = random_unitary(a, b, t)
+        v = cmath.exp(1j * chi) * u
+        v.flat[entry] += noise
+        if value is not None:
+            (v if on_a else u).flat[entry] = value
+        got, want = global_phase_align(v, u, tol), global_phase_align_reference(v, u, tol)
+        assert got is None if want is None else (type(got) is float and got == want)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):

@@ -227,6 +227,14 @@ class TestCheckEquivalenceCommand:
         assert out.count("HOLD") == 3
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("phi", ["100000000", "1e15"])
+    def test_phi_is_wrapped_before_the_library_call(self, phi, capsys):
+        # verify_phase_equivalence(LongParams(phi), ...) itself FAILs lidf and
+        # lipc here (tests/test_equivalence.py); the command wraps --phi first.
+        assert main(["check-equivalence", "--phi", phi, "--lambda", "0.3", "--k", "3"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.count("HOLD") == 3 and captured.err == ""
+
     def test_bad_lambda_is_usage_error(self):
         proc = run_cli("check-equivalence", "--phi", "1.0", "--lambda", "1.5", "--k", "1")
         assert proc.returncode == 1

@@ -2,20 +2,21 @@
 import math
 import re
 import warnings
-from dataclasses import astuple
+from collections import Counter
+from dataclasses import astuple, fields
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groverlab import equivalence
 from groverlab.equivalence import (
     TRANSFORMABLE_KINDS,
+    EquivalenceReport,
     angle_distance,
     global_phase_align,
-    predicted_global_phase,
     transform_phases,
     verify_phase_equivalence,
     wrap_angle,
@@ -31,13 +32,15 @@ from groverlab.model import (
 from groverlab.operators import UNITARITY_TOL, operator_coefficients
 from groverlab.subspace import initial_state, run, success_probability
 
-from helpers import iteration_matrix, run_matrix
+from helpers import iteration_matrix, predicted_global_phase, run_matrix, verify_reference
 
 
 chain_kinds = st.sampled_from(TRANSFORMABLE_KINDS)
 chain_values = st.floats(min_value=-1e3, max_value=1e3)
 offsets = st.floats(min_value=-math.pi, max_value=math.pi)
 lambdas = st.one_of(st.just(1.0), st.just(1e-14), st.floats(min_value=1e-14, max_value=1.0))
+near_pi = st.builds(lambda sign, offset: sign * math.pi + offset,
+                    st.sampled_from([-1.0, 1.0]), st.floats(min_value=-1e-6, max_value=1e-6))
 
 
 def on_chain(kind, phi, gamma2, eta2):
@@ -343,6 +346,68 @@ class TestVerifyPhaseEquivalence:
                 verify_phase_equivalence(LongParams(1.3), initial_state(0.37))
         else:
             assert len(verify_phase_equivalence(LongParams(1.3), initial_state(0.37))) == 3
+
+    @given(st.one_of(st.floats(min_value=-1e6, max_value=1e6), near_pi),
+           st.floats(min_value=-14.0, max_value=0.0).map(lambda e: 10.0 ** e),
+           st.integers(min_value=0, max_value=2 ** 53),
+           st.sampled_from([0.0, 1e-12, 0.1, 3.0, 1e308]), st.sampled_from([1e-10, 1e-300]))
+    # check-equivalence --phi 1e308 --perturb 1e308 (FAIL); the suite makes a RuntimeWarning
+    # an error, so the one deviation table must warn no more than the loop did.
+    @example(wrap_angle(1e308), 0.5, 1, 1e308, 1e-10)
+    @settings(max_examples=300)
+    def test_every_field_is_the_per_variant_loops(self, phi, lam, k, perturb, tol):
+        # At tol = 1e-300 most alignments fail, at the ratio or at their own
+        # deviation, and the deviation is then taken at the predicted phase.
+        s = initial_state(lam)
+        reports = verify_phase_equivalence(LongParams(phi), s, tol, perturb, k)
+        expected = verify_reference(LongParams(phi), s, tol, perturb, k)
+        assert len(reports) == len(expected) == 3
+        for rep, ref in zip(reports, expected):
+            for field in fields(EquivalenceReport):
+                got, want = getattr(rep, field.name), getattr(ref, field.name)
+                if want is None:
+                    assert got is None
+                else:
+                    assert type(got) is type(want) and got == want
+
+    def test_one_call_reads_each_chain_column_once_and_one_deviation_per_variant(
+            self, monkeypatch):
+        reads, deviation_rows = Counter(), []
+
+        def counted(kind, column, read):
+            def spy(params):
+                reads[kind, column] += 1
+                return read(params)
+            return spy
+
+        def deviations(a, rows, phases):
+            deviation_rows.append(len(phases))
+            return real_deviations(a, rows, phases)
+
+        real_deviations = equivalence._deviations
+        monkeypatch.setattr(equivalence, "_CHAIN", {
+            kind: entry._replace(phi=counted(kind, "phi", entry.phi),
+                                 chi=counted(kind, "chi", entry.chi))
+            for kind, entry in equivalence._CHAIN.items()})
+        monkeypatch.setattr(equivalence, "_deviations", deviations)
+        reports = verify_phase_equivalence(LongParams(1.3), initial_state(0.37), k=25)
+        assert all(rep.holds for rep in reports)
+        # Long's chain value and chi once; each mapped bundle's chain value
+        # (its agreement with long's) and chi once.
+        assert reads == Counter({(kind, column): 1 for kind in TRANSFORMABLE_KINDS
+                                 for column in ("phi", "chi")})
+        assert deviation_rows == [3]
+
+    @pytest.mark.parametrize("phi,lidf_deviation", [(1e8, 2.3e-9), (1e15, 0.02)])
+    def test_an_unwrapped_phi_is_rounded_at_its_own_scale(self, phi, lidf_deviation):
+        # verify takes phi as given; check-equivalence wraps --phi first.
+        s = initial_state(0.3)
+        lidf, licm, lipc = verify_phase_equivalence(LongParams(phi), s, k=3)
+        assert not lidf.holds and lidf.max_entry_deviation == pytest.approx(lidf_deviation,
+                                                                            rel=0.05)
+        assert licm.holds and not lipc.holds
+        assert all(rep.holds for rep in verify_phase_equivalence(LongParams(wrap_angle(phi)), s,
+                                                                 k=3))
 
     @pytest.mark.parametrize("tol", [0.0, float("nan")])
     def test_rejects_nonpositive_tolerance(self, tol):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverlab.equivalence import predicted_global_phase, transform_phases
+from groverlab.equivalence import transform_phases
 from groverlab.model import (
     AlgorithmKind,
     LiCMParams,
@@ -24,8 +24,8 @@ import groverlab.statevector
 from groverlab.statevector import _CHUNK, _coefficients, _select, measure, run_full
 from groverlab.subspace import initial_state, success_probability
 
-from helpers import (apply_diffusion, apply_oracle, iteration_matrix, random_kind, random_params,
-                     run_matrix)
+from helpers import (apply_diffusion, apply_oracle, iteration_matrix, predicted_global_phase,
+                     random_kind, random_params, run_matrix)
 
 
 def random_state(rng, marked):
