@@ -16,7 +16,6 @@ from .equivalence import (
     EquivalenceReport,
     TRANSFORMABLE_KINDS,
     angle_distance,
-    global_phase_align,
     transform_phases,
     verify_phase_equivalence,
     wrap_angle,
@@ -54,7 +53,6 @@ __all__ = [
     "TRANSFORMABLE_KINDS",
     "angle_distance",
     "closed_form_probability",
-    "global_phase_align",
     "initial_state",
     "iteration_planes",
     "make_search_space",

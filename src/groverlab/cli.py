@@ -188,37 +188,31 @@ def cmd_check_equivalence(args: argparse.Namespace) -> int:
 
 
 def _random_case(rng: np.random.Generator, n: int):
-    """A crosscheck sample: target mask, kind, four phases (a bundle takes the leading ones), k."""
+    """A crosscheck sample: target mask, bundle of a drawn kind (from four drawn phases), k."""
     size = 2 ** n
     num_targets = int(rng.integers(1, size + 1))
     targets = rng.choice(size, size=num_targets, replace=False)
     kind = list(AlgorithmKind)[int(rng.integers(0, len(AlgorithmKind)))]
-    phases = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=4)
+    params = params_from_phases(kind, rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=4))
     k = int(rng.integers(0, 26))
-    return make_search_space(n, targets), kind, phases, k
+    return make_search_space(n, targets), params, k
 
 
 # crosscheck runs its 2x2 side on stacks over blocks of at most this many
-# samples.  A block peaks at about 290 bytes a sample (104 of them its
+# samples.  A block peaks at about 330 bytes a sample (136 of them its
 # records), so memory does not grow with --samples.
 _BLOCK_SAMPLES = 2048
 
 
-def _subspace_states(kinds, phases, lambdas, ks) -> np.ndarray:
+def _subspace_states(kinds, table, lambdas, ks) -> np.ndarray:
     """Each sample's (2,) state after its k steps on the 2x2 engine, from stacked passes.
 
-    kinds, lambdas and ks hold one entry per sample and phases one column of
-    four.  One table of mixed kinds holds every sample's row, filled once per
-    kind and checked once; its planes run once per k.  Every cell gets the
-    bits of its own single run.
+    kinds, lambdas and ks hold one entry per sample and table one column of
+    (target, rest, c, d), each sample's own operator_coefficients row.  The
+    table is checked once and its planes run once per k, so every cell gets
+    the bits of its own single run.
     """
     starts = np.array([initial_state(lam) for lam in lambdas.tolist()])
-    table = np.empty((4, len(kinds)), complex)
-    for kind in set(kinds):
-        rows = kinds == kind
-        # An original row is four 0-d entries; (4, -1) broadcasts it over the rows.
-        table[:, rows] = np.reshape(operator_coefficients(
-            params_from_phases(kind, phases[:, rows])), (4, -1))
     check_unitary(kinds, table, starts)
     planes = iteration_planes(table, starts)
     states = np.empty((len(kinds), 2), complex)
@@ -245,16 +239,17 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     maxima = np.full(3, -np.inf)  # worst probability deviation, residual and amplitude gap
     for first in range(0, args.samples, _BLOCK_SAMPLES):
         size = min(_BLOCK_SAMPLES, args.samples - first)
-        kinds, phases, ks = np.empty(size, object), np.empty((4, size)), np.empty(size, int)
+        kinds, table, ks = np.empty(size, object), np.empty((4, size), complex), np.empty(size, int)
         lambdas, p_full, residuals = np.empty(size), np.empty(size), np.empty(size)
         projected = np.empty((size, 2), complex)
         for j in range(size):
-            marked, kinds[j], phases[:, j], ks[j] = _random_case(rng, args.n)
-            full = run_full(marked, params_from_phases(kinds[j], phases[:, j]), ks[j])
+            marked, params, ks[j] = _random_case(rng, args.n)
+            kinds[j], table[:, j] = params.kind, operator_coefficients(params)
+            full = run_full(marked, params, ks[j])
             lambdas[j] = np.count_nonzero(marked) / marked.size
             p_full[j], projected[j], residuals[j] = measure(marked, full)
             del full  # else it stays live beside the next sample's run_full buffers
-        states = _subspace_states(kinds, phases, lambdas, ks)
+        states = _subspace_states(kinds, table, lambdas, ks)
         deviations = np.abs(p_full - success_probability(states))
         gaps = np.abs(projected - states).max(axis=1)  # the phases too, not only |a|^2
         # np.maximum, unlike max, keeps a nan sample: it prints as nan and fails the run.

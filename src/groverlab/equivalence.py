@@ -71,35 +71,20 @@ def _wrapped_difference(a: float, b: float) -> float:
     return wrap_angle(d)
 
 
-def global_phase_align(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> float | None:
-    """Angle chi with a == e^{i chi} * b entrywise within tol, or None.
-
-    The candidate phase is read off the largest-magnitude entry of b, which
-    keeps the division away from near-zero entries.  None means "not
-    equivalent up to a global phase at this tolerance", which a NaN entry in
-    either matrix also is; it is not an error.
-    """
-    check_tolerance("tol", tol)
-    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-    (chi,), _ = _align(a.ravel(), b.reshape(1, -1), tol, [math.nan])
-    return chi
-
-
 def _align(a: np.ndarray, rows: np.ndarray, tol: float, fallback: list) -> tuple[list, list]:
-    """global_phase_align of the row a against each row of rows, and each row's deviation.
+    """Angle chi with a == e^{i chi} * row within tol, or None, for each row; and its deviation.
 
-    The deviation max |a - e^{i chi} row| is taken at the measured chi, else
-    at the row's fallback phase; a NaN fallback gives NaN, without a warning.
+    The candidate chi is read off the row's largest-magnitude entry, which
+    keeps the division away from near-zero entries.  The deviation
+    max |a - e^{i chi} row| is taken at the measured chi, else at the row's
+    fallback phase.
     """
     a_list, candidates = a.tolist(), []
     for row, pivot in zip(rows.tolist(), np.abs(rows).argmax(axis=-1).tolist()):
-        if abs(row[pivot]) == 0.0:
-            raise ValueError("cannot align against the zero matrix")
         ratio = a_list[pivot] / row[pivot]  # Python's division: numpy rounds complex ones otherwise
         candidates.append(wrap_angle(cmath.phase(ratio)) if abs(abs(ratio) - 1.0) <= tol else None)
     deviations = _deviations(a, rows, [f if c is None else c for c, f in zip(candidates, fallback)])
-    measured = [c if c is not None and d <= tol else None  # NaN fails too
-                for c, d in zip(candidates, deviations)]
+    measured = [c if c is not None and d <= tol else None for c, d in zip(candidates, deviations)]
     for j, (c, m) in enumerate(zip(candidates, measured)):
         if c is not None and m is None:  # the candidate failed its own deviation
             deviations[j] = _deviations(a, rows[j], fallback[j:j + 1])[0]

@@ -80,7 +80,12 @@ def predicted_global_phase(params_a, params_b):
 
 
 def global_phase_align_reference(a, b, tol=1e-10):
-    """equivalence.global_phase_align for one pair of matrices, written out on its own."""
+    """Angle chi with a == e^{i chi} * b entrywise within tol, or None: verify's alignment rule.
+
+    The candidate phase is read off the largest-magnitude entry of b.  None
+    means "not equivalent up to a global phase at this tolerance", which a
+    NaN entry in either matrix also is; it is not an error.
+    """
     check_tolerance("tol", tol)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -225,8 +230,7 @@ def crosscheck_reference(n, seed, samples, tol=1e-10):
     rng = np.random.default_rng(seed)
     deviations, residuals, gaps, drawn = [], [], [], []
     for _ in range(samples):
-        marked, kind, phases, k = _random_case(rng, n)
-        params = params_from_phases(kind, phases)
+        marked, params, k = _random_case(rng, n)
         full = run_full(marked, params, k)
         s = initial_state(np.count_nonzero(marked) / marked.size)
         sub = run_matrix(iteration_matrix(params, s), k, s)
@@ -234,7 +238,7 @@ def crosscheck_reference(n, seed, samples, tol=1e-10):
         deviations.append(abs(probability - success_probability(sub)))
         residuals.append(residual)
         gaps.append(np.abs(projected - sub).max())
-        drawn.append((kind, k))
+        drawn.append((params.kind, k))
     max_prob_dev, max_residual, max_gap = (float(np.max(x)) for x in (deviations, residuals, gaps))
     lines = [f"rng=PCG64 seed={seed} n={n} samples={samples}",
              f"max probability deviation: {max_prob_dev:.3e}",

@@ -21,8 +21,8 @@ from groverlab.model import (
 from groverlab.statevector import measure, run_full
 from groverlab.subspace import initial_state, success_probability
 
-from helpers import (cubic, is_unitary, iteration_matrix, one_step_at_half_pi, random_kind,
-                     random_params, run_matrix, sweep_array)
+from helpers import (cubic, global_phase_align_reference, is_unitary, iteration_matrix,
+                     one_step_at_half_pi, random_kind, random_params, run_matrix, sweep_array)
 
 VARIANTS = (AlgorithmKind.LONG, AlgorithmKind.LI_DF, AlgorithmKind.LI_CM, AlgorithmKind.LI_PC)
 
@@ -122,8 +122,6 @@ def test_criterion_6_engine_cross_validation():
 
 
 def test_criterion_7_reduction_to_the_original_iteration():
-    from groverlab.equivalence import global_phase_align
-
     worst_entrywise = 0.0
     worst_aligned = 0.0
     for lam in np.linspace(0.01, 1.0, 50):
@@ -139,7 +137,7 @@ def test_criterion_7_reduction_to_the_original_iteration():
         for kind in (AlgorithmKind.LI_CM, AlgorithmKind.LI_PC):
             mapped = transform_phases(LongParams(math.pi), kind)
             variant = iteration_matrix(mapped, s)
-            chi = global_phase_align(original, variant, 1e-10)
+            chi = global_phase_align_reference(original, variant, 1e-10)
             if chi is None:
                 worst_aligned = math.inf
             else:

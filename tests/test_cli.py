@@ -376,6 +376,21 @@ class TestCrosscheckBlocks:
         # A per-sample list of (deviation, residual) pairs adds ~150 kB here.
         assert peak(2560) <= small + 64 * 1024
 
+    def test_a_full_block_peaks_below_400_bytes_a_sample(self):
+        # One block of 2048 samples peaks at about 330 B a sample, 136 of
+        # them its records.  Keeping each sample's bundle until the block's
+        # table is built instead triples that.
+        samples = cli._BLOCK_SAMPLES
+        argv = ["crosscheck", "--n", "1", "--seed", "5", "--samples", str(samples)]
+        assert main(argv) == 0  # fills the interpreter's free lists and caches first
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 400 * samples
+
 
 class TestMainEntryPoint:
     def test_main_returns_exit_code_directly(self, tmp_path):

@@ -1,7 +1,12 @@
-"""The package's public names: __all__ lists exactly what the package binds."""
+"""The package's public names: __all__ binds exactly them, and each has a caller."""
+import ast
+import re
 import types
+from pathlib import Path
 
 import groverlab
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_all_lists_exactly_the_public_names():
@@ -11,3 +16,38 @@ def test_all_lists_exactly_the_public_names():
     bound = {name for name, value in vars(groverlab).items()
              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert set(groverlab.__all__) == bound
+
+
+def used_names(node, inside=frozenset()):
+    """Names the tree reads, by name or as an attribute, outside a definition of the same name.
+
+    An import is no use, and neither is a definition's own body: a
+    recursive call does not make a caller.
+    """
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        inside = inside | {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        found = {node.id}
+    elif isinstance(node, ast.Attribute):
+        found = {node.attr}
+    else:
+        found = set()
+    for child in ast.iter_child_nodes(node):
+        found |= used_names(child, inside)
+    return found - inside
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that neither the package nor the README's library
+    # example uses is a helper whose only caller is its own test.
+    package = Path(groverlab.__file__).parent
+    used = set().union(*(used_names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in package.glob("*.py")))
+    example, = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                          re.DOTALL | re.MULTILINE)
+    used |= used_names(ast.parse(example))
+    assert [name for name in groverlab.__all__ if name not in used] == []
+    # The scan skips imports, stores and a definition's own body.
+    source = ("from m import a\nb = 1\ndef c():\n    return c()\nclass d:\n    e = d\n"
+              "f(g.h)\n")
+    assert used_names(ast.parse(source)) == {"f", "g", "h"}
