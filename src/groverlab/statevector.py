@@ -48,18 +48,31 @@ def _check_mask(marked: np.ndarray) -> int:
     return num_targets
 
 
-def run_full(marked: np.ndarray, params: PhaseParams, k: int) -> np.ndarray:
-    """The N = marked.size amplitudes after k oracle-then-diffusion steps from the uniform state."""
+def run_full(marked: np.ndarray, params: PhaseParams, k: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """The N = marked.size amplitudes after k oracle-then-diffusion steps from the uniform state.
+
+    They are written into out, a 1-D C-contiguous complex128 array of length
+    N, when one is given, and out is returned; else into a new array.  A
+    caller running many states of one N keeps one buffer, not a fresh N-length
+    allocation (and its page faults) per run.
+    """
     _check_mask(marked)
     check_iterations("k", k)
+    size = marked.size
+    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == complex
+                                and out.shape == (size,) and out.flags.c_contiguous):
+        raise TypeError(f"out must be a 1-D C-contiguous complex128 array of length {size}")
     target, rest, c, d = _coefficients(params)
-    # No state is live yet, so the select is whole: its N-entry index is freed before amps exists.
-    diagonal = _select(marked, complex(rest), complex(target))
-    amps = np.full(marked.size, 1.0 / math.sqrt(marked.size), dtype=complex)
+    diagonal = np.empty(size, complex)
+    for i in range(0, size, _CHUNK):  # out may be live: no N-entry index beside it
+        _select(marked[i:i + _CHUNK], complex(rest), complex(target), out=diagonal[i:i + _CHUNK])
+    amps = np.empty(size, complex) if out is None else out
+    amps.fill(1.0 / math.sqrt(size))
     for _ in range(k):
         amps *= diagonal
         # c * <s|v> * |s> has the constant value c * sum(v) / N on every index.
-        uniform_part = c * amps.sum() / marked.size
+        uniform_part = c * amps.sum() / size
         np.multiply(d, amps, out=amps)  # d first: the product's last bit depends on the order
         amps += uniform_part
     return amps
@@ -86,7 +99,7 @@ def measure(marked: np.ndarray, amplitudes: np.ndarray) -> tuple[float, np.ndarr
     a = complex(on.sum() / math.sqrt(num_targets))
     moduli = np.abs(on)
     del on  # then squared in place: numpy elides the temporary of ** 2 only above 256 KiB
-    p = float(np.clip(float(np.square(moduli, out=moduli).sum()), 0.0, 1.0))
+    p = min(max(float(np.square(moduli, out=moduli).sum()), 0.0), 1.0)  # nan stays nan
     del moduli
     if num_targets < size:
         # In chunks: a whole index of the non-targets would be 1.5 N-length

@@ -265,8 +265,8 @@ class TestCrosscheckCommand:
         """Make run_full put nan on the first index of ``sector`` in the chosen calls."""
         calls = []
 
-        def run_full_with_nan(marked, params, k):
-            amplitudes = run_full(marked, params, k)
+        def run_full_with_nan(marked, params, k, out=None):
+            amplitudes = run_full(marked, params, k, out=out)
             indices = np.flatnonzero(marked if sector == "marked" else ~marked)
             if len(calls) in bad_calls and indices.size:
                 amplitudes[indices[0]] = np.nan
@@ -375,6 +375,52 @@ class TestCrosscheckBlocks:
         small = peak(256)
         # A per-sample list of (deviation, residual) pairs adds ~150 kB here.
         assert peak(2560) <= small + 64 * 1024
+
+    def test_every_sample_runs_in_one_aligned_buffer(self, monkeypatch):
+        # One buffer across blocks too, starting on a 64-byte line.
+        buffers = []
+
+        def recording_run_full(marked, params, k, out=None):
+            buffers.append(out)
+            return run_full(marked, params, k, out=out)
+
+        monkeypatch.setattr(cli, "run_full", recording_run_full)
+        monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 3)
+        assert main(["crosscheck", "--n", "4", "--seed", "3", "--samples", "7"]) == 0
+        assert len(buffers) == 7 and all(out is buffers[0] for out in buffers)
+        assert buffers[0].__array_interface__["data"][0] % 64 == 0
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts Linux page faults")
+    def test_samples_do_not_fault_their_state_in_again(self):
+        # A fresh 512 KiB state per sample at n = 15 went back to the OS when
+        # freed and was faulted in again: 288 faults a sample.  The run's one
+        # buffer leaves about 18, from measure's own arrays.
+        import resource
+
+        argv = ["crosscheck", "--n", "15", "--seed", "1", "--samples", "16"]
+        assert main(argv) == 0  # the first run faults the buffer and the heap in
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before <= 64 * 16
+
+    def test_n16_peaks_at_the_state_and_one_measure(self):
+        # The state buffer lives for the whole run, so nothing may peak beside
+        # it but measure: its documented bound at the largest drawn M.
+        n, size, seed, samples = 16, 2 ** 16, 4, 16
+        rng = np.random.default_rng(seed)
+        most = max(np.count_nonzero(cli._random_case(rng, n)[0]) for _ in range(samples))
+        argv = ["crosscheck", "--n", str(n), "--seed", str(seed), "--samples", str(samples)]
+        assert main(argv) == 0  # fills the interpreter's free lists and caches first
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        measure_bound = max(24 * most, 16 * size + 9 * statevector._CHUNK)
+        # Beside it the state (16N), the mask (N) and 16 KiB of parser, records
+        # and small objects (6-8 KiB measured).  A second live state would add 1 MiB.
+        assert peak <= 17 * size + measure_bound + 16384
 
     def test_a_full_block_peaks_below_400_bytes_a_sample(self):
         # One block of 2048 samples peaks at about 330 B a sample, 136 of

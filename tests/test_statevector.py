@@ -263,13 +263,37 @@ class TestRunFull:
         targets = np.random.default_rng(num_targets).choice(size, num_targets, replace=False)
         marked = make_search_space(n, targets)
         params = random_params(np.random.default_rng(5), kind)
-        tracemalloc.start()
-        try:
-            run_full(marked, params, 25)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.1 * 16 * size
+
+        def peak(out):
+            tracemalloc.start()
+            try:
+                run_full(marked, params, 25, out=out)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(None) <= 2.1 * 16 * size
+        # Into a caller's buffer: the diagonal beside one chunk's 8-byte index
+        # (a whole index would add 8N).  The 4 KiB are small objects: about 830 B.
+        assert peak(np.empty(size, complex)) <= 16 * size + 8 * _CHUNK + 4096
+
+    @pytest.mark.parametrize("n", [3, 15])
+    def test_out_receives_the_bits_of_a_new_array(self, n):
+        # The buffer starts as nan, so an entry left unwritten would show; n = 15 spans two chunks.
+        rng = np.random.default_rng(n)
+        out = np.full(2 ** n, np.nan, complex)
+        for _ in range(3):
+            marked, params, k = random_case(rng, n)
+            assert run_full(marked, params, k, out=out) is out
+            assert np.array_equal(out, run_full(marked, params, k))
+
+    @pytest.mark.parametrize("out", [
+        np.empty(8, np.complex64), np.empty(8), np.empty(7, complex), np.empty(9, complex),
+        np.empty((2, 4), complex), np.empty(16, complex)[::2], [0j] * 8,
+    ], ids=["complex64", "float", "short", "long", "2-D", "strided", "list"])
+    def test_out_must_be_a_contiguous_complex_vector_of_length_n(self, out):
+        with pytest.raises(TypeError, match="out must be"):
+            run_full(make_search_space(3, [1]), OriginalParams(), 1, out=out)
 
     def test_norm_preserved_through_hundred_iterations(self):
         rng = np.random.default_rng(8)
