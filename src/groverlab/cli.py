@@ -67,6 +67,8 @@ def _axis(text: str) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected min:max:steps, got {text!r}")
+    if not re.fullmatch(r"\s*[-+]?\d+\s*", parts[2]):  # int() would quote only the part
+        raise argparse.ArgumentTypeError(f"steps must be an integer, got {text!r}")
     try:
         lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
         check_axis(lo, hi, steps, repr(text))

@@ -1,20 +1,23 @@
-"""The phase-transform condition, the global phases it predicts, and the angle arithmetic.
+"""The canonical form of the phased iterations, the global phases it predicts, and angle arithmetic.
 
-The four variants coincide up to a global phase whenever their parameters
-sit on the chain
+At every phase value, each transformable bundle's iteration is a unit scalar
+times two-phase long at one point (phi_o, phi_d), its oracle and diffusion
+phases: G_long(phi_o, phi_d) = e^{i chi} G_kind, with
 
-    phi = 2*tau + pi = gamma1 - gamma2 = -beta        (with eta1 - eta2 = gamma1 - gamma2)
+    kind   bundle             (phi_o, phi_d)             chi
+    long   (phi, vphi)        (phi, vphi)                0
+    lidf   tau                (2 tau + pi, 2 tau + pi)   0
+    licm   (g1, g2, e1, e2)   (e1 - e2, g1 - g2)         -(g2 + e2)
+    lipc   beta               (-beta, -beta)             pi - beta
 
-and the phase of each variant's iteration relative to the single-phase long
-iteration is
-
-    lidf   0
-    licm   -(gamma2 + eta2)
-    lipc   pi - beta
-
-The licm entry generalizes the two-parameter case (where gamma = eta and the
-relative phase is -2*gamma2) to independent gamma2, eta2 offsets.  The chain
-is Long's phase matching (PRA 64, 022307, 2001); _CHAIN holds it per kind.
+long and licm cover the plane; lidf and lipc only its diagonal phi_o = phi_d,
+the chain phi = 2 tau + pi = gamma1 - gamma2 = -beta of Long's phase matching
+(Long, Li, Zhang and Niu, Phys. Lett. A 262, 27, 1999; Long, PRA 64, 022307,
+2001).  _FORMS holds the table.  transform_phases maps a bundle to a kind's
+bundle at its point, so two-phase long and licm map both ways, and lidf and
+lipc reject an off-diagonal point by name.  A point within _CONDITION_TOL of
+the diagonal maps as (phi_d, phi_d): long gets LongParams(phi_d), and licm the
+representative (phi_d, 0, phi_o, 0), whose zero offsets make its chi 0.
 
 Angles are radians, "wrapped" into (-pi, pi].  A global phase e^{i chi} between
 two complex arrays of one shape, such as two (2, 2) matrices, is read as chi.
@@ -97,61 +100,59 @@ def _deviations(a: np.ndarray, rows: np.ndarray, phases: list) -> list:
     return np.maximum.reduce(np.abs(a - factors * rows), axis=-1).tolist()
 
 
-def _long_phi(params: LongParams) -> float:
-    if params.diffusion_phi is not None and np.any(params.diffusion_phi != params.phi):
-        raise ValueError(
-            "the transform condition covers only the single-phase long "
-            "iteration (diffusion phase equal to phi)"
-        )
-    return params.phi
+class _Form(NamedTuple):
+    point: Callable[[PhaseParams], tuple]         # the bundle's (phi_o, phi_d)
+    chi: Callable[[PhaseParams], float]           # chi with G_long(point) = e^{i chi} * G_kind
+    at: Callable[[float, float], PhaseParams]     # the kind's bundle at (phi_o, phi_d)
 
 
-def _licm_phi(params: LiCMParams) -> float:
-    phi = _require_finite("licm gamma1 - gamma2", params.gamma1 - params.gamma2)
-    eta = _require_finite("licm eta1 - eta2", params.eta1 - params.eta2)
-    if not np.all(angle_distance(phi, eta) <= _CONDITION_TOL):  # every element of an array
-        raise ValueError("licm parameters must satisfy gamma1 - gamma2 = eta1 - eta2 "
-                         "to sit on the transform chain")
-    return phi
+def _off_chain(kind: str):
+    raise ValueError(f"{kind} covers only the chain phi_o = phi_d, and the point is off it")
 
 
-class _ChainEntry(NamedTuple):
-    at: Callable[[float], PhaseParams]     # the kind's bundle on the chain at phi
-    phi: Callable[[PhaseParams], float]    # the chain value a bundle carries
-    chi: Callable[[PhaseParams], float]    # chi with G_long = e^{i chi} * G_kind
+def _licm_point(p: LiCMParams) -> tuple:
+    phi_d = _require_finite("licm gamma1 - gamma2", p.gamma1 - p.gamma2)
+    return _require_finite("licm eta1 - eta2", p.eta1 - p.eta2), phi_d
 
 
-# licm gets the canonical representative (phi, 0, phi, 0): the chain pins
-# only the differences gamma1 - gamma2 and eta1 - eta2, and zero offsets make
-# the mapping a function (and the predicted relative phase 0).  A sum or
-# difference of finite phases can overflow, so each column names its own.
-_CHAIN = {
-    AlgorithmKind.LONG: _ChainEntry(LongParams, _long_phi, lambda p: 0.0),
-    AlgorithmKind.LI_DF: _ChainEntry(
-        lambda phi: LiDFParams((phi - math.pi) / 2.0),
-        lambda p: _require_finite("lidf 2*tau + pi", 2.0 * p.tau + math.pi), lambda p: 0.0),
-    AlgorithmKind.LI_CM: _ChainEntry(
-        lambda phi: LiCMParams(phi, 0.0, phi, 0.0), _licm_phi,
-        lambda p: -_require_finite("licm gamma2 + eta2", p.gamma2 + p.eta2)),
-    AlgorithmKind.LI_PC: _ChainEntry(lambda phi: LiPCParams(-phi),
-                                     lambda p: -p.beta, lambda p: math.pi - p.beta),
+# at() gets a point on the diagonal as (phi_d, phi_d), one object twice.  A sum
+# or difference of finite phases can overflow, so each column names its own.
+_FORMS = {
+    AlgorithmKind.LONG: _Form(lambda p: (p.phi, p.diffusion_phase), lambda p: 0.0,
+                              lambda o, d: LongParams(d) if o is d else LongParams(o, d)),
+    AlgorithmKind.LI_DF: _Form(
+        lambda p: (_require_finite("lidf 2*tau + pi", 2.0 * p.tau + math.pi),) * 2, lambda p: 0.0,
+        lambda o, d: LiDFParams((d - math.pi) / 2.0) if o is d else _off_chain("lidf")),
+    AlgorithmKind.LI_CM: _Form(_licm_point,
+                               lambda p: -_require_finite("licm gamma2 + eta2", p.gamma2 + p.eta2),
+                               lambda o, d: LiCMParams(d, 0.0, o, 0.0)),
+    AlgorithmKind.LI_PC: _Form(
+        lambda p: (-p.beta,) * 2, lambda p: math.pi - p.beta,
+        lambda o, d: LiPCParams(-d) if o is d else _off_chain("lipc")),
 }
 
-#: Variants covered by the transform condition (everything but the original).
-TRANSFORMABLE_KINDS = tuple(_CHAIN)
+#: Variants covered by the canonical form (everything but the original).
+TRANSFORMABLE_KINDS = tuple(_FORMS)
 
 
-def _chain_entry(kind: AlgorithmKind) -> _ChainEntry:
-    if kind not in _CHAIN:
-        raise ValueError(f"the {kind.value} iteration is not on the transform chain")
-    return _CHAIN[kind]
+def _form(kind: AlgorithmKind) -> _Form:
+    if kind not in _FORMS:
+        raise ValueError(f"the {kind.value} iteration has no point in the canonical form")
+    return _FORMS[kind]
+
+
+def _point(params: PhaseParams) -> tuple:
+    """The bundle's (phi_o, phi_d); (phi_d, phi_d) within _CONDITION_TOL of the diagonal."""
+    with np.errstate(over="ignore"):  # each column rejects an overflow, by name
+        phi_o, phi_d = _form(params.kind).point(params)
+    # A single-phase point holds one object twice; an array goes element by element.
+    on_chain = phi_o is phi_d or np.all(angle_distance(phi_o, phi_d) <= _CONDITION_TOL)
+    return (phi_d if on_chain else phi_o), phi_d
 
 
 def transform_phases(params: PhaseParams, to_kind: AlgorithmKind) -> PhaseParams:
-    """Map a variant's parameters to another variant along the condition chain."""
-    entry = _chain_entry(to_kind)
-    with np.errstate(over="ignore"):  # the chain-value column rejects an overflow, by name
-        return entry.at(_chain_entry(params.kind).phi(params))
+    """The to_kind bundle at the point (phi_o, phi_d) of params; see the module table."""
+    return _form(to_kind).at(*_point(params))
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,8 @@ def verify_phase_equivalence(
     Failures are recorded in the reports, never raised.  A nonzero perturb
     offsets each mapped variant's leading phase, stepping off the chain; the
     reports then demonstrate that the condition is necessary, not just
-    sufficient.  Long's chain value is read once and mapped to each kind.
+    sufficient.  Long's point is read once and mapped to each kind, and each
+    predicted phase is a difference of chis.
     The four bundles' rows make one table, checked and expanded once, so the
     long iteration and the three variants run k steps as four cells of one
     run; prob_deviation compares their success probabilities (at k = 0 it
@@ -201,16 +203,11 @@ def verify_phase_equivalence(
     wrap_angle(phi), as check-equivalence does with --phi, to avoid that.
     """
     check_tolerance("tol", tol)
-    long_entry = _chain_entry(params_long.kind)
-    with np.errstate(over="ignore"):  # each column rejects an overflow, by name
-        phi, chi_long = long_entry.phi(params_long), long_entry.chi(params_long)
-        mapped = [_CHAIN[kind].at(phi) for kind in TRANSFORMABLE_KINDS[1:]]
-        for params in mapped:
-            chain_value = _CHAIN[params.kind].phi(params)
-            if angle_distance(phi, chain_value) > _CONDITION_TOL:
-                raise ValueError(f"parameters do not satisfy the phase-transform condition: "
-                                 f"chain values {phi} vs {chain_value}")
-        predicted = [_wrapped_difference(_CHAIN[p.kind].chi(p), chi_long) for p in mapped]
+    point = _point(params_long)
+    mapped = [_FORMS[kind].at(*point) for kind in TRANSFORMABLE_KINDS[1:]]
+    with np.errstate(over="ignore"):  # a chi column rejects an overflow, by name
+        chi_long = _FORMS[params_long.kind].chi(params_long)
+        predicted = [_wrapped_difference(_FORMS[p.kind].chi(p), chi_long) for p in mapped]
     bundles = [params_long] + [_perturbed(p, perturb) if perturb else p for p in mapped]
     # The table's columns (target, rest, c, d) as rows of one (4, 4) array, one cell per bundle.
     table = np.array(list(zip(*map(operator_coefficients, bundles))))

@@ -6,8 +6,8 @@ import numpy as np
 
 from groverlab.analysis import sweep
 from groverlab.cli import _random_case
-from groverlab.equivalence import (_CONDITION_TOL, TRANSFORMABLE_KINDS, EquivalenceReport,
-                                   _chain_entry, _perturbed, _wrapped_difference, angle_distance,
+from groverlab.equivalence import (_CONDITION_TOL, _FORMS, TRANSFORMABLE_KINDS, EquivalenceReport,
+                                   _perturbed, _point, _wrapped_difference, angle_distance,
                                    check_tolerance, transform_phases, wrap_angle)
 from groverlab.model import AlgorithmKind, LongParams, params_from_phases
 from groverlab.operators import check_unitary, iteration_planes, operator_coefficients
@@ -69,14 +69,14 @@ def max_entry_deviation(a, b, phase=0.0):
 
 
 def predicted_global_phase(params_a, params_b):
-    """Angle chi with G_a = e^{i chi} * G_b, given parameters on the chain, from its table."""
-    entry_a, entry_b = _chain_entry(params_a.kind), _chain_entry(params_b.kind)
-    with np.errstate(over="ignore"):  # a column rejects an overflow, by name
-        phi_a, phi_b = entry_a.phi(params_a), entry_b.phi(params_b)
-        if angle_distance(phi_a, phi_b) > _CONDITION_TOL:
-            raise ValueError(f"parameters do not satisfy the phase-transform condition: "
-                             f"chain values {phi_a} vs {phi_b}")
-        return _wrapped_difference(entry_b.chi(params_b), entry_a.chi(params_a))
+    """Angle chi with G_a = e^{i chi} * G_b, for bundles at one point (phi_o, phi_d): table chis."""
+    point_a, point_b = _point(params_a), _point(params_b)
+    if max(map(angle_distance, point_a, point_b)) > _CONDITION_TOL:
+        raise ValueError(f"parameters do not satisfy the phase-transform condition: "
+                         f"points {point_a} vs {point_b}")
+    with np.errstate(over="ignore"):  # a chi column rejects an overflow, by name
+        return _wrapped_difference(_FORMS[params_b.kind].chi(params_b),
+                                   _FORMS[params_a.kind].chi(params_a))
 
 
 def global_phase_align_reference(a, b, tol=1e-10):

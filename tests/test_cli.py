@@ -134,8 +134,9 @@ class TestSweepCommand:
         assert proc.stderr == "groverlab: error: --lambda must lie in (0, 1], got 0.0\n"
 
     @pytest.mark.parametrize("flag", ["--lambda", "--phase"])
-    @pytest.mark.parametrize("steps", ["0", "-3"])
-    def test_step_count_below_one_names_the_flag(self, flag, steps, tmp_path, capsys):
+    @pytest.mark.parametrize("steps,rule", [("0", ">= 1"), ("-3", ">= 1"), ("1e3", "an integer"),
+                                            ("2.5", "an integer"), ("", "an integer")])
+    def test_step_count_below_one_names_the_flag(self, flag, steps, rule, tmp_path, capsys):
         axes = {"--lambda": "0.1:1:3", "--phase": "0:1:3"}
         axes[flag] = axes[flag][:-1] + steps
         out = tmp_path / "x.csv"
@@ -144,7 +145,7 @@ class TestSweepCommand:
                   f"--phase={axes['--phase']}", "--out", str(out)])
         assert excinfo.value.code == 1
         err = capsys.readouterr().err
-        assert f"argument {flag}: steps must be >= 1, got '{axes[flag]}'" in err
+        assert f"argument {flag}: steps must be {rule}, got '{axes[flag]}'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("k,lam,phase", [(3, (0.3, 0.3, 1), (-0.05, -0.05, 1)),

@@ -27,6 +27,7 @@ from groverlab.model import (
     LiPCParams,
     LongParams,
     OriginalParams,
+    params_from_phases,
 )
 from groverlab.operators import UNITARITY_TOL, operator_coefficients
 from groverlab.subspace import initial_state, run, success_probability
@@ -41,6 +42,11 @@ offsets = st.floats(min_value=-math.pi, max_value=math.pi)
 lambdas = st.one_of(st.just(1.0), st.just(1e-14), st.floats(min_value=1e-14, max_value=1.0))
 near_pi = st.builds(lambda sign, offset: sign * math.pi + offset,
                     st.sampled_from([-1.0, 1.0]), st.floats(min_value=-1e-6, max_value=1e-6))
+
+
+def phase_lists(params):
+    """A bundle's phases as lists (an array's) or floats, which compare with ==."""
+    return [np.asarray(x).tolist() for x in astuple(params)]
 
 
 def on_chain(kind, phi, gamma2, eta2):
@@ -103,9 +109,19 @@ class TestTransformPhases:
         back = transform_phases(there, AlgorithmKind.LONG)
         assert angle_distance(back.phi, phi) < 1e-12
 
-    def test_licm_off_chain_rejected(self):
-        with pytest.raises(ValueError):
-            transform_phases(LiCMParams(1.0, 0.0, 1.2, 0.0), AlgorithmKind.LONG)
+    def test_off_chain_licm_and_two_phase_long_map_both_ways(self):
+        licm, long = LiCMParams(1.0, 0.0, 1.2, 0.0), LongParams(1.2, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert transform_phases(licm, AlgorithmKind.LONG) == long
+            assert transform_phases(long, AlgorithmKind.LI_CM) == licm
+
+    def test_a_point_within_the_condition_tolerance_is_on_the_chain(self):
+        # It maps as (phi_d, phi_d): long gets its single-phase bundle.
+        assert transform_phases(LiCMParams(1.0, 0.0, 1.0 + 1e-12, 0.0), AlgorithmKind.LONG) == (
+            LongParams(1.0))
+        assert transform_phases(LongParams(0.5, 0.5 + 1e-12), AlgorithmKind.LI_PC) == (
+            LiPCParams(-(0.5 + 1e-12)))
 
     def test_array_licm_maps_like_its_elements(self):
         phi = np.array([-2.0, 0.4, math.pi, 5.0])
@@ -117,9 +133,11 @@ class TestTransformPhases:
                 single = LiCMParams(gamma1[i], gamma2[i], eta1[i], eta2[i])
                 expected = astuple(transform_phases(single, to_kind))
                 assert tuple(np.broadcast_to(x, phi.shape)[i] for x in mapped) == expected
-        eta1[2] += 1e-6  # one element off the chain
-        with pytest.raises(ValueError, match=re.escape("gamma1 - gamma2 = eta1 - eta2")):
-            transform_phases(LiCMParams(gamma1, gamma2, eta1, eta2), AlgorithmKind.LONG)
+        eta1[2] += 1e-6  # one element off the chain, so the whole point is
+        long = transform_phases(LiCMParams(gamma1, gamma2, eta1, eta2), AlgorithmKind.LONG)
+        assert phase_lists(long) == [(eta1 - eta2).tolist(), (gamma1 - gamma2).tolist()]
+        licm = transform_phases(long, AlgorithmKind.LI_CM)
+        assert phase_lists(licm) == [(gamma1 - gamma2).tolist(), 0.0, (eta1 - eta2).tolist(), 0.0]
 
     @pytest.mark.parametrize("params,named", [
         (LiCMParams(1e308, -1e308, 0.0, 0.0), "gamma1 - gamma2"),
@@ -144,12 +162,14 @@ class TestTransformPhases:
 
     def test_licm_differences_whose_difference_overflows_are_compared_reduced(self):
         # An array bundle goes element by element through the scalar rule, so
-        # it reduces first too, and does not warn.
+        # it reduces first too, and does not warn.  The point is off the chain.
         for gamma1, eta1 in [(1e308, -1e308), (np.array([1e308, 0.3]), np.array([-1e308, 0.3]))]:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="^licm parameters must satisfy"):
-                    transform_phases(LiCMParams(gamma1, 0.0, eta1, 0.0), AlgorithmKind.LONG)
+                long = transform_phases(LiCMParams(gamma1, 0.0, eta1, 0.0), AlgorithmKind.LONG)
+                licm = transform_phases(long, AlgorithmKind.LI_CM)
+            assert phase_lists(long) == phase_lists(LongParams(eta1, gamma1))
+            assert phase_lists(licm) == phase_lists(LiCMParams(gamma1, 0.0, eta1, 0.0))
 
     def test_a_large_finite_licm_difference_maps(self):
         assert transform_phases(LiCMParams(0.0, 1e308, 0.0, 1e308), AlgorithmKind.LONG) == (
@@ -161,9 +181,27 @@ class TestTransformPhases:
         with pytest.raises(ValueError):
             transform_phases(LongParams(0.5), AlgorithmKind.ORIGINAL)
 
-    def test_two_phase_long_rejected(self):
-        with pytest.raises(ValueError):
-            transform_phases(LongParams(0.5, 0.9), AlgorithmKind.LI_PC)
+    @pytest.mark.parametrize("to_kind", [AlgorithmKind.LI_DF, AlgorithmKind.LI_PC])
+    @pytest.mark.parametrize("params", [
+        LongParams(0.5, 0.9), LiCMParams(1.0, 0.0, 1.2, 0.0),
+        LiCMParams(np.array([0.5, 1.0]), 0.0, np.array([0.5, 1.2]), 0.0),
+    ])
+    def test_lidf_and_lipc_reject_an_off_chain_point_by_name(self, params, to_kind):
+        with pytest.raises(ValueError, match=f"^{to_kind.value} covers only the chain phi_o = "):
+            transform_phases(params, to_kind)
+
+    @given(st.floats(min_value=-10.0, max_value=10.0), st.floats(min_value=-10.0, max_value=10.0),
+           offsets, offsets, lambdas)
+    @settings(max_examples=200)
+    def test_any_licm_aligns_with_its_long_image_at_the_predicted_phase(self, phi_o, phi_d,
+                                                                      gamma2, eta2, lam):
+        s = initial_state(lam)
+        licm = LiCMParams(phi_d + gamma2, gamma2, phi_o + eta2, eta2)
+        long = transform_phases(licm, AlgorithmKind.LONG)
+        measured = global_phase_align_reference(iteration_matrix(long, s),
+                                                iteration_matrix(licm, s), 1e-10)
+        assert measured is not None
+        assert angle_distance(measured, predicted_global_phase(long, licm)) <= 1e-10
 
 
 class TestPredictedGlobalPhase:
@@ -375,9 +413,9 @@ class TestVerifyPhaseEquivalence:
         reads, deviation_rows = Counter(), []
 
         def counted(kind, column, read):
-            def spy(params):
+            def spy(*args):
                 reads[kind, column] += 1
-                return read(params)
+                return read(*args)
             return spy
 
         def deviations(a, rows, phases):
@@ -385,17 +423,18 @@ class TestVerifyPhaseEquivalence:
             return real_deviations(a, rows, phases)
 
         real_deviations = equivalence._deviations
-        monkeypatch.setattr(equivalence, "_CHAIN", {
-            kind: entry._replace(phi=counted(kind, "phi", entry.phi),
-                                 chi=counted(kind, "chi", entry.chi))
-            for kind, entry in equivalence._CHAIN.items()})
+        monkeypatch.setattr(equivalence, "_FORMS", {
+            kind: form._replace(**{column: counted(kind, column, getattr(form, column))
+                                   for column in form._fields})
+            for kind, form in equivalence._FORMS.items()})
         monkeypatch.setattr(equivalence, "_deviations", deviations)
         reports = verify_phase_equivalence(LongParams(1.3), initial_state(0.37), k=25)
         assert all(rep.holds for rep in reports)
-        # Long's chain value and chi once; each mapped bundle's chain value
-        # (its agreement with long's) and chi once.
-        assert reads == Counter({(kind, column): 1 for kind in TRANSFORMABLE_KINDS
-                                 for column in ("phi", "chi")})
+        # Long's point once, each mapped kind's bundle at it once, and each
+        # bundle's chi once; no mapped bundle's point is read back.
+        assert reads == Counter({(AlgorithmKind.LONG, "point"): 1,
+                                 **{(kind, "at"): 1 for kind in TRANSFORMABLE_KINDS[1:]},
+                                 **{(kind, "chi"): 1 for kind in TRANSFORMABLE_KINDS}})
         assert deviation_rows == [3]
 
     @pytest.mark.parametrize("phi,lidf_deviation", [(1e8, 2.3e-9), (1e15, 0.02)])
@@ -408,6 +447,10 @@ class TestVerifyPhaseEquivalence:
         assert licm.holds and not lipc.holds
         assert all(rep.holds for rep in verify_phase_equivalence(LongParams(wrap_angle(phi)), s,
                                                                  k=3))
+
+    def test_a_two_phase_long_is_rejected_by_the_first_chain_only_kind(self):
+        with pytest.raises(ValueError, match="^lidf covers only the chain phi_o = phi_d"):
+            verify_phase_equivalence(LongParams(0.5, 0.9), initial_state(0.5))
 
     @pytest.mark.parametrize("tol", [0.0, float("nan")])
     def test_rejects_nonpositive_tolerance(self, tol):
@@ -440,3 +483,70 @@ class TestProbabilityEqualityAcrossVariants:
                 for k in range(26):
                     p = success_probability(run_matrix(it, k, s))
                     assert abs(p - reference[k]) < 1e-10
+
+
+class TestCanonicalFormProof:
+    """The module table, proved with symbolic phases against the operators.py docstring table.
+
+    s = (sin t, cos t), and a bundle's planes are (c s s^T + d I) diag(target, rest).
+    """
+
+    @pytest.fixture(scope="class")
+    def sp(self):
+        return pytest.importorskip("sympy", reason="the symbolic proof needs sympy (test extra)")
+
+    @pytest.fixture(scope="class")
+    def table(self, sp):
+        t, phi, vphi, tau, g1, g2, e1, e2, beta = sp.symbols(
+            "t phi vphi tau gamma1 gamma2 eta1 eta2 beta", real=True)
+
+        def e(x):
+            return sp.exp(sp.I * x)
+
+        def planes(target, rest, c, d):
+            s0, s1 = sp.sin(t), sp.cos(t)
+            off = c * s0 * s1
+            return sp.Matrix([(c * s0 * s0 + d) * target, off * rest, off * target,
+                              (c * s1 * s1 + d) * rest])
+
+        # Per kind: its symbols, its operators.py row, its point (phi_o, phi_d) and chi.
+        return planes, {
+            AlgorithmKind.LONG: ((phi, vphi), (e(phi), 1, 1 - e(vphi), -1), (phi, vphi), 0),
+            AlgorithmKind.LI_DF: ((tau,), (1 - 2 * sp.cos(tau) * e(tau), 1,
+                                           2 * sp.cos(tau) * e(tau), -1),
+                                  (2 * tau + sp.pi, 2 * tau + sp.pi), 0),
+            AlgorithmKind.LI_CM: ((g1, g2, e1, e2), (-e(e1), -e(e2), e(g1) - e(g2), e(g2)),
+                                  (e1 - e2, g1 - g2), -(g2 + e2)),
+            AlgorithmKind.LI_PC: ((beta,), (e(-beta), 1, 1 - e(beta), e(beta)), (-beta, -beta),
+                                  sp.pi - beta),
+        }
+
+    @pytest.mark.parametrize("kind", TRANSFORMABLE_KINDS[1:])
+    def test_long_at_the_point_is_e_i_chi_times_the_kind(self, sp, table, kind):
+        planes, forms = table
+        (phi, vphi), long_row, _, _ = forms[AlgorithmKind.LONG]
+        _, row, point, chi = forms[kind]
+        long_planes = planes(*long_row).subs({phi: point[0], vphi: point[1]}, simultaneous=True)
+        difference = long_planes - sp.exp(sp.I * chi) * planes(*row)
+        assert sp.simplify(difference.applyfunc(lambda x: x.rewrite(sp.exp))) == sp.zeros(4, 1)
+
+    def test_long_m10_over_m01_is_e_i_phi_o(self, sp, table):
+        # The ratio does not change under a global phase, so two bundles at
+        # different phi_o (mod 2 pi) are not equivalent, wherever m01 != 0.
+        planes, forms = table
+        (phi, _), long_row, _, _ = forms[AlgorithmKind.LONG]
+        _, m01, m10, _ = planes(*long_row)
+        assert sp.simplify(m10 / m01 - sp.exp(sp.I * phi)) == 0
+
+    @pytest.mark.parametrize("kind", TRANSFORMABLE_KINDS)
+    def test_the_transcription_is_the_module_table(self, sp, table, kind):
+        symbols, _, point, chi = table[1][kind]
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            phases = rng.uniform(-2 * math.pi, 2 * math.pi, size=len(symbols)).tolist()
+            params = params_from_phases(kind, phases)
+            values = dict(zip(symbols, phases))
+            form = equivalence._FORMS[kind]
+            expected = [float(x.subs(values)) for x in point]
+            assert list(form.point(params)) == pytest.approx(expected, abs=1e-12)
+            assert form.chi(params) == pytest.approx(float(sp.sympify(chi).subs(values)), abs=1e-12)

@@ -120,7 +120,7 @@ class TestArrayTable:
         for phi in (1j, np.array([0.5, 1j])):
             with pytest.raises(ValueError, match="phi must be a finite angle"):
                 LongParams(phi)
-        with pytest.raises(ValueError, match="single-phase long"):
+        with pytest.raises(ValueError, match="^lipc covers only the chain phi_o = phi_d"):
             transform_phases(LongParams(np.zeros(3), np.array([0.0, 1.0, 0.0])), AlgorithmKind.LI_PC)
 
 
