@@ -37,7 +37,7 @@ from .operators import check_unitary, iteration_planes, operator_coefficients
 from .subspace import run, success_probability
 
 TAU = 2.0 * math.pi
-_CONDITION_TOL = 1e-9
+_CONDITION_TOL = 1e-11  # a snapped point's iteration stays within 1e-10 of the bundle's
 
 
 def check_tolerance(name: str, tol: float) -> None:
@@ -147,6 +147,8 @@ def _point(params: PhaseParams) -> tuple:
         phi_o, phi_d = _form(params.kind).point(params)
     # A single-phase point holds one object twice; an array goes element by element.
     on_chain = phi_o is phi_d or np.all(angle_distance(phi_o, phi_d) <= _CONDITION_TOL)
+    if on_chain and isinstance(phi_o, np.ndarray) and phi_o.shape != np.shape(phi_d):
+        phi_d = np.broadcast_to(phi_d, np.broadcast(phi_o, phi_d).shape).copy()  # the point's shape
     return (phi_d if on_chain else phi_o), phi_d
 
 

@@ -78,7 +78,7 @@ def run_full(marked: np.ndarray, params: PhaseParams, k: int,
     return amps
 
 
-_CHUNK = 2 ** 14  # entries per gather or select beside a live state, each with an 8-byte index
+_CHUNK = 2 ** 14  # entries a piece; measure then peaks at 16 N + 9 min(N, _CHUNK) bytes
 
 
 def _select(marked: np.ndarray, off: complex, on: complex, out: np.ndarray | None = None):
@@ -86,30 +86,40 @@ def _select(marked: np.ndarray, off: complex, on: complex, out: np.ndarray | Non
     return np.array([off, on]).take(marked.view(np.uint8), out=out, mode="clip")
 
 
+def _gather(marked: np.ndarray, side: bool, amplitudes: np.ndarray, count: int) -> np.ndarray:
+    """The count amplitudes where marked reads side, in order, one chunk's index at a time."""
+    out, at = np.empty(count, complex), 0
+    for i in range(0, marked.size, _CHUNK):  # "clip" writes into out directly; "raise" copies it
+        chunk = marked[i:i + _CHUNK]  # nonzero()[0]: np.flatnonzero's ravel adds ~1.6 us a call
+        index = (chunk if side else ~chunk).nonzero()[0]
+        amplitudes[i:i + _CHUNK].take(index, out=out[at:at + index.size], mode="clip")
+        at += index.size
+        del index  # else it is live beside the next chunk's
+    return out
+
+
 def measure(marked: np.ndarray, amplitudes: np.ndarray) -> tuple[float, np.ndarray, float]:
     """(p, (a, b), residual): target probability, (<alpha|v>, <beta|v>), norm outside their span.
 
     p is clamped into [0, 1]; nan stays nan.  With M = N there are no
-    non-target indices and b = 0.  Each side is gathered once.  Above the
-    amplitudes the peak is at most max(24 M, 16 N + 9 min(N, _CHUNK)) bytes:
-    1.5 N-length complex arrays from N = 2 * _CHUNK on.
+    non-target indices and b = 0.  Each side is gathered once, in chunks, and
+    |on| overwrites the target gather, so for any M the peak above the amplitudes
+    is at most 16 N + 9 min(N, _CHUNK) bytes: one N-length complex array beside
+    one chunk's index (8 bytes an entry) and mask (1).
     """
     num_targets, size = _check_mask(marked), marked.size
-    on = np.compress(marked, amplitudes)
+    on = _gather(marked, True, amplitudes, num_targets)
     a = complex(on.sum() / math.sqrt(num_targets))
-    moduli = np.abs(on)
-    del on  # then squared in place: numpy elides the temporary of ** 2 only above 256 KiB
+    # |on| into on's own bytes: piece [lo, 2 lo) overwrites only entries already read.
+    moduli, lo = on.view(float)[:num_targets], _CHUNK
+    moduli[:lo] = np.abs(on[:lo])  # this piece overlaps its input: through a copy
+    while lo < num_targets:
+        np.abs(on[lo:2 * lo], out=moduli[lo:2 * lo])
+        lo *= 2
     p = min(max(float(np.square(moduli, out=moduli).sum()), 0.0), 1.0)  # nan stays nan
-    del moduli
+    del on, moduli
     if num_targets < size:
-        # In chunks: a whole index of the non-targets would be 1.5 N-length
-        # arrays beside the state when M is small.
-        others, at = np.empty(size - num_targets, complex), 0
-        for i in range(0, size, _CHUNK):  # "clip" writes into out directly; "raise" copies it
-            index = np.flatnonzero(~marked[i:i + _CHUNK])
-            amplitudes[i:i + _CHUNK].take(index, out=others[at:at + index.size], mode="clip")
-            at += index.size
-            del index  # else it is live beside the next chunk's
+        others = _gather(marked, False, amplitudes, size - num_targets)
         b = complex(others.sum() / math.sqrt(size - num_targets))
         del others
         b_entry = b / math.sqrt(size - num_targets)

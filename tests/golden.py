@@ -9,9 +9,10 @@ Two trees whose outputs should be byte-identical print the same lines:
 The optional argument is the src directory to import groverlab from; it
 defaults to this checkout's.  The commands come from a fixed seed and cover
 figures 1-5, sweeps of every kind with and without --matched, check-equivalence
-(with --perturb, --tol and bad values), crosscheck up to n = 12, and usage
-errors.  Every command runs in process, in a scratch directory, writing any
-CSV to out.csv.  pytest does not collect this file.
+(with --perturb, --tol and bad values), crosscheck up to n = 12 and at
+n = 15 and 16 (several statevector chunks a gather), and usage errors.  Every
+command runs in process, in a scratch directory, writing any CSV to out.csv.
+pytest does not collect this file.
 """
 import contextlib
 import hashlib
@@ -63,6 +64,9 @@ def commands():
             out.append(["crosscheck", "--n", str(n), "--seed", str(seed),
                         "--samples", str(int(rng.integers(0, 300)))])
     out.append(["crosscheck", "--n", "12", "--seed", "3", "--samples", "3000"])
+    for n in (15, 16):  # several _CHUNK pieces of every gather, select and |on| write
+        out += [["crosscheck", "--n", str(n), "--seed", str(seed), "--samples", "8"]
+                for seed in range(3)]
     sweep = ["sweep", "--kind", "long", "--out", "out.csv"]
     axes = ["--lambda=0.1:1:3", "--phase=0:1:3"]
     check = ["check-equivalence", "--phi", "1", "--lambda", "0.5", "--k", "1"]

@@ -127,12 +127,22 @@ class TestTransformPhases:
         phi = np.array([-2.0, 0.4, math.pi, 5.0])
         offset = np.array([0.3, -1.0, 0.0, 2.5])
         gamma1, gamma2, eta1, eta2 = phi + offset, offset, phi - offset, -offset
-        for to_kind in TRANSFORMABLE_KINDS:
-            mapped = astuple(transform_phases(LiCMParams(gamma1, gamma2, eta1, eta2), to_kind))
-            for i in range(phi.size):
-                single = LiCMParams(gamma1[i], gamma2[i], eta1[i], eta2[i])
-                expected = astuple(transform_phases(single, to_kind))
-                assert tuple(np.broadcast_to(x, phi.shape)[i] for x in mapped) == expected
+        # On the diagonal too, a point whose two phases differ in shape keeps every cell.
+        pair = np.array([1.0, 1.0])
+        for bundle in [LiCMParams(gamma1, gamma2, eta1, eta2), LongParams(pair, 1.0),
+                       LiCMParams(1.0, 0.0, pair, 0.0), LongParams(1.0, pair)]:
+            fields = astuple(bundle)
+            shape = np.broadcast_shapes(*map(np.shape, fields))
+            for to_kind in TRANSFORMABLE_KINDS:
+                mapped = astuple(transform_phases(bundle, to_kind))
+                # Every field has the point's shape, but for long's None and licm's 0 offsets.
+                arrays = [x for x in mapped if isinstance(x, np.ndarray)]
+                assert arrays and all(x.shape == shape for x in arrays)
+                assert all(x is None or x == 0.0 for x in mapped if not isinstance(x, np.ndarray))
+                for i in range(shape[0]):
+                    single = type(bundle)(*(np.broadcast_to(x, shape)[i] for x in fields))
+                    expected = astuple(transform_phases(single, to_kind))
+                    assert tuple(np.broadcast_to(x, shape)[i] for x in mapped) == expected
         eta1[2] += 1e-6  # one element off the chain, so the whole point is
         long = transform_phases(LiCMParams(gamma1, gamma2, eta1, eta2), AlgorithmKind.LONG)
         assert phase_lists(long) == [(eta1 - eta2).tolist(), (gamma1 - gamma2).tolist()]
@@ -193,6 +203,7 @@ class TestTransformPhases:
     @given(st.floats(min_value=-10.0, max_value=10.0), st.floats(min_value=-10.0, max_value=10.0),
            offsets, offsets, lambdas)
     @settings(max_examples=200)
+    @example(0.0, 1.4191377170254325e-10, 0.0, 0.0, 1.0)  # off the diagonal by more than 1e-10
     def test_any_licm_aligns_with_its_long_image_at_the_predicted_phase(self, phi_o, phi_d,
                                                                       gamma2, eta2, lam):
         s = initial_state(lam)
