@@ -71,14 +71,14 @@ class SweepGrid:
         return np.linspace(self.phase_min, self.phase_max, self.phase_steps)
 
 
-# A sweep runs in blocks of whole lambda rows of at most this many cells (one
-# row if a row is longer), so memory does not grow with lambda_steps; it grows with
-# phase_steps, as the table spans the phase axis (tracemalloc, lipc: about 272 B a
-# step, 27.2 MB at 1e5 steps; 35.3 MB for the sweep command).  Blocks keep a 201x201
-# sweep's planes (2.6 MB whole) within 128 KiB, but do not keep its pages: the sweep
-# command still takes ~1400 minor faults at 201x201 (lipc) and a matched figure ~350.
-# Cells do not depend on their block.
-_BLOCK_CELLS = 2048
+# A sweep runs in blocks of at most this many cells: whole lambda rows when a
+# row fits, else one row in pieces of at most this many phases, slices of the
+# one whole-axis table; cells do not depend on their block.  No planes, run or
+# check temporaries span more (tracemalloc: a 201x201 lipc sweep command peaks
+# at 0.28 MB, 0.51 MB with blocks of 2048).  The table (64 B a phase step) and
+# the rows still grow with phase_steps: 3 lipc rows of 1e5 steps take 8.3 MB,
+# 26.2 MB in the sweep command.
+_BLOCK_CELLS = 1024
 
 
 def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarray]:
@@ -87,8 +87,9 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarr
     With matched_from_long the scalar phase axis is read as the long oracle
     phase and mapped to the grid's kind through the transform condition, so
     matched sweeps of different kinds tabulate the same field.  The original
-    kind ignores the phase axis entirely.  One bundle holds the whole phase
-    axis; its table and every start vector are checked before the first row.
+    kind ignores the phase axis entirely and runs one cell per row.  One
+    bundle holds the whole phase axis; blocks of at most _BLOCK_CELLS cells run
+    slices of its table, each checked with every start vector before the first row.
     """
     phases = grid.phases()
     if matched_from_long and grid.kind is not AlgorithmKind.ORIGINAL:
@@ -98,13 +99,18 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarr
         # LongParams(phase, phase) has the coefficients of LongParams(phase).
         pin = 0.0 if grid.kind is AlgorithmKind.LI_CM else phases
         params = params_from_phases(grid.kind, (phases, pin, phases, pin))
-    coefficients = operator_coefficients(params)
+    # One entry per phase; the original kind's one entry serves every phase.
+    table = np.atleast_1d(*operator_coefficients(params))
     starts = np.fromiter(map(initial_state, grid.lambdas().tolist()), np.dtype((float, 2)),
                          grid.lambda_steps)
-    check_unitary(grid.kind, coefficients, starts)
+    pieces = [tuple(c[j:j + _BLOCK_CELLS] for c in table)
+              for j in range(0, len(table[0]), _BLOCK_CELLS)]
+    for piece in pieces:
+        check_unitary(grid.kind, piece, starts)
     rows = max(1, _BLOCK_CELLS // grid.phase_steps)
     for i in range(0, grid.lambda_steps, rows):
         s = starts[i:i + rows, None]
-        # (rows, phase_steps) cells; the original kind's 0-d table gives one per row.
-        p = success_probability(run(iteration_planes(coefficients, s), grid.k, s))
-        yield from np.broadcast_to(p, (len(p), grid.phase_steps))
+        # (rows, len(piece[0])) cells: one per row for the original kind.
+        p = [success_probability(run(iteration_planes(piece, s), grid.k, s)) for piece in pieces]
+        yield from np.broadcast_to(p[0] if len(p) == 1 else np.hstack(p),
+                                   (len(s), grid.phase_steps))

@@ -76,7 +76,11 @@ def check_unitary(kind, coefficients, s: np.ndarray) -> None:
 
 def iteration_planes(coefficients, s: np.ndarray) -> tuple:
     """Entries (m00, m01, m10, m11) of (c |s><s| + d I) diag(target, rest): run's planes."""
-    target, rest, c, d = coefficients
+    # A coefficient takes s's leading axes: numpy rounds a one-element complex
+    # product of operands of different ndim without FMA, unlike a stack's.
+    lead = s.ndim - 1
+    target, rest, c, d = (np.asarray(x)[(None,) * (lead - np.ndim(x))] if np.ndim(x) < lead
+                          else x for x in coefficients)
     s0, s1 = s[..., 0], s[..., 1]
     off = c * (s0 * s1)  # the shared off-diagonal of the diffusion
     return (c * (s0 * s0) + d) * target, off * rest, off * target, (c * (s1 * s1) + d) * rest

@@ -8,9 +8,11 @@ Two trees whose outputs should be byte-identical print the same lines:
 
 The optional argument is the src directory to import groverlab from; it
 defaults to this checkout's.  The commands come from a fixed seed and cover
-figures 1-5, sweeps of every kind with and without --matched, check-equivalence
-(with --perturb, --tol and bad values), crosscheck up to n = 12 and at
-n = 15 and 16 (several statevector chunks a gather), and usage errors.  Every
+figures 1-5, sweeps of every kind with and without --matched (among them
+phase axes of 1025 and 2500 steps, whose rows run in pieces of the phase
+table, and a one-cell sweep), check-equivalence (with --perturb, --tol and bad
+values), crosscheck up to n = 12 and at n = 15 and 16 (several statevector
+chunks a gather), and usage errors.  Every
 command runs in process, in a scratch directory, writing any CSV to out.csv.
 pytest does not collect this file.
 """
@@ -42,6 +44,14 @@ def commands():
                     out.append(["sweep", "--kind", kind, "--k", str(k), f"--lambda={lam}",
                                 f"--phase={phase}", "--out", "out.csv"]
                                + ["--matched"] * matched)
+            for k in (5, 2 ** 40):  # rows of two and three pieces of the phase table
+                for steps in (1025, 2500):
+                    out.append(["sweep", "--kind", kind, "--k", str(k), "--lambda=0.01:1:3",
+                                f"--phase=-1e6:1e6:{steps}", "--out", "out.csv"]
+                               + ["--matched"] * matched)
+    # A one-cell sweep: its (1, 1) block gets the bits of the same cell in a wider one.
+    out.append(["sweep", "--kind", "lipc", "--k", str(2 ** 40), "--lambda=1e-8:1e-8:1",
+                "--phase=1000000:1000000:1", "--out", "out.csv"])
     phis = ["0", "1.3", "3.141592653589793", "-3.141592653589793", "1e8", "1e15", "1e308",
             "-1e308", "1e-300"]
     lambdas = ["1", "0.5", "0.3", "0.25", "1e-14", "1e-8"]

@@ -1,6 +1,9 @@
 """Tests for closed-form probabilities and sweep tables."""
+import dataclasses
+import itertools
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +13,7 @@ from groverlab import analysis
 from groverlab.analysis import SweepGrid, closed_form_probability, optimal_iterations, sweep
 from groverlab.equivalence import transform_phases
 from groverlab.model import AlgorithmKind, LongParams, OriginalParams
-from groverlab.subspace import initial_state, success_probability
+from groverlab.subspace import initial_state, run, success_probability
 
 from helpers import (cubic, iteration_matrix, one_step_at_half_pi, run_matrix,
                      single_iteration_amplitude_long, sweep_array, unmatched_params)
@@ -205,6 +208,59 @@ class TestSweep:
         assert len(rows) == 5
         assert all(row.shape == (3,) and row.dtype == np.float64 for row in rows)
 
+    def test_rows_longer_than_a_block_join_their_pieces(self, monkeypatch):
+        grid = SweepGrid(kind=AlgorithmKind.LI_PC, k=5, lambda_steps=3, phase_steps=7)
+        whole = sweep_array(grid)
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 3)  # pieces of 3, 3 and 1 phases
+        rows = list(sweep(grid))
+        assert all(row.shape == (7,) and row.dtype == np.float64 for row in rows)
+        assert not any(row.flags.writeable for row in rows)
+        assert np.array_equal(np.array(rows), whole)
+
+    def test_no_block_runs_more_cells_than_the_block_size(self, monkeypatch):
+        cells = []
+
+        def recording_run(planes, k, start):
+            cells.append(planes[0].size)
+            return run(planes, k, start)
+
+        monkeypatch.setattr(analysis, "run", recording_run)
+        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 4)
+        for kind in (AlgorithmKind.ORIGINAL, AlgorithmKind.LONG):
+            for lambda_steps, phase_steps in ((9, 2), (2, 9), (1, 4), (3, 1)):
+                grid = SweepGrid(kind=kind, k=3, lambda_steps=lambda_steps,
+                                 phase_steps=phase_steps)
+                assert sweep_array(grid).shape == (lambda_steps, phase_steps)
+        assert cells and max(cells) <= 4
+
+    def test_one_cell_grid_equals_its_scalar_run_exactly(self):
+        # A (1,) table entry times a (1, 1) cell once lost numpy's FMA bits:
+        # this cell printed 0.921985449683 alone and 0.92198545368 in a stack.
+        grid = SweepGrid(kind=AlgorithmKind.LI_PC, k=2 ** 40, lambda_min=1e-8, lambda_max=1e-8,
+                         lambda_steps=1, phase_min=1e6, phase_max=1e6, phase_steps=1)
+        s = initial_state(1e-8)
+        m = iteration_matrix(unmatched_params(grid.kind, 1e6), s)
+        assert sweep_array(grid)[0, 0] == success_probability(run_matrix(m, grid.k, s))
+        wider = dataclasses.replace(grid, phase_steps=2)
+        assert sweep_array(grid)[0, 0] == sweep_array(wider)[0, 0]
+
+    def test_wide_phase_axis_peaks_at_its_table(self):
+        # 3 x 1e4 lipc phases peaked at 2.73 MB with the whole axis in one block
+        # and one check; 1.01 MB in pieces of 1024 (the 0.64 MB table, the phase
+        # axis and a joined row).
+        grid = SweepGrid(kind=AlgorithmKind.LI_PC, k=3, lambda_min=0.1, lambda_max=0.2,
+                         lambda_steps=3, phase_min=0.0, phase_max=6.3, phase_steps=10 ** 4)
+        for _ in sweep(grid):  # fills the interpreter's free lists and caches first
+            pass
+        tracemalloc.start()
+        try:
+            for _ in sweep(grid):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2e6
+
     def test_deterministic_across_calls(self):
         grid = SweepGrid(kind=AlgorithmKind.LI_CM, k=5, lambda_steps=7, phase_steps=9)
         assert np.array_equal(sweep_array(grid), sweep_array(grid))
@@ -220,10 +276,11 @@ class TestSweep:
     @pytest.mark.parametrize("kind", list(AlgorithmKind))
     @pytest.mark.parametrize("matched", [False, True])
     def test_every_cell_equals_its_scalar_run_exactly(self, monkeypatch, kind, matched):
-        # Blocks of two of the 11 lambda rows, the last one short.
-        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 25)
         matched = matched and kind is not AlgorithmKind.ORIGINAL
-        for k in (0, 1, 5, 17):
+        for k, block in itertools.product((0, 1, 5, 17), (25, 5)):
+            # 25: blocks of two of the 11 lambda rows, the last one short.  5: each
+            # row in pieces of 5, 5 and 1 phases, the last a (1, 1) block.
+            monkeypatch.setattr(analysis, "_BLOCK_CELLS", block)
             grid = SweepGrid(kind=kind, k=k, lambda_min=0.003, lambda_steps=11,
                              phase_min=-0.05, phase_max=6.3, phase_steps=11)
             probabilities = sweep_array(grid, matched_from_long=matched).tolist()

@@ -186,6 +186,50 @@ class TestSweepCommand:
         assert capsys.readouterr().err == "groverlab: error: rejected\n"
         assert out.read_bytes() == b"known bytes\n"
 
+    def test_a_rejected_later_piece_leaves_out_untouched(self, monkeypatch, tmp_path, capsys):
+        check_unitary = analysis.check_unitary
+        pieces = []
+
+        def reject_the_third_piece(kind, coefficients, s):
+            pieces.append(len(coefficients[0]))
+            if len(pieces) == 3:
+                raise ValueError("rejected")
+            check_unitary(kind, coefficients, s)
+
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"known bytes\n")
+        monkeypatch.setattr(analysis, "check_unitary", reject_the_third_piece)
+        assert main(["sweep", "--kind", "lidf", "--k", "5", "--lambda=0.1:1:3",
+                     "--phase=0:1:2500", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "groverlab: error: rejected\n"
+        assert out.read_bytes() == b"known bytes\n"
+        assert pieces == [1024, 1024, 452]
+
+    def test_one_cell_sweep_prints_the_bits_of_a_wider_sweep(self, tmp_path):
+        # It printed 0.921985449683 when its (1, 1) block lost numpy's FMA bits.
+        out = tmp_path / "x.csv"
+        for steps in (1, 2):
+            assert main(["sweep", "--kind", "lipc", "--k", str(2 ** 40), "--lambda=1e-8:1e-8:1",
+                         f"--phase=1000000:1000000:{steps}", "--out", str(out)]) == 0
+            rows = out.read_text().splitlines()[1:]
+            assert rows == ["1e-08,1000000,1099511627776,0.92198545368"] * steps
+
+    @pytest.mark.parametrize("kind, bound", [
+        # With blocks of 2048 cells these peaked at 0.509 MB (lipc) and 0.063 MB
+        # (original, which runs one cell per row); 0.285 and 0.064 MB in 1024.
+        ("lipc", 0.32e6), ("original", 0.085e6)])
+    def test_a_201x201_sweep_peaks_within_its_blocks(self, kind, bound, tmp_path):
+        argv = ["sweep", "--kind", kind, "--k", "17", "--lambda=0.001:1:201", "--phase=0:6.3:201",
+                "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 0  # fills the interpreter's free lists and caches first
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
     def test_memory_does_not_grow_with_the_grid(self, tmp_path):
         def peak(lambda_steps):
             tracemalloc.start()
