@@ -31,12 +31,9 @@ from .model import (
     make_search_space,
     params_from_phases,
 )
-from .operators import (
-    iteration_planes,
-    operator_coefficients,
-)
 from .statevector import measure, run_full
-from .subspace import initial_state, run, success_probability
+from .subspace import (initial_state, iteration_planes, operator_coefficients, run,
+                       success_probability)
 
 __version__ = "0.1.0"
 

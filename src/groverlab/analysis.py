@@ -8,9 +8,9 @@ from typing import Iterator
 import numpy as np
 
 from .model import AlgorithmKind, LongParams, check_integer, check_iterations, params_from_phases
-from .operators import check_unitary, iteration_planes, operator_coefficients
 from .equivalence import TAU, transform_phases
-from .subspace import check_proportion, initial_state, run, success_probability
+from .subspace import (check_proportion, check_unitary, initial_state, iteration_planes,
+                       operator_coefficients, run, success_probability)
 
 
 def closed_form_probability(lambda_: float, k: int) -> float:
@@ -99,12 +99,14 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarr
         # LongParams(phase, phase) has the coefficients of LongParams(phase).
         pin = 0.0 if grid.kind is AlgorithmKind.LI_CM else phases
         params = params_from_phases(grid.kind, (phases, pin, phases, pin))
-    # One entry per phase; the original kind's one entry serves every phase.
-    table = np.atleast_1d(*operator_coefficients(params))
+    # A (1, phase_steps) table; the original kind's one entry serves every phase.
+    # Its pieces have the ndim of the (rows, 1) start vectors: numpy rounds a
+    # one-element complex product of operands of different ndim without FMA.
+    table = np.atleast_2d(*operator_coefficients(params))
     starts = np.fromiter(map(initial_state, grid.lambdas().tolist()), np.dtype((float, 2)),
                          grid.lambda_steps)
-    pieces = [tuple(c[j:j + _BLOCK_CELLS] for c in table)
-              for j in range(0, len(table[0]), _BLOCK_CELLS)]
+    pieces = [tuple(c[:, j:j + _BLOCK_CELLS] for c in table)
+              for j in range(0, table[0].size, _BLOCK_CELLS)]
     for piece in pieces:
         check_unitary(grid.kind, piece, starts)
     rows = max(1, _BLOCK_CELLS // grid.phase_steps)

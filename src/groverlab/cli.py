@@ -27,9 +27,9 @@ from .equivalence import (TRANSFORMABLE_KINDS, check_tolerance, verify_phase_equ
                           wrap_angle)
 from .model import (AlgorithmKind, LongParams, check_iterations, make_search_space,
                     params_from_phases)
-from .operators import check_unitary, iteration_planes, operator_coefficients
 from .statevector import measure, run_full
-from .subspace import check_proportion, initial_state, run, success_probability
+from .subspace import (check_proportion, check_unitary, initial_state, iteration_planes,
+                       operator_coefficients, run, success_probability)
 
 EXIT_OK = 0
 EXIT_USAGE = 1

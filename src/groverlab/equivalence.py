@@ -33,8 +33,8 @@ import numpy as np
 
 from .model import (AlgorithmKind, LiCMParams, LiDFParams, LiPCParams, LongParams, PhaseParams,
                     _require_finite)
-from .operators import check_unitary, iteration_planes, operator_coefficients
-from .subspace import run, success_probability
+from .subspace import (check_unitary, iteration_planes, operator_coefficients, run,
+                       success_probability)
 
 TAU = 2.0 * math.pi
 _CONDITION_TOL = 1e-11  # a snapped point's iteration stays within 1e-10 of the bundle's

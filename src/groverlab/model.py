@@ -120,10 +120,6 @@ class LongParams(_Bundle):
     kind: ClassVar[AlgorithmKind] = AlgorithmKind.LONG
 
     @property
-    def oracle_phase(self) -> float:
-        return self.phi
-
-    @property
     def diffusion_phase(self) -> float:
         return self.phi if self.diffusion_phi is None else self.diffusion_phi
 

@@ -8,7 +8,7 @@ step: scale by the diagonal, sum, scale by d, add the uniform part.  No mask
 work branches per entry: gathers go through an index, selects by table
 lookup.  The coefficients are written out here from the operator definitions
 on purpose: this module must stay an independent route from the 2x2
-construction in operators.py, so no coefficient tables are shared.
+construction in subspace.py, so no coefficient tables are shared.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ def _coefficients(params: PhaseParams) -> tuple[complex, complex, complex, compl
         return -1.0, 1.0, 2.0 + 0j, -1.0 + 0j
     if params.kind is AlgorithmKind.LONG:
         c = 1.0 - cmath.exp(1j * params.diffusion_phase)
-        return cmath.exp(1j * params.oracle_phase), 1.0, c, -1.0 + 0j
+        return cmath.exp(1j * params.phi), 1.0, c, -1.0 + 0j
     if params.kind is AlgorithmKind.LI_DF:
         w = 2.0 * math.cos(params.tau) * cmath.exp(1j * params.tau)
         return 1.0 - w, 1.0, w, -1.0 + 0j
@@ -64,9 +64,7 @@ def run_full(marked: np.ndarray, params: PhaseParams, k: int,
                                 and out.shape == (size,) and out.flags.c_contiguous):
         raise TypeError(f"out must be a 1-D C-contiguous complex128 array of length {size}")
     target, rest, c, d = _coefficients(params)
-    diagonal = np.empty(size, complex)
-    for i in range(0, size, _CHUNK):  # out may be live: no N-entry index beside it
-        _select(marked[i:i + _CHUNK], complex(rest), complex(target), out=diagonal[i:i + _CHUNK])
+    diagonal = _select(marked, complex(rest), complex(target))
     amps = np.empty(size, complex) if out is None else out
     amps.fill(1.0 / math.sqrt(size))
     for _ in range(k):
@@ -81,9 +79,15 @@ def run_full(marked: np.ndarray, params: PhaseParams, k: int,
 _CHUNK = 2 ** 14  # entries a piece; measure then peaks at 16 N + 9 min(N, _CHUNK) bytes
 
 
-def _select(marked: np.ndarray, off: complex, on: complex, out: np.ndarray | None = None):
-    """on where marked, else off, by table lookup; "clip" reads any nonzero byte as marked."""
-    return np.array([off, on]).take(marked.view(np.uint8), out=out, mode="clip")
+def _select(marked: np.ndarray, off: complex, on: complex) -> np.ndarray:
+    """on where marked, else off, by table lookup; "clip" reads any nonzero byte as marked.
+
+    It looks up one chunk at a time: a state may be live, so no N-entry index beside it.
+    """
+    table, index, out = np.array([off, on]), marked.view(np.uint8), np.empty(marked.size, complex)
+    for i in range(0, marked.size, _CHUNK):
+        table.take(index[i:i + _CHUNK], out=out[i:i + _CHUNK], mode="clip")
+    return out
 
 
 def _gather(marked: np.ndarray, side: bool, amplitudes: np.ndarray, count: int) -> np.ndarray:
@@ -126,9 +130,7 @@ def measure(marked: np.ndarray, amplitudes: np.ndarray) -> tuple[float, np.ndarr
     else:
         b = b_entry = 0j
     # The span's component of v, entry by entry; then v minus it, in place.
-    a_entry, residual = a / math.sqrt(num_targets), np.empty(size, complex)
-    for i in range(0, size, _CHUNK):
-        _select(marked[i:i + _CHUNK], b_entry, a_entry, out=residual[i:i + _CHUNK])
+    residual = _select(marked, b_entry, a / math.sqrt(num_targets))
     np.subtract(amplitudes, residual, out=residual)
     parts = residual.view(float)  # its norm from the squared parts, in place: no BLAS call
     return p, np.array([a, b]), math.sqrt(np.square(parts, out=parts).sum())

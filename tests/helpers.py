@@ -10,9 +10,9 @@ from groverlab.equivalence import (_CONDITION_TOL, _FORMS, TRANSFORMABLE_KINDS, 
                                    _perturbed, _point, _wrapped_difference, angle_distance,
                                    check_tolerance, transform_phases, wrap_angle)
 from groverlab.model import AlgorithmKind, LongParams, params_from_phases
-from groverlab.operators import check_unitary, iteration_planes, operator_coefficients
 from groverlab.statevector import measure, run_full
-from groverlab.subspace import initial_state, run, success_probability
+from groverlab.subspace import (check_unitary, initial_state, iteration_planes,
+                               operator_coefficients, run, success_probability)
 
 KINDS = list(AlgorithmKind)
 
@@ -47,8 +47,8 @@ def iteration_matrix(params, s):
 
     A scalar bundle and one (2,) s give one (2, 2) matrix.  A bundle's
     phases may be arrays and s a (..., 2) stack: the phases' shape and
-    s.shape[:-1] broadcast to the leading axes of a (..., 2, 2) stack, each
-    cell of which has the bits of its own scalar build.
+    s.shape[:-1] broadcast to the leading axes of a (..., 2, 2) stack.  When
+    the two have one ndim, each cell has the bits of its own scalar build.
     """
     coefficients = operator_coefficients(params)
     check_unitary(params.kind, coefficients, s)
@@ -179,14 +179,14 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
 def cmath_row(params, exp=cmath.exp, cos=math.cos):
     """The operator table row (target, rest, c, d), written out with cmath for one scalar bundle.
 
-    The reference for operators.operator_coefficients and for run_full's
+    The reference for subspace.operator_coefficients and for run_full's
     oracle and diffusion.  mpmath's exp and cos give the row at mpmath's
     working precision instead.
     """
     if params.kind is AlgorithmKind.ORIGINAL:
         return -1.0 + 0j, 1.0 + 0j, 2.0 + 0j, -1.0 + 0j
     if params.kind is AlgorithmKind.LONG:
-        return (exp(1j * params.oracle_phase), 1.0 + 0j,
+        return (exp(1j * params.phi), 1.0 + 0j,
                 1.0 - exp(1j * params.diffusion_phase), -1.0 + 0j)
     if params.kind is AlgorithmKind.LI_DF:
         w = 2.0 * cos(params.tau) * exp(1j * params.tau)

@@ -17,8 +17,8 @@ from groverlab import analysis, cli, statevector
 from groverlab.analysis import SweepGrid
 from groverlab.cli import main
 from groverlab.model import AlgorithmKind
-from groverlab.operators import UNITARITY_TOL
 from groverlab.statevector import run_full
+from groverlab.subspace import UNITARITY_TOL
 
 from helpers import crosscheck_reference, sweep_array
 
@@ -191,7 +191,7 @@ class TestSweepCommand:
         pieces = []
 
         def reject_the_third_piece(kind, coefficients, s):
-            pieces.append(len(coefficients[0]))
+            pieces.append(coefficients[0].size)
             if len(pieces) == 3:
                 raise ValueError("rejected")
             check_unitary(kind, coefficients, s)

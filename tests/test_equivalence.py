@@ -29,8 +29,8 @@ from groverlab.model import (
     OriginalParams,
     params_from_phases,
 )
-from groverlab.operators import UNITARITY_TOL, operator_coefficients
-from groverlab.subspace import initial_state, run, success_probability
+from groverlab.subspace import (UNITARITY_TOL, initial_state, operator_coefficients, run,
+                               success_probability)
 
 from helpers import (global_phase_align_reference, iteration_matrix, predicted_global_phase,
                      run_matrix, verify_reference)
@@ -497,7 +497,7 @@ class TestProbabilityEqualityAcrossVariants:
 
 
 class TestCanonicalFormProof:
-    """The module table, proved with symbolic phases against the operators.py docstring table.
+    """The module table, proved with symbolic phases against the subspace.py docstring table.
 
     s = (sin t, cos t), and a bundle's planes are (c s s^T + d I) diag(target, rest).
     """
@@ -520,7 +520,7 @@ class TestCanonicalFormProof:
             return sp.Matrix([(c * s0 * s0 + d) * target, off * rest, off * target,
                               (c * s1 * s1 + d) * rest])
 
-        # Per kind: its symbols, its operators.py row, its point (phi_o, phi_d) and chi.
+        # Per kind: its symbols, its subspace.py row, its point (phi_o, phi_d) and chi.
         return planes, {
             AlgorithmKind.LONG: ((phi, vphi), (e(phi), 1, 1 - e(vphi), -1), (phi, vphi), 0),
             AlgorithmKind.LI_DF: ((tau,), (1 - 2 * sp.cos(tau) * e(tau), 1,

@@ -139,6 +139,6 @@ def test_each_engine_has_one_per_kind_row_and_the_bundles_one_check():
                    and isinstance(node.value, ast.Name) and node.value.id == "AlgorithmKind"
                    for node in ast.walk(function))
 
-    for module in ("operators.py", "statevector.py"):
+    for module in ("subspace.py", "statevector.py"):
         assert sum(map(names_licm, functions(module))) == 1, module
     assert [f.name for f in functions("model.py")].count("__post_init__") == 1

@@ -129,12 +129,10 @@ class TestPhaseParams:
 
     def test_long_diffusion_defaults_to_phi(self):
         params = LongParams(0.7)
-        assert params.oracle_phase == 0.7
         assert params.diffusion_phase == 0.7
 
     def test_long_distinct_diffusion_phase(self):
         params = LongParams(0.7, 1.9)
-        assert params.oracle_phase == 0.7
         assert params.diffusion_phase == 1.9
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"),

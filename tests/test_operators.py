@@ -18,14 +18,13 @@ from groverlab.model import (
     OriginalParams,
     params_from_phases,
 )
-from groverlab.operators import (
+from groverlab.subspace import (
     UNITARITY_TOL,
     check_unitary,
+    initial_state,
     iteration_planes,
     operator_coefficients,
 )
-
-from groverlab.subspace import initial_state
 
 from helpers import (KINDS, cmath_row, global_phase_align_reference, is_unitary, iteration_matrix,
                      long_iteration_closed_form, random_kind, random_params, unmatched_params)

@@ -1,4 +1,4 @@
-"""The package's public names: __all__ binds exactly them, and each has a caller."""
+"""The package's names: __all__ binds exactly the public ones, and each name has a reader."""
 import ast
 import re
 import types
@@ -7,6 +7,7 @@ from pathlib import Path
 import groverlab
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(groverlab.__file__).parent
 
 
 def test_all_lists_exactly_the_public_names():
@@ -40,9 +41,8 @@ def used_names(node, inside=frozenset()):
 def test_every_public_name_has_a_caller():
     # A public name that neither the package nor the README's library
     # example uses is a helper whose only caller is its own test.
-    package = Path(groverlab.__file__).parent
     used = set().union(*(used_names(ast.parse(path.read_text(encoding="utf-8")))
-                         for path in package.glob("*.py")))
+                         for path in PACKAGE.glob("*.py")))
     example, = re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"),
                           re.DOTALL | re.MULTILINE)
     used |= used_names(ast.parse(example))
@@ -51,3 +51,28 @@ def test_every_public_name_has_a_caller():
     source = ("from m import a\nb = 1\ndef c():\n    return c()\nclass d:\n    e = d\n"
               "f(g.h)\n")
     assert used_names(ast.parse(source)) == {"f", "g", "h"}
+
+
+def private_definitions(tree):
+    """Private names (not dunders) that the module defines at its top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_helper_is_read_in_the_package():
+    # A private function, class or constant that nothing else in src/ reads
+    # is dead, or a helper whose only caller is its own test.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    defined = set().union(*map(private_definitions, trees))
+    assert defined
+    assert sorted(defined - set().union(*map(used_names, trees))) == []
+    source = "_a = 1\n_b = _a\ndef _c():\n    return _c()\nclass _D:\n    pass\n__all__ = [_D]\n"
+    tree = ast.parse(source)
+    assert private_definitions(tree) == {"_a", "_b", "_c", "_D"}
+    assert private_definitions(tree) - used_names(tree) == {"_b", "_c"}

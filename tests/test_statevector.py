@@ -49,7 +49,7 @@ def random_case(rng, n):
 
 def test_engine_imports_nothing_of_the_package_but_the_model():
     # crosscheck means something only while this engine builds its own
-    # coefficients: no table from operators or equivalence may reach it.
+    # coefficients: no table from subspace or equivalence may reach it.
     with open(groverlab.statevector.__file__, encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     package_imports = set()
