@@ -9,8 +9,8 @@ import numpy as np
 
 from .model import AlgorithmKind, LongParams, check_integer, check_iterations, params_from_phases
 from .equivalence import TAU, transform_phases
-from .subspace import (check_proportion, check_unitary, initial_state, iteration_planes,
-                       operator_coefficients, run, success_probability)
+from .subspace import (BLOCK_CELLS, check_proportion, check_unitary, initial_state,
+                       iteration_planes, operator_coefficients, run, success_probability)
 
 
 def closed_form_probability(lambda_: float, k: int) -> float:
@@ -71,16 +71,6 @@ class SweepGrid:
         return np.linspace(self.phase_min, self.phase_max, self.phase_steps)
 
 
-# A sweep runs in blocks of at most this many cells: whole lambda rows when a
-# row fits, else one row in pieces of at most this many phases, slices of the
-# one whole-axis table; cells do not depend on their block.  No planes, run or
-# check temporaries span more (tracemalloc: a 201x201 lipc sweep command peaks
-# at 0.28 MB, 0.51 MB with blocks of 2048).  The table (64 B a phase step) and
-# the rows still grow with phase_steps: 3 lipc rows of 1e5 steps take 8.3 MB,
-# 26.2 MB in the sweep command.
-_BLOCK_CELLS = 1024
-
-
 def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarray]:
     """Success probabilities over the grid: one read-only (phase_steps,) row per lambda, in order.
 
@@ -88,7 +78,7 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarr
     phase and mapped to the grid's kind through the transform condition, so
     matched sweeps of different kinds tabulate the same field.  The original
     kind ignores the phase axis entirely and runs one cell per row.  One
-    bundle holds the whole phase axis; blocks of at most _BLOCK_CELLS cells run
+    bundle holds the whole phase axis; blocks of at most BLOCK_CELLS cells run
     slices of its table, each checked with every start vector before the first row.
     """
     phases = grid.phases()
@@ -105,11 +95,15 @@ def sweep(grid: SweepGrid, matched_from_long: bool = False) -> Iterator[np.ndarr
     table = np.atleast_2d(*operator_coefficients(params))
     starts = np.fromiter(map(initial_state, grid.lambdas().tolist()), np.dtype((float, 2)),
                          grid.lambda_steps)
-    pieces = [tuple(c[:, j:j + _BLOCK_CELLS] for c in table)
-              for j in range(0, table[0].size, _BLOCK_CELLS)]
+    # Blocks are whole lambda rows when a row fits, else one row in pieces of
+    # at most BLOCK_CELLS phases; cells do not depend on their block.  The table
+    # (64 B a phase step) and the rows still grow with phase_steps: 3 lipc rows
+    # of 1e5 steps take 8.3 MB, 26.2 MB in the sweep command.
+    pieces = [tuple(c[:, j:j + BLOCK_CELLS] for c in table)
+              for j in range(0, table[0].size, BLOCK_CELLS)]
     for piece in pieces:
         check_unitary(grid.kind, piece, starts)
-    rows = max(1, _BLOCK_CELLS // grid.phase_steps)
+    rows = max(1, BLOCK_CELLS // grid.phase_steps)
     for i in range(0, grid.lambda_steps, rows):
         s = starts[i:i + rows, None]
         # (rows, len(piece[0])) cells: one per row for the original kind.

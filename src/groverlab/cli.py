@@ -28,8 +28,8 @@ from .equivalence import (TRANSFORMABLE_KINDS, check_tolerance, verify_phase_equ
 from .model import (AlgorithmKind, LongParams, check_iterations, make_search_space,
                     params_from_phases)
 from .statevector import measure, run_full
-from .subspace import (check_proportion, check_unitary, initial_state, iteration_planes,
-                       operator_coefficients, run, success_probability)
+from .subspace import (BLOCK_CELLS, check_proportion, check_unitary, initial_state,
+                       iteration_planes, operator_coefficients, run, success_probability)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -200,21 +200,14 @@ def _random_case(rng: np.random.Generator, n: int):
     return make_search_space(n, targets), params, k
 
 
-# crosscheck runs its 2x2 side on stacks over blocks of at most this many
-# samples.  A block peaks at about 330 bytes a sample (136 of them its
-# records), so memory does not grow with --samples.
-_BLOCK_SAMPLES = 2048
-
-
-def _subspace_states(kinds, table, lambdas, ks) -> np.ndarray:
+def _subspace_states(kinds, table, starts, ks) -> np.ndarray:
     """Each sample's (2,) state after its k steps on the 2x2 engine, from stacked passes.
 
-    kinds, lambdas and ks hold one entry per sample and table one column of
+    kinds, starts and ks hold one entry per sample and table one column of
     (target, rest, c, d), each sample's own operator_coefficients row.  The
     table is checked once and its planes run once per k, so every cell gets
     the bits of its own single run.
     """
-    starts = np.array([initial_state(lam) for lam in lambdas.tolist()])
     check_unitary(kinds, table, starts)
     planes = iteration_planes(table, starts)
     states = np.empty((len(kinds), 2), complex)
@@ -245,18 +238,18 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     raw = np.empty(2 ** args.n + 3, complex)
     skip = -raw.__array_interface__["data"][0] % 64 // 16
     full = raw[skip:skip + 2 ** args.n]
-    for first in range(0, args.samples, _BLOCK_SAMPLES):
-        size = min(_BLOCK_SAMPLES, args.samples - first)
+    for first in range(0, args.samples, BLOCK_CELLS):
+        size = min(BLOCK_CELLS, args.samples - first)
         kinds, table, ks = np.empty(size, object), np.empty((4, size), complex), np.empty(size, int)
-        lambdas, p_full, residuals = np.empty(size), np.empty(size), np.empty(size)
+        starts, p_full, residuals = np.empty((size, 2)), np.empty(size), np.empty(size)
         projected = np.empty((size, 2), complex)
         for j in range(size):
             marked, params, ks[j] = _random_case(rng, args.n)
             kinds[j], table[:, j] = params.kind, operator_coefficients(params)
             run_full(marked, params, ks[j], out=full)
-            lambdas[j] = np.count_nonzero(marked) / marked.size
+            starts[j] = initial_state(np.count_nonzero(marked) / marked.size)
             p_full[j], projected[j], residuals[j] = measure(marked, full)
-        states = _subspace_states(kinds, table, lambdas, ks)
+        states = _subspace_states(kinds, table, starts, ks)
         deviations = np.abs(p_full - success_probability(states))
         gaps = np.abs(projected - states).max(axis=1)  # the phases too, not only |a|^2
         # np.maximum, unlike max, keeps a nan sample: it prints as nan and fails the run.

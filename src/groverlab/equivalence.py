@@ -190,11 +190,13 @@ def verify_phase_equivalence(
 ) -> list[EquivalenceReport]:
     """Map a long iteration's phase to every other variant and test the claim about |s> = s.
 
-    Failures are recorded in the reports, never raised.  A nonzero perturb
+    params_long must lie on the chain: one phase, or two within 1e-11 of each
+    other; off it, lidf's ValueError "lidf covers only the chain ..." is raised.
+    Every other failure is recorded in the reports.  A nonzero perturb
     offsets each mapped variant's leading phase, stepping off the chain; the
     reports then demonstrate that the condition is necessary, not just
     sufficient.  Long's point is read once and mapped to each kind, and each
-    predicted phase is a difference of chis.
+    predicted phase is the mapped bundle's chi (long's is 0).
     The four bundles' rows make one table, checked and expanded once, so the
     long iteration and the three variants run k steps as four cells of one
     run; prob_deviation compares their success probabilities (at k = 0 it
@@ -207,9 +209,7 @@ def verify_phase_equivalence(
     check_tolerance("tol", tol)
     point = _point(params_long)
     mapped = [_FORMS[kind].at(*point) for kind in TRANSFORMABLE_KINDS[1:]]
-    with np.errstate(over="ignore"):  # a chi column rejects an overflow, by name
-        chi_long = _FORMS[params_long.kind].chi(params_long)
-        predicted = [_wrapped_difference(_FORMS[p.kind].chi(p), chi_long) for p in mapped]
+    predicted = [wrap_angle(_FORMS[p.kind].chi(p)) for p in mapped]
     bundles = [params_long] + [_perturbed(p, perturb) if perturb else p for p in mapped]
     # The table's columns (target, rest, c, d) as rows of one (4, 4) array, one cell per bundle.
     table = np.array(list(zip(*map(operator_coefficients, bundles))))

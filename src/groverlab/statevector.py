@@ -48,6 +48,14 @@ def _check_mask(marked: np.ndarray) -> int:
     return num_targets
 
 
+def _check_vector(name: str, array, size: int, contiguous: bool = False) -> None:
+    """Reject array, naming it by name, unless it is a 1-D complex128 ndarray of length size."""
+    if not (isinstance(array, np.ndarray) and array.dtype == complex and array.shape == (size,)
+            and (array.flags.c_contiguous or not contiguous)):
+        layout = "1-D C-contiguous" if contiguous else "1-D"
+        raise TypeError(f"{name} must be a {layout} complex128 array of length {size}")
+
+
 def run_full(marked: np.ndarray, params: PhaseParams, k: int,
              out: np.ndarray | None = None) -> np.ndarray:
     """The N = marked.size amplitudes after k oracle-then-diffusion steps from the uniform state.
@@ -60,9 +68,8 @@ def run_full(marked: np.ndarray, params: PhaseParams, k: int,
     _check_mask(marked)
     check_iterations("k", k)
     size = marked.size
-    if out is not None and not (isinstance(out, np.ndarray) and out.dtype == complex
-                                and out.shape == (size,) and out.flags.c_contiguous):
-        raise TypeError(f"out must be a 1-D C-contiguous complex128 array of length {size}")
+    if out is not None:
+        _check_vector("out", out, size, contiguous=True)
     target, rest, c, d = _coefficients(params)
     diagonal = _select(marked, complex(rest), complex(target))
     amps = np.empty(size, complex) if out is None else out
@@ -105,6 +112,7 @@ def _gather(marked: np.ndarray, side: bool, amplitudes: np.ndarray, count: int) 
 def measure(marked: np.ndarray, amplitudes: np.ndarray) -> tuple[float, np.ndarray, float]:
     """(p, (a, b), residual): target probability, (<alpha|v>, <beta|v>), norm outside their span.
 
+    amplitudes is a 1-D complex128 array of length N, a strided view or not.
     p is clamped into [0, 1]; nan stays nan.  With M = N there are no
     non-target indices and b = 0.  Each side is gathered once, in chunks, and
     |on| overwrites the target gather, so for any M the peak above the amplitudes
@@ -112,6 +120,7 @@ def measure(marked: np.ndarray, amplitudes: np.ndarray) -> tuple[float, np.ndarr
     one chunk's index (8 bytes an entry) and mask (1).
     """
     num_targets, size = _check_mask(marked), marked.size
+    _check_vector("amplitudes", amplitudes, size)
     on = _gather(marked, True, amplitudes, num_targets)
     a = complex(on.sum() / math.sqrt(num_targets))
     # |on| into on's own bytes: piece [lo, 2 lo) overwrites only entries already read.

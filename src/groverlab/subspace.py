@@ -26,6 +26,9 @@ import numpy as np
 from .model import AlgorithmKind, PhaseParams, check_iterations
 
 UNITARITY_TOL = 1e-10
+# The most cells a stacked 2x2 pass holds.  It bounds the planes, run's and
+# check_unitary's temporaries, and crosscheck's per-sample records.
+BLOCK_CELLS = 1024
 _TINY = np.finfo(float).tiny
 
 

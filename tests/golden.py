@@ -12,7 +12,7 @@ figures 1-5, sweeps of every kind with and without --matched (among them
 phase axes of 1025 and 2500 steps, whose rows run in pieces of the phase
 table, and a one-cell sweep), check-equivalence (with --perturb, --tol and bad
 values), crosscheck up to n = 12 and at n = 15 and 16 (several statevector
-chunks a gather), and usage errors.  Every
+chunks a gather), --samples 0, and usage errors.  Every
 command runs in process, in a scratch directory, writing any CSV to out.csv.
 pytest does not collect this file.
 """
@@ -87,6 +87,8 @@ def commands():
         sweep + ["--k", "-1", *axes], sweep + ["--k", str(2 ** 53 + 1), *axes],
         sweep + ["--k", "1", "--lambda=0.1:1:3", "--phase=-1.7e308:1.7e308:3"],
         sweep + ["--k", "1", "--lambda=0.1:1", "--phase=0:1:3"],
+        sweep + ["--k", "1", "--lambda=0.1:1:3", "--phase=0:1:0"],
+        sweep + ["--k", "1", "--lambda=0.1:1:3", "--phase=0:1:2.5"],
         ["sweep", "--kind", "nope", "--k", "1", *axes, "--out", "out.csv"],
         ["sweep", "--kind", "long", "--k", "1", *axes, "--out", "missing-dir/out.csv"],
         ["check-equivalence", "--phi", "nan", "--lambda", "0.5", "--k", "1"],
@@ -104,6 +106,7 @@ def commands():
         ["crosscheck", "--n", "25", "--seed", "1", "--samples", "2"],
         ["crosscheck", "--n", "3", "--seed", "-1", "--samples", "2"],
         ["crosscheck", "--n", "3", "--seed", "1", "--samples", "-1"],
+        ["crosscheck", "--n", "3", "--seed", "1", "--samples", "0"],
         ["crosscheck", "--n", "3", "--seed", "1", "--samples", "2", "--tol", "0"],
         ["crosscheck", "--n", "3", "--seed", "1", "--samples", "2", "--tol", "nan"],
     ]

@@ -201,7 +201,7 @@ class TestSweep:
         assert np.all((0.0 <= probabilities) & (probabilities <= 1.0))
 
     def test_yields_one_float64_row_per_lambda(self, monkeypatch):
-        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 6)  # blocks of two rows of three
+        monkeypatch.setattr(analysis, "BLOCK_CELLS", 6)  # blocks of two rows of three
         rows = sweep(SweepGrid(kind=AlgorithmKind.LONG, k=2, lambda_steps=5, phase_steps=3))
         assert not isinstance(rows, np.ndarray)
         rows = list(rows)
@@ -211,7 +211,7 @@ class TestSweep:
     def test_rows_longer_than_a_block_join_their_pieces(self, monkeypatch):
         grid = SweepGrid(kind=AlgorithmKind.LI_PC, k=5, lambda_steps=3, phase_steps=7)
         whole = sweep_array(grid)
-        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 3)  # pieces of 3, 3 and 1 phases
+        monkeypatch.setattr(analysis, "BLOCK_CELLS", 3)  # pieces of 3, 3 and 1 phases
         rows = list(sweep(grid))
         assert all(row.shape == (7,) and row.dtype == np.float64 for row in rows)
         assert not any(row.flags.writeable for row in rows)
@@ -225,7 +225,7 @@ class TestSweep:
             return run(planes, k, start)
 
         monkeypatch.setattr(analysis, "run", recording_run)
-        monkeypatch.setattr(analysis, "_BLOCK_CELLS", 4)
+        monkeypatch.setattr(analysis, "BLOCK_CELLS", 4)
         for kind in (AlgorithmKind.ORIGINAL, AlgorithmKind.LONG):
             for lambda_steps, phase_steps in ((9, 2), (2, 9), (1, 4), (3, 1)):
                 grid = SweepGrid(kind=kind, k=3, lambda_steps=lambda_steps,
@@ -280,7 +280,7 @@ class TestSweep:
         for k, block in itertools.product((0, 1, 5, 17), (25, 5)):
             # 25: blocks of two of the 11 lambda rows, the last one short.  5: each
             # row in pieces of 5, 5 and 1 phases, the last a (1, 1) block.
-            monkeypatch.setattr(analysis, "_BLOCK_CELLS", block)
+            monkeypatch.setattr(analysis, "BLOCK_CELLS", block)
             grid = SweepGrid(kind=kind, k=k, lambda_min=0.003, lambda_steps=11,
                              phase_min=-0.05, phase_max=6.3, phase_steps=11)
             probabilities = sweep_array(grid, matched_from_long=matched).tolist()

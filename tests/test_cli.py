@@ -381,10 +381,10 @@ class TestCrosscheckBlocks:
     def test_output_equals_the_per_sample_path(self, monkeypatch, capsys, n):
         # With blocks of 3, 1, 4 and 7 samples end in a partial block, one
         # full block and a partial one, and two full blocks and a partial one.
-        monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 3)
+        monkeypatch.setattr(cli, "BLOCK_CELLS", 3)
         drawn = []
         for seed in self.SEEDS:
-            for samples in (1, 7, cli._BLOCK_SAMPLES + 1):
+            for samples in (1, 7, cli.BLOCK_CELLS + 1):
                 lines, code, cases = crosscheck_reference(n, seed, samples)
                 argv = ["crosscheck", "--n", str(n), "--seed", str(seed), "--samples", str(samples)]
                 assert main(argv) == code
@@ -394,8 +394,8 @@ class TestCrosscheckBlocks:
         assert 0 in {k for _, k in drawn}
 
     def test_a_full_block_equals_the_per_sample_path(self, capsys):
-        # 2049 samples: every (kind, k) pair shares its stacks with others.
-        samples = cli._BLOCK_SAMPLES + 1
+        # 1025 samples: every (kind, k) pair shares its stacks with others.
+        samples = cli.BLOCK_CELLS + 1
         lines, code, _ = crosscheck_reference(1, 3, samples)
         assert main(["crosscheck", "--n", "1", "--seed", "3", "--samples", str(samples)]) == code
         assert capsys.readouterr().out.splitlines() == lines
@@ -413,7 +413,7 @@ class TestCrosscheckBlocks:
 
         # Blocks of 64 samples: 2560 samples run 40 blocks, so a block's
         # records cannot hide growth across blocks.
-        monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 64)
+        monkeypatch.setattr(cli, "BLOCK_CELLS", 64)
         # An untraced run of the same draws first fills the interpreter's
         # free lists and caches, which tracemalloc would count as growth.
         assert main([*argv, "2560"]) == 0
@@ -430,7 +430,7 @@ class TestCrosscheckBlocks:
             return run_full(marked, params, k, out=out)
 
         monkeypatch.setattr(cli, "run_full", recording_run_full)
-        monkeypatch.setattr(cli, "_BLOCK_SAMPLES", 3)
+        monkeypatch.setattr(cli, "BLOCK_CELLS", 3)
         assert main(["crosscheck", "--n", "4", "--seed", "3", "--samples", "7"]) == 0
         assert len(buffers) == 7 and all(out is buffers[0] for out in buffers)
         assert buffers[0].__array_interface__["data"][0] % 64 == 0
@@ -466,10 +466,10 @@ class TestCrosscheckBlocks:
         assert peak <= 17 * size + measure_bound + 16384
 
     def test_a_full_block_peaks_below_400_bytes_a_sample(self):
-        # One block of 2048 samples peaks at about 330 B a sample, 136 of
+        # One block of 1024 samples peaks at about 260 B a sample, 144 of
         # them its records.  Keeping each sample's bundle until the block's
         # table is built instead triples that.
-        samples = cli._BLOCK_SAMPLES
+        samples = cli.BLOCK_CELLS
         argv = ["crosscheck", "--n", "1", "--seed", "5", "--samples", str(samples)]
         assert main(argv) == 0  # fills the interpreter's free lists and caches first
         tracemalloc.start()

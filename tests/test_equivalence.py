@@ -441,11 +441,11 @@ class TestVerifyPhaseEquivalence:
         monkeypatch.setattr(equivalence, "_deviations", deviations)
         reports = verify_phase_equivalence(LongParams(1.3), initial_state(0.37), k=25)
         assert all(rep.holds for rep in reports)
-        # Long's point once, each mapped kind's bundle at it once, and each
-        # bundle's chi once; no mapped bundle's point is read back.
+        # Long's point once, and each mapped kind's bundle at it and its chi
+        # once; long's own chi is 0, and no mapped bundle's point is read back.
         assert reads == Counter({(AlgorithmKind.LONG, "point"): 1,
-                                 **{(kind, "at"): 1 for kind in TRANSFORMABLE_KINDS[1:]},
-                                 **{(kind, "chi"): 1 for kind in TRANSFORMABLE_KINDS}})
+                                 **{(kind, column): 1 for kind in TRANSFORMABLE_KINDS[1:]
+                                    for column in ("at", "chi")}})
         assert deviation_rows == [3]
 
     @pytest.mark.parametrize("phi,lidf_deviation", [(1e8, 2.3e-9), (1e15, 0.02)])
@@ -460,8 +460,13 @@ class TestVerifyPhaseEquivalence:
                                                                  k=3))
 
     def test_a_two_phase_long_is_rejected_by_the_first_chain_only_kind(self):
-        with pytest.raises(ValueError, match="^lidf covers only the chain phi_o = phi_d"):
-            verify_phase_equivalence(LongParams(0.5, 0.9), initial_state(0.5))
+        # Two phases within the condition tolerance are one chain point; farther apart they raise.
+        s = initial_state(0.5)
+        assert all(rep.holds for rep in verify_phase_equivalence(LongParams(1.0, 1.0 + 5e-12), s))
+        for params in (LongParams(0.5, 0.9), LongParams(1.0, 2.0), LongParams(1.0, 1.0 + 2e-11)):
+            with pytest.raises(ValueError, match="^lidf covers only the chain phi_o = phi_d, "
+                                                 "and the point is off it$"):
+                verify_phase_equivalence(params, s)
 
     @pytest.mark.parametrize("tol", [0.0, float("nan")])
     def test_rejects_nonpositive_tolerance(self, tol):

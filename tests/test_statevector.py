@@ -293,7 +293,8 @@ class TestRunFull:
         np.empty((2, 4), complex), np.empty(16, complex)[::2], [0j] * 8,
     ], ids=["complex64", "float", "short", "long", "2-D", "strided", "list"])
     def test_out_must_be_a_contiguous_complex_vector_of_length_n(self, out):
-        with pytest.raises(TypeError, match="out must be"):
+        with pytest.raises(TypeError, match=r"^out must be a 1-D C-contiguous complex128 array "
+                                            r"of length 8$"):
             run_full(make_search_space(3, [1]), OriginalParams(), 1, out=out)
 
     def test_norm_preserved_through_hundred_iterations(self):
@@ -350,6 +351,17 @@ class TestMeasure:
         target, rest, _, _ = _coefficients(params)
         diagonal = _select(marked, complex(rest), complex(target))
         assert np.array_equal(diagonal, np.where(marked, complex(target), complex(rest)))
+
+    @pytest.mark.parametrize("amplitudes", [
+        np.full(3, 0.5 + 0j), np.full(5, 0.5 + 0j), np.full(4, 0.5), np.full(4, 0.5, np.complex64),
+        np.full((4, 1), 0.5 + 0j), [0.5 + 0j] * 4,
+    ], ids=["short", "long", "float", "complex64", "column", "list"])
+    def test_amplitudes_must_be_a_complex_vector_of_the_mask_length(self, amplitudes):
+        # Else numpy fails on broadcasting, casting or a list's missing take, and a
+        # short array's gather first reads clipped indices.
+        with pytest.raises(TypeError, match=r"^amplitudes must be a 1-D complex128 array "
+                                            r"of length 4$"):
+            measure(make_search_space(2, [1]), amplitudes)
 
     def test_a_mask_byte_other_than_one_reads_as_a_target(self):
         # A bool array may hold any nonzero byte; a bare take by the bytes would
